@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import dsl, hrb
 from .errors import SampleError, SoilFuzzError
-from .render import fmt_degree, fmt_score, round4
+from .render import degree_text, fmt_degree, fmt_score, round4
 from .rules import Aggregator, RuleBase, search_rules
 
 REQUIRED_COLUMNS = ("id", "p2mm", "p425", "p075", "ll", "pl")
@@ -150,93 +150,68 @@ def cmd_classify(args) -> int:
     rows, _ = _load_rows(args)
 
     if args.crisp:
-        results = []
-        for row in rows:
-            subgroup = hrb.crisp_classify(row.sample)
-            results.append((row, subgroup, hrb.SUBGRADE_RATINGS.get(subgroup, "")))
-        if args.format == "json":
-            payload = {
-                "command": "classify",
-                "mode": "crisp",
-                "results": [
-                    {
-                        "id": row.id,
-                        "winner": subgroup,
-                        "rating": rating,
-                        "a7": _a7_payload(row.sample, subgroup),
-                    }
-                    for row, subgroup, rating in results
-                ],
-            }
-            _write_output(args, _json_text(payload))
-        else:
-            table = [["id", "winner", "rating", "a7_ll", "a7_pi"]]
-            for row, subgroup, rating in results:
-                a7 = subgroup.startswith("A-7")
-                table.append([
-                    row.id, subgroup, rating,
-                    fmt_degree(row.sample.ll) if a7 else "",
-                    fmt_degree(row.sample.pi) if a7 else "",
-                ])
-            _write_output(args, _csv_text(table))
-        return EXIT_OK
-
-    name, rb = _load_rulebase(args, variables)
-    agg = Aggregator(args.agg)
-    outcomes = [
-        (row, hrb.classify_hrb(row.sample, rb, agg, args.pi_source, variables))
-        for row in rows
-    ]
-    if args.format == "json":
-        payload = {
+        header = {"command": "classify", "mode": "crisp"}
+    else:
+        name, rb = _load_rulebase(args, variables)
+        agg = Aggregator(args.agg)
+        header = {
             "command": "classify",
             "rules": name,
             "aggregator": agg.value,
             "pi_source": args.pi_source,
-            "results": [
-                {
-                    "id": row.id,
-                    "winner": res.subgroup,
-                    "rating": res.rating,
-                    "tie": res.report.tie,
-                    "tied": list(res.report.tied) if res.report.tie else [],
-                    "scores": {
-                        cls: round4(res.report.scores[cls])
-                        for cls in rb.class_order
-                    },
-                    "a7": _a7_payload(row.sample, res.subgroup),
-                }
-                for row, res in outcomes
-            ],
         }
-        _write_output(args, _json_text(payload))
+
+    records = []
+    for row in rows:
+        if args.crisp:
+            subgroup, report = hrb.crisp_classify(row.sample), None
+        else:
+            res = hrb.classify_hrb(row.sample, rb, agg, args.pi_source, variables)
+            subgroup, report = res.subgroup, res.report
+        records.append(_classify_record(row, subgroup, report))
+
+    if args.format == "json":
+        _write_output(args, _json_text({**header, "results": records}))
     else:
-        header = ["id", "winner", "rating", "tie", "tied_with"]
-        header += list(rb.class_order) + ["a7_ll", "a7_pi"]
-        table = [header]
-        for row, res in outcomes:
-            a7 = res.subgroup.startswith("A-7")
-            record = [
-                row.id,
-                res.subgroup,
-                res.rating,
-                "true" if res.report.tie else "false",
-                "|".join(res.report.tied) if res.report.tie else "",
-            ]
-            record += [fmt_score(res.report.scores[cls]) for cls in rb.class_order]
-            record += [
-                fmt_degree(row.sample.ll) if a7 else "",
-                fmt_degree(row.sample.pi) if a7 else "",
-            ]
-            table.append(record)
+        columns = ["id", "winner", "rating"]
+        if not args.crisp:
+            columns += ["tie", "tied_with", *rb.class_order]
+        table = [columns + ["a7_ll", "a7_pi"]]
+        table += [_classify_cells(record) for record in records]
         _write_output(args, _csv_text(table))
     return EXIT_OK
 
 
-def _a7_payload(sample, subgroup):
-    if not subgroup.startswith("A-7"):
-        return None
-    return {"ll": round4(sample.ll), "pi": round4(sample.pi)}
+def _classify_record(row, subgroup, report) -> dict:
+    """One row's JSON result object; ``report`` is None for a crisp outcome.
+
+    Every number in it is rounded here, once, for both output formats.
+    """
+    record = {
+        "id": row.id,
+        "winner": subgroup,
+        "rating": hrb.SUBGRADE_RATINGS.get(subgroup, ""),
+    }
+    if report is not None:
+        record["tie"] = report.tie
+        record["tied"] = list(report.tied) if report.tie else []
+        record["scores"] = {cls: round4(s) for cls, s in report.scores.items()}
+    record["a7"] = (
+        {"ll": round4(row.sample.ll), "pi": round4(row.sample.pi)}
+        if subgroup.startswith("A-7") else None
+    )
+    return record
+
+
+def _classify_cells(record: dict) -> list[str]:
+    """The CSV row of a result object, formatting its already rounded numbers."""
+    cells = [record["id"], record["winner"], record["rating"]]
+    if "scores" in record:
+        cells += ["true" if record["tie"] else "false", "|".join(record["tied"])]
+        cells += [f"{score:.4f}" for score in record["scores"].values()]
+    a7 = record["a7"]
+    cells += [degree_text(a7["ll"]), degree_text(a7["pi"])] if a7 else ["", ""]
+    return cells
 
 
 def cmd_memberships(args) -> int:

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .errors import SoilFuzzError
+from .errors import RuleConfigError, SoilFuzzError
 from .fuzzy import LinguisticVariable
 from .rules import Rule, RuleBase
 
@@ -45,7 +45,6 @@ class RuleParseError(SoilFuzzError):
 class RuleDocument:
     """A parsed rule file, keeping source positions for tooling."""
 
-    source: str
     rulebase: RuleBase
     rule_lines: dict[str, int] = field(default_factory=dict)
 
@@ -269,7 +268,6 @@ def parse_document(
 
     rulebase = RuleBase(tuple(r for _, r in rules), tuple(class_order))
     return RuleDocument(
-        source=text,
         rulebase=rulebase,
         rule_lines={rule.id: lineno for lineno, rule in rules},
     )
@@ -285,13 +283,23 @@ def serialize(rb: RuleBase, variables: Mapping[str, LinguisticVariable]) -> str:
 
     One rule per line, descriptors listed in their variable's ladder order,
     single spaces, LF endings.  ``parse_rules(serialize(rb)) == rb``.
+
+    Raises:
+        RuleConfigError: if a rule names a variable or descriptor that
+            ``variables`` lacks, rather than silently dropping it.
     """
-    rb.validate_against(variables)
     lines = ["CLASSES " + ", ".join(rb.class_order)]
     for rule in rb.rules:
         clauses = []
         for var, allowed in rule.antecedents:
+            if var not in variables:
+                raise RuleConfigError(f"rule {rule.id}: unknown variable {var}")
             ordered = [lab for lab in variables[var].labels if lab in allowed]
+            if len(ordered) != len(allowed):
+                unknown = ", ".join(sorted(allowed.difference(ordered)))
+                raise RuleConfigError(
+                    f"rule {rule.id}: {var} has no descriptor {unknown}"
+                )
             clauses.append(f"{var} IS {{{', '.join(ordered)}}}")
         lines.append(f"RULE {rule.id}: {' AND '.join(clauses)} => {rule.consequent}")
     return "\n".join(lines) + "\n"

@@ -11,6 +11,7 @@ Variables and membership vectors are immutable; fuzzification is a pure
 function, so everything here is safe to share between threads.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import FuzzificationError, PartitionError
@@ -92,10 +93,6 @@ def make_partition(
     return LinguisticVariable(name, labels, centers, domain_min, domain_max)
 
 
-def _triangle(x: float, left: float, mid: float, right: float) -> float:
-    return max(min((x - left) / (mid - left), (right - x) / (right - mid)), 0.0)
-
-
 def fuzzify(var: LinguisticVariable, x: float) -> MembershipVector:
     """Evaluate every descriptor of ``var`` at the crisp value ``x``.
 
@@ -103,26 +100,21 @@ def fuzzify(var: LinguisticVariable, x: float) -> MembershipVector:
     rising edge; values beyond either end center get an all-zero vector.
 
     Raises:
-        FuzzificationError: if ``x`` is outside the variable's domain.
+        FuzzificationError: if ``x`` is outside the variable's domain or NaN.
     """
     x = float(x)
-    if x < var.domain_min or x > var.domain_max:
+    if not var.domain_min <= x <= var.domain_max:
         raise FuzzificationError(
             f"{var.name}: value {x} outside domain "
             f"[{var.domain_min}, {var.domain_max}]"
         )
 
     c = var.centers
-    last = len(c) - 1
-    degrees = {}
-    for i, label in enumerate(var.labels):
-        if x < c[0] or x > c[last]:
-            d = 0.0
-        elif i == 0:
-            d = (c[1] - x) / (c[1] - c[0]) if x <= c[1] else 0.0
-        elif i == last:
-            d = (x - c[last - 1]) / (c[last] - c[last - 1]) if x >= c[last - 1] else 0.0
-        else:
-            d = _triangle(x, c[i - 1], c[i], c[i + 1])
-        degrees[label] = d
+    degrees = dict.fromkeys(var.labels, 0.0)
+    if c[0] <= x <= c[-1]:
+        # Only the two descriptors whose centers bracket x are active.
+        j = max(bisect_left(c, x), 1)
+        w = c[j] - c[j - 1]
+        degrees[var.labels[j - 1]] = (c[j] - x) / w
+        degrees[var.labels[j]] = (x - c[j - 1]) / w
     return MembershipVector(variable=var.name, input_value=x, entries=degrees)

@@ -8,6 +8,7 @@ reference oracle, and six bundled validation specimens.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -54,12 +55,13 @@ class SoilSample:
     pi: float | None = None
 
     def __post_init__(self):
-        for name in ("p2mm", "p425", "p075", "ll", "pl"):
-            object.__setattr__(self, name, float(getattr(self, name)))
         if self.pi is None:
-            object.__setattr__(self, "pi", self.ll - self.pl)
-        else:
-            object.__setattr__(self, "pi", float(self.pi))
+            object.__setattr__(self, "pi", float(self.ll) - float(self.pl))
+        for name in ("p2mm", "p425", "p075", "ll", "pl", "pi"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise SampleError(f"non-finite {name} {value}")
+            object.__setattr__(self, name, value)
         if not 0.0 <= self.p075 <= self.p425 <= self.p2mm <= 100.0:
             raise SampleError(
                 "sieve fractions must satisfy 0 <= p075 <= p425 <= p2mm <= 100 "

@@ -23,5 +23,10 @@ def fmt_degree(x: float) -> str:
 
     Gives "0", "1", "0.96", "0.2667" rather than "0.0000"-style cells.
     """
-    text = f"{round4(x):.4f}".rstrip("0").rstrip(".")
+    return degree_text(round4(x))
+
+
+def degree_text(r: float) -> str:
+    """:func:`fmt_degree` of a value that :func:`round4` has already rounded."""
+    text = f"{r:.4f}".rstrip("0").rstrip(".")
     return text or "0"

@@ -79,22 +79,10 @@ class RuleBase:
                     "missing from class order"
                 )
 
-    def validate_against(self, variables: Mapping[str, LinguisticVariable]) -> None:
-        """Check that every antecedent references a known variable/descriptor."""
-        for rule in self.rules:
-            for var, allowed in rule.antecedents:
-                if var not in variables:
-                    raise RuleConfigError(f"rule {rule.id}: unknown variable {var}")
-                for lab in allowed:
-                    if lab not in variables[var].labels:
-                        raise RuleConfigError(
-                            f"rule {rule.id}: {var} has no descriptor {lab}"
-                        )
-
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Per-class possibility scores with a deterministic ranking."""
+    """Per-class possibility scores, in class order, with a deterministic ranking."""
 
     scores: dict[str, float]
     ranking: tuple[str, ...]
@@ -298,18 +286,3 @@ def search_rules(
                 best, best_score = current, current_score
         trace.append(best_score)
     return InductionResult(best, best_score, tuple(trace))
-
-
-def induce_rules(
-    labeled: Sequence[tuple[Mapping[str, MembershipVector], str]],
-    variables: Mapping[str, LinguisticVariable],
-    rules_per_class: int = 1,
-    iterations: int = 1000,
-    seed: int = 0,
-    agg: Aggregator = Aggregator.MEAN,
-    classes: Sequence[str] | None = None,
-) -> RuleBase:
-    """Induce a rule base from labeled samples; see :func:`search_rules`."""
-    return search_rules(
-        labeled, variables, rules_per_class, iterations, seed, agg, classes
-    ).rulebase

@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import io
 import json
+import random
 
 import pytest
 
@@ -190,6 +192,32 @@ class TestClassifyCommand:
         rows = csv_rows(out)
         assert len(rows) == 2 and rows[1][0] == "b"
 
+    @pytest.mark.parametrize("mode", [[], ["--crisp"]])
+    def test_non_finite_cells_are_row_diagnostics(self, mode, tmp_path, capsys):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(
+            "id,p2mm,p425,p075,ll,pl\n"
+            "a,100,100,92,nan,25\n"
+            "b,100,100,92,inf,25\n"
+            "c,100,100,92,65,25\n"
+        )
+        code, out, err = run(["classify", *mode, str(path)], capsys)
+        assert code == cli.EXIT_ROWS and out == ""
+        assert "row 1: non-finite ll nan" in err
+        assert "row 2: non-finite ll inf" in err
+
+        code, out, _ = run(
+            ["classify", *mode, "--format", "json", "--skip-bad-rows", str(path)],
+            capsys,
+        )
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"invalid JSON constant {constant}")
+
+        payload = json.loads(out, parse_constant=reject)
+        assert [r["id"] for r in payload["results"]] == ["c"]
+
     def test_rules_file_equivalent_to_preset(
         self, fixture_csv, tmp_path, capsys, variables, paper_preset
     ):
@@ -339,3 +367,80 @@ class TestInduceCommand:
         code, _, err = run(["induce", "--seed", "1", fixture_csv], capsys)
         assert code == cli.EXIT_ROWS
         assert "class" in err
+
+
+def golden_corpus_csv(n=300):
+    """Seeded rows, half on whole units so ties and ladder centers occur."""
+    rng = random.Random(0)
+    lines = ["id,p2mm,p425,p075,ll,pl"]
+    for i in range(n):
+        scale = 1 if i % 2 else 10
+        p2mm = rng.randint(0, 100 * scale)
+        p425 = rng.randint(0, p2mm)
+        p075 = rng.randint(0, p425)
+        ll = rng.randint(10 * scale, 95 * scale)
+        pi = rng.randint(0, min(ll, 70 * scale))
+        cells = [v / scale for v in (p2mm, p425, p075, ll, ll - pi)]
+        lines.append(f"G{i:03d}," + ",".join(f"{v:g}" for v in cells))
+    return "\n".join(lines) + "\n"
+
+
+GOLDEN_SHA256 = {
+    ("classify",): (
+        "43d088c9fc22779a4e8a6dd495ef91c5ee6dec9d2741b46ada38f311c496adaa"
+    ),
+    ("classify", "--format", "json"): (
+        "3e170f2b9bdfe6488aa80ba13deb8554cdcff0d56e28de7f7ef580d651148e59"
+    ),
+    ("classify", "--crisp"): (
+        "dea04651778a6da08bdf44e93769e21798d4a6ee6a8cc4b4b4c7fa68f4e6e9fa"
+    ),
+    ("classify", "--crisp", "--format", "json"): (
+        "64dc799d11393e68450bd72508a180df8da7c891d9ff84f5483105d8aed8b4ff"
+    ),
+    ("classify", "--preset", "calibrated", "--agg", "min"): (
+        "1e315ca3130d8ed3cac2b3527f813966859df662178fe1dfee3607015394c7cc"
+    ),
+    ("classify", "--agg", "product", "--pi-source", "pl", "--format", "json"): (
+        "77f6347c11ef05843cff2a5e4a31fae058f16aa94575607c8e801f45ff8dcc87"
+    ),
+    ("memberships",): (
+        "9bcd423c247fd322430e3f64156681074b7b8e63ed0188e1e7deeb5adb030397"
+    ),
+    ("memberships", "--format", "json"): (
+        "84e39c79cb729e1832a9358d7c291bf6e41437539bdac82d71859bc8add8aef6"
+    ),
+    ("memberships", "--variable", "pi", "--pi-source", "pl"): (
+        "a6227ea154135acde9477043faeffd16a89167b3161e8c3ba38f4b85be8c9bf5"
+    ),
+    ("rules", "--preset", "calibrated"): (
+        "147806ecc60efeeac4fbe0422cf56559b76fd42d355836e462e0ee09c72e0c49"
+    ),
+}
+
+
+class TestGoldenBytes:
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("golden") / "corpus.csv"
+        path.write_text(golden_corpus_csv())
+        return str(path)
+
+    def test_corpus_has_a7_wins_and_ties(self, corpus, capsys):
+        for mode in (["classify"], ["classify", "--crisp"]):
+            _, out, _ = run([*mode, corpus], capsys)
+            winners = [r[1] for r in csv_rows(out)[1:]]
+            assert len(winners) == 300
+            assert {"A-7-5", "A-7-6"} <= set(winners)
+        _, out, _ = run(["classify", corpus], capsys)
+        assert sum(r[3] == "true" for r in csv_rows(out)[1:]) >= 5
+
+    @pytest.mark.parametrize("mode", list(GOLDEN_SHA256), ids=" ".join)
+    def test_output_bytes(self, mode, corpus, tmp_path, capsys):
+        args = list(mode) if mode[0] == "rules" else [*mode, corpus]
+        code, out, err = run(args, capsys)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[mode]
+        target = tmp_path / "out"
+        assert cli.main([*args, "-o", str(target)]) == 0
+        assert target.read_bytes() == out.encode()

@@ -2,7 +2,15 @@ import random
 
 import pytest
 
-from soilfuzz import RuleParseError, parse_document, parse_rules, serialize
+from soilfuzz import (
+    Rule,
+    RuleBase,
+    RuleConfigError,
+    RuleParseError,
+    parse_document,
+    parse_rules,
+    serialize,
+)
 
 
 def diag_messages(excinfo):
@@ -155,6 +163,19 @@ class TestSerialize:
     def test_round_trip_is_identity_on_canonical_text(self, variables, paper_preset):
         text = serialize(paper_preset.rulebase, variables)
         assert serialize(parse_rules(text, variables), variables) == text
+
+    @pytest.mark.parametrize(
+        "antecedent, message",
+        [
+            (("sand", frozenset({"VL"})), "R1: unknown variable sand"),
+            (("p2mm", frozenset({"VL", "XX"})), "R1: p2mm has no descriptor XX"),
+        ],
+    )
+    def test_unknown_names_rejected_not_dropped(self, variables, antecedent, message):
+        # Induced or hand-built bases never pass through the parser.
+        rb = RuleBase((Rule("R1", (antecedent,), "A-3"),), ("A-3",))
+        with pytest.raises(RuleConfigError, match=message):
+            serialize(rb, variables)
 
 
 def random_valid_doc(variables, rng):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -60,6 +61,10 @@ class TestFuzzify:
         with pytest.raises(FuzzificationError, match="p2mm"):
             fuzzify(five_range(), -1)
 
+    def test_nan_rejected(self):
+        with pytest.raises(FuzzificationError, match="p2mm"):
+            fuzzify(five_range(), math.nan)
+
     def test_below_first_center_is_all_zero(self):
         var = make_partition("x", ["A", "B"], [10, 20], (0, 30))
         assert all(d == 0.0 for d in fuzzify(var, 5).entries.values())
@@ -116,3 +121,41 @@ class TestPartitionProperties:
                 for lab in var.labels:
                     d0, d1, d2 = (v.entries[lab] for v in vecs)
                     assert d0 + d2 == pytest.approx(2 * d1, abs=1e-12)
+
+
+def triangle_degrees(var, x):
+    """Reference: every descriptor's own triangle, evaluated label by label."""
+    c, last = var.centers, len(var.centers) - 1
+    out = []
+    for i in range(last + 1):
+        if x < c[0] or x > c[last]:
+            d = 0.0
+        elif i == 0:
+            d = (c[1] - x) / (c[1] - c[0]) if x <= c[1] else 0.0
+        elif i == last:
+            d = (x - c[last - 1]) / (c[last] - c[last - 1]) if x >= c[last - 1] else 0.0
+        else:
+            rise = (x - c[i - 1]) / (c[i] - c[i - 1])
+            fall = (c[i + 1] - x) / (c[i + 1] - c[i])
+            d = max(min(rise, fall), 0.0)
+        out.append(d)
+    return out
+
+
+def test_two_neighbour_fuzzify_matches_triangles(variables):
+    # Bit-for-bit, sign of zero included, on a 0.01 grid over each domain
+    # plus both float neighbours of every center and domain bound.
+    for var in variables.values():
+        lo, hi = var.domain_min, var.domain_max
+        xs = [lo + (hi - lo) * k / 10000 for k in range(10001)]
+        for edge in (*var.centers, lo, hi):
+            xs += [edge, math.nextafter(edge, -math.inf), math.nextafter(edge, math.inf)]
+        for x in xs:
+            if not lo <= x <= hi:
+                continue
+            got = list(fuzzify(var, x).entries.values())
+            want = triangle_degrees(var, x)
+            assert got == want, x
+            assert [math.copysign(1, d) for d in got] == [
+                math.copysign(1, d) for d in want
+            ], x

@@ -1,3 +1,4 @@
+import math
 import shutil
 
 import pytest
@@ -26,6 +27,22 @@ class TestSoilSample:
     def test_negative_pi(self):
         with pytest.raises(SampleError, match="negative plasticity"):
             SoilSample(100, 50, 10, ll=20, pl=30)
+
+    @pytest.mark.parametrize(
+        "overrides, name",
+        [
+            ({"p2mm": math.nan}, "p2mm"),
+            ({"ll": math.nan}, "ll"),
+            ({"ll": math.inf}, "ll"),
+            ({"pl": -math.inf}, "pl"),
+            ({"pi": math.nan}, "pi"),
+            ({"ll": 1e308, "pl": -1e308}, "pi"),  # ll - pl overflows
+        ],
+    )
+    def test_non_finite_rejected(self, overrides, name):
+        values = {"p2mm": 100, "p425": 50, "p075": 10, "ll": 30, "pl": 20}
+        with pytest.raises(SampleError, match=f"non-finite {name}"):
+            SoilSample(**{**values, **overrides})
 
 
 class TestFuzzifySample:

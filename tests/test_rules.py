@@ -11,7 +11,6 @@ from soilfuzz import (
     RuleConfigError,
     classify,
     fuzzify,
-    induce_rules,
     rule_dof,
     score_rulebase,
     search_rules,
@@ -297,14 +296,14 @@ class TestInduceRules:
 
     def test_zero_iterations_returns_initial(self, variables):
         labeled = self._labeled(variables)
-        rb = induce_rules(labeled, variables, iterations=0, seed=17)
+        rb = search_rules(labeled, variables, iterations=0, seed=17).rulebase
         assert len(rb.rules) == len(set(LABELS))
         assert rb.class_order == LABELS
 
     def test_deterministic_per_seed(self, variables):
         labeled = self._labeled(variables)
-        first = induce_rules(labeled, variables, iterations=200, seed=3)
-        second = induce_rules(labeled, variables, iterations=200, seed=3)
+        first = search_rules(labeled, variables, iterations=200, seed=3).rulebase
+        second = search_rules(labeled, variables, iterations=200, seed=3).rulebase
         assert first == second
 
     def test_more_iterations_never_worse(self, variables):
@@ -321,10 +320,12 @@ class TestInduceRules:
 
     def test_rules_per_class(self, variables):
         labeled = self._labeled(variables)
-        rb = induce_rules(labeled, variables, rules_per_class=2, iterations=0, seed=1)
+        rb = search_rules(
+            labeled, variables, rules_per_class=2, iterations=0, seed=1
+        ).rulebase
         assert len(rb.rules) == 2 * len(set(LABELS))
 
     def test_class_without_sample_rejected(self, variables):
         labeled = self._labeled(variables)
         with pytest.raises(EvaluationError, match="A-5"):
-            induce_rules(labeled, variables, seed=1, classes=list(LABELS) + ["A-5"])
+            search_rules(labeled, variables, seed=1, classes=list(LABELS) + ["A-5"])
