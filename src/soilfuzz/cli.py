@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import dsl, hrb
-from .errors import SampleError, SoilFuzzError
+from .errors import FuzzificationError, SampleError, SoilFuzzError
 from .render import degree_text, fmt_degree, fmt_score, round4
 from .rules import Aggregator, RuleBase, search_rules
 
@@ -103,14 +103,33 @@ def _write_output(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _report_rows(args, problems: list[str]) -> None:
+    """Print row diagnostics; exit 4 on any unless --skip-bad-rows."""
+    for line in problems:
+        print(line, file=sys.stderr)
+    if problems and not args.skip_bad_rows:
+        raise CliError(EXIT_ROWS, f"{len(problems)} bad row(s) in {args.input}")
+
+
 def _load_rows(args) -> tuple[list[SampleRow], bool]:
     rows, problems, has_class = read_samples(io.StringIO(_read_text(args.input)))
-    if problems:
-        for line in problems:
-            print(line, file=sys.stderr)
-        if not args.skip_bad_rows:
-            raise CliError(EXIT_ROWS, f"{len(problems)} bad row(s) in {args.input}")
+    _report_rows(args, problems)
     return rows, has_class
+
+
+def _map_rows(args, rows: list[SampleRow], work) -> list:
+    """``work(row)`` for every row, keeping only what it returns.
+
+    A value outside its variable's domain makes that row a diagnostic.
+    """
+    results, problems = [], []
+    for row in rows:
+        try:
+            results.append(work(row))
+        except FuzzificationError as exc:
+            problems.append(f"row {row.row}: {exc}")
+    _report_rows(args, problems)
+    return results
 
 
 def _preset_dir() -> str | None:
@@ -161,14 +180,13 @@ def cmd_classify(args) -> int:
             "pi_source": args.pi_source,
         }
 
-    records = []
-    for row in rows:
+    def classify_row(row):
         if args.crisp:
-            subgroup, report = hrb.crisp_classify(row.sample), None
-        else:
-            res = hrb.classify_hrb(row.sample, rb, agg, args.pi_source, variables)
-            subgroup, report = res.subgroup, res.report
-        records.append(_classify_record(row, subgroup, report))
+            return _classify_record(row, hrb.crisp_classify(row.sample), None)
+        res = hrb.classify_hrb(row.sample, rb, agg, args.pi_source, variables)
+        return _classify_record(row, res.subgroup, res.report)
+
+    records = _map_rows(args, rows, classify_row)
 
     if args.format == "json":
         _write_output(args, _json_text({**header, "results": records}))
@@ -222,10 +240,10 @@ def cmd_memberships(args) -> int:
         if name not in variables:
             raise CliError(EXIT_INPUT, f"unknown variable {name}")
 
-    fuzzified = [
-        (row, hrb.fuzzify_sample(row.sample, args.pi_source, variables))
-        for row in rows
-    ]
+    fuzzified = _map_rows(
+        args, rows,
+        lambda row: (row, hrb.fuzzify_sample(row.sample, args.pi_source, variables)),
+    )
     if args.format == "json":
         payload = {
             "command": "memberships",
@@ -281,10 +299,10 @@ def cmd_induce(args) -> int:
             EXIT_ROWS,
             f"empty class cell on row(s): {', '.join(map(str, unlabeled))}",
         )
-    labeled = [
-        (hrb.fuzzify_sample(row.sample, args.pi_source, variables), row.label)
-        for row in rows
-    ]
+    labeled = _map_rows(
+        args, rows,
+        lambda row: (hrb.fuzzify_sample(row.sample, args.pi_source, variables), row.label),
+    )
     if not labeled:
         raise CliError(EXIT_ROWS, "no labeled rows to induce from")
 

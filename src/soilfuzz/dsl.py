@@ -10,10 +10,13 @@ Grammar (one statement per line, ``#`` starts a comment, blank lines ignored):
 Labels are case-sensitive.  Files are UTF-8; LF and CRLF are both accepted
 and LF is emitted.  Parsing collects every diagnostic (with line and column)
 before failing, so a hand-edited file reports all its mistakes at once.
+Syntax and ``CLASSES`` header diagnostics come first, in line order; name
+checks on syntactically sound rules (duplicate id, unknown variable or
+descriptor, class missing from the header) follow, also in line order.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import RuleConfigError, SoilFuzzError
@@ -39,14 +42,6 @@ class RuleParseError(SoilFuzzError):
         super().__init__(
             "; ".join(str(d) for d in self.diagnostics) or "parse failed"
         )
-
-
-@dataclass(frozen=True)
-class RuleDocument:
-    """A parsed rule file, keeping source positions for tooling."""
-
-    rulebase: RuleBase
-    rule_lines: dict[str, int] = field(default_factory=dict)
 
 
 _TOKEN_RE = re.compile(
@@ -175,17 +170,19 @@ def _parse_rule_line(p: _LineParser):
     return ident, clauses, consequent
 
 
-def parse_document(
-    text: str, variables: Mapping[str, LinguisticVariable]
-) -> RuleDocument:
+def parse_rules(text: str, variables: Mapping[str, LinguisticVariable]) -> RuleBase:
     """Parse rule text against known variables, collecting all diagnostics.
 
     Raises:
         RuleParseError: with the full diagnostic list if anything is wrong.
     """
     errors: list[Diagnostic] = []
+    # Name checks run on every structurally sound rule as its line is read,
+    # but their diagnostics go after all syntax and header ones.
+    semantic: list[Diagnostic] = []
     header: list[str] | None = None
-    parsed_rules = []  # (lineno, (id, col), clauses, (consequent, col))
+    seen_ids: set[str] = set()
+    rules: list[Rule] = []
 
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].rstrip("\r")
@@ -203,7 +200,7 @@ def parse_document(
                 continue
             if header is not None:
                 errors.append(Diagnostic(lineno, col, "duplicate CLASSES header"))
-            elif parsed_rules:
+            elif seen_ids:
                 errors.append(
                     Diagnostic(lineno, col, "CLASSES header must precede rules")
                 )
@@ -214,68 +211,44 @@ def parse_document(
             parsed = _parse_rule_line(p)
             if parsed is None:
                 continue
-            parsed_rules.append((lineno, parsed[0], parsed[1], parsed[2]))
+            (ident, id_col), clauses, (consequent, cons_col) = parsed
+            if ident in seen_ids:
+                semantic.append(Diagnostic(lineno, id_col, f"duplicate rule id {ident}"))
+                continue
+            seen_ids.add(ident)
+            reported = len(semantic)
+            antecedents = []
+            for (var, var_col), labels in clauses:
+                if var not in variables:
+                    semantic.append(Diagnostic(lineno, var_col, f"unknown variable {var}"))
+                    continue
+                for lab, lab_col in labels:
+                    if lab not in variables[var].labels:
+                        semantic.append(
+                            Diagnostic(
+                                lineno, lab_col, f"unknown descriptor {lab} for {var}"
+                            )
+                        )
+                antecedents.append((var, frozenset(lab for lab, _ in labels)))
+            if header is not None and consequent not in header:
+                semantic.append(
+                    Diagnostic(
+                        lineno, cons_col, f"class {consequent} not in CLASSES header"
+                    )
+                )
+            if len(semantic) == reported:
+                rules.append(Rule(ident, tuple(antecedents), consequent))
         else:
             p.fail(f"expected RULE or CLASSES, found {keyword!r}")
 
-    # Semantic checks run on every structurally sound rule, so one bad line
-    # does not hide problems elsewhere.
-    seen_ids: dict[str, int] = {}
-    rules = []
-    class_order: list[str] = list(header) if header else []
-    for lineno, (ident, id_col), clauses, (consequent, cons_col) in parsed_rules:
-        if ident in seen_ids:
-            errors.append(Diagnostic(lineno, id_col, f"duplicate rule id {ident}"))
-            continue
-        seen_ids[ident] = lineno
-        ok = True
-        antecedents = []
-        for (var, var_col), labels in clauses:
-            if var not in variables:
-                errors.append(Diagnostic(lineno, var_col, f"unknown variable {var}"))
-                ok = False
-                continue
-            known = variables[var].labels
-            allowed = set()
-            for lab, lab_col in labels:
-                if lab not in known:
-                    errors.append(
-                        Diagnostic(
-                            lineno, lab_col, f"unknown descriptor {lab} for {var}"
-                        )
-                    )
-                    ok = False
-                else:
-                    allowed.add(lab)
-            if ok:
-                antecedents.append((var, frozenset(allowed)))
-        if header is not None and consequent not in header:
-            errors.append(
-                Diagnostic(
-                    lineno, cons_col, f"class {consequent} not in CLASSES header"
-                )
-            )
-            ok = False
-        if ok:
-            if consequent not in class_order:
-                class_order.append(consequent)
-            rules.append((lineno, Rule(ident, tuple(antecedents), consequent)))
-
-    if not parsed_rules and not errors:
+    if not seen_ids and not errors:
         errors.append(Diagnostic(1, 1, "empty rule base"))
+    errors += semantic
     if errors:
         raise RuleParseError(errors)
-
-    rulebase = RuleBase(tuple(r for _, r in rules), tuple(class_order))
-    return RuleDocument(
-        rulebase=rulebase,
-        rule_lines={rule.id: lineno for lineno, rule in rules},
-    )
-
-
-def parse_rules(text: str, variables: Mapping[str, LinguisticVariable]) -> RuleBase:
-    """Parse rule text into a RuleBase; see :func:`parse_document`."""
-    return parse_document(text, variables).rulebase
+    # Without a header, classes rank in order of first mention.
+    class_order = header or dict.fromkeys(rule.consequent for rule in rules)
+    return RuleBase(tuple(rules), tuple(class_order))
 
 
 def serialize(rb: RuleBase, variables: Mapping[str, LinguisticVariable]) -> str:

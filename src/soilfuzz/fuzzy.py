@@ -44,9 +44,6 @@ class MembershipVector:
     input_value: float
     entries: dict[str, float]
 
-    def degree(self, label: str) -> float:
-        return self.entries[label]
-
     def nonzero(self) -> dict[str, float]:
         return {lab: d for lab, d in self.entries.items() if d > 0.0}
 

@@ -12,6 +12,7 @@ search owns a private seeded RNG, so concurrent searches need distinct seeds.
 """
 
 import enum
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -31,10 +32,7 @@ class Aggregator(enum.Enum):
         if self is Aggregator.MIN:
             return min(matches)
         if self is Aggregator.PRODUCT:
-            out = 1.0
-            for m in matches:
-                out *= m
-            return out
+            return math.prod(matches)
         return sum(matches) / len(matches)
 
 
@@ -137,14 +135,14 @@ def classify(
     deterministic for identical inputs.
     """
     per_rule = {rule.id: rule_dof(rule, memberships, agg) for rule in rb.rules}
-    scores = {cls: 0.0 for cls in rb.class_order}
+    scores = dict.fromkeys(rb.class_order, 0.0)
     for rule in rb.rules:
         dof = per_rule[rule.id]
         if dof > scores[rule.consequent]:
             scores[rule.consequent] = dof
 
-    position = {cls: i for i, cls in enumerate(rb.class_order)}
-    ranking = tuple(sorted(scores, key=lambda cls: (-scores[cls], position[cls])))
+    # A stable sort keeps equal scores in class order.
+    ranking = tuple(sorted(scores, key=scores.__getitem__, reverse=True))
     winner = ranking[0]
     tied = tuple(cls for cls in ranking if scores[cls] == scores[winner])
     return ClassificationReport(

@@ -1,10 +1,14 @@
+import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import soilfuzz as sf
 from soilfuzz import cli
@@ -367,6 +371,99 @@ class TestInduceCommand:
         code, _, err = run(["induce", "--seed", "1", fixture_csv], capsys)
         assert code == cli.EXIT_ROWS
         assert "class" in err
+
+
+OUT_OF_DOMAIN_CSV = """\
+id,p2mm,p425,p075,ll,pl,class
+a,100,100,92,120,25,A-7
+b,100,100,92,65,25,A-7
+c,100,76,7,19,16,A-3
+"""
+
+OUT_OF_DOMAIN_MODES = [
+    ["classify"],
+    ["classify", "--format", "json"],
+    ["memberships"],
+    ["induce", "--seed", "1", "--iters", "5"],
+]
+
+
+class TestOutOfDomainRows:
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "ood.csv"
+        path.write_text(OUT_OF_DOMAIN_CSV)
+        return str(path)
+
+    @pytest.mark.parametrize("mode", OUT_OF_DOMAIN_MODES, ids=" ".join)
+    def test_row_diagnostic_exit_4(self, mode, path, capsys):
+        code, out, err = run([*mode, path], capsys)
+        assert code == cli.EXIT_ROWS and out == ""
+        assert "row 1: ll: value 120.0 outside domain [0.0, 100.0]" in err
+        assert "1 bad row(s)" in err
+
+    @pytest.mark.parametrize("mode", OUT_OF_DOMAIN_MODES, ids=" ".join)
+    def test_skip_bad_rows(self, mode, path, capsys):
+        code, out, err = run([*mode, "--skip-bad-rows", path], capsys)
+        assert code == 0
+        assert "row 1: ll: value 120.0 outside domain" in err
+        if mode[0] == "induce":
+            assert sf.parse_rules(out, sf.load_variables()).rules
+        elif mode[0] == "memberships":
+            assert {r[1] for r in csv_rows(out) if r[0] != "variable"} == {"b", "c"}
+        elif "json" in mode:
+            assert [r["id"] for r in json.loads(out)["results"]] == ["b", "c"]
+        else:
+            assert [r[0] for r in csv_rows(out)[1:]] == ["b", "c"]
+
+    def test_crisp_unchanged(self, path, capsys):
+        code, out, err = run(["classify", "--crisp", path], capsys)
+        assert code == 0 and err == ""
+        assert csv_rows(out)[1:] == [
+            ["a", "A-7-6", "fair to poor", "120", "95"],
+            ["b", "A-7-6", "fair to poor", "65", "40"],
+            ["c", "A-2-4", "excellent to good", "", ""],
+        ]
+
+
+@st.composite
+def index_properties(draw):
+    """(p2mm, p425, p075, ll, pl) with ordered sieves and 0 <= pl <= ll <= 300."""
+    p075, p425, p2mm = sorted(
+        draw(st.lists(st.floats(0, 100), min_size=3, max_size=3))
+    )
+    ll = draw(st.floats(0, 300))
+    return p2mm, p425, p075, ll, draw(st.floats(0, ll))
+
+
+@pytest.fixture(scope="module")
+def csv_paths(tmp_path_factory):
+    """A new path per example: truncating one file is slow on some file systems."""
+    base = tmp_path_factory.mktemp("property")
+    return (base / f"rows{i}.csv" for i in itertools.count())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(index_properties(), max_size=8),
+    st.sampled_from([[], ["--pi-source", "pl"], ["--crisp"]]),
+    st.booleans(),
+)
+def test_classify_is_total_over_valid_rows(csv_paths, samples, mode, skip):
+    path = next(csv_paths)
+    lines = ["id,p2mm,p425,p075,ll,pl"]
+    lines += [f"s{i}," + ",".join(map(repr, values)) for i, values in enumerate(samples)]
+    path.write_text("\n".join(lines) + "\n")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    flags = ["--skip-bad-rows"] if skip else []
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(["classify", *mode, *flags, str(path)])
+    assert code in (0, cli.EXIT_ROWS)
+    diagnostics = [line for line in stderr.getvalue().splitlines() if line.startswith("row ")]
+    if skip or code == 0:
+        assert code == 0
+        records = csv_rows(stdout.getvalue())[1:]
+        assert len(records) + len(diagnostics) == len(samples)
 
 
 def golden_corpus_csv(n=300):

@@ -7,7 +7,6 @@ from soilfuzz import (
     RuleBase,
     RuleConfigError,
     RuleParseError,
-    parse_document,
     parse_rules,
     serialize,
 )
@@ -135,10 +134,21 @@ class TestParse:
         )
         assert parse_rules(text, variables).class_order == ("A-6", "A-3")
 
-    def test_document_records_rule_lines(self, variables):
-        text = "\n# intro\nRULE R1: p2mm IS {VL} => A-3\n"
-        doc = parse_document(text, variables)
-        assert doc.rule_lines == {"R1": 3}
+    def test_diagnostic_order(self, variables):
+        # Syntax and header diagnostics first, then semantic ones, each in
+        # line order.
+        text = (
+            "RULE R1: bogus IS {VL} => A-3\n"
+            "RULE R2 p2mm IS {VL} => A-3\n"
+            "CLASSES A-3\n"
+        )
+        with pytest.raises(RuleParseError) as exc:
+            parse_rules(text, variables)
+        assert [(d.line, d.column, d.message) for d in exc.value.diagnostics] == [
+            (2, 9, "expected ':', found 'p2mm'"),
+            (3, 1, "CLASSES header must precede rules"),
+            (1, 10, "unknown variable bogus"),
+        ]
 
 
 class TestSerialize:
