@@ -103,32 +103,36 @@ def _write_output(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _report_rows(args, problems: list[str]) -> None:
-    """Print row diagnostics; exit 4 on any unless --skip-bad-rows."""
-    for line in problems:
-        print(line, file=sys.stderr)
-    if problems and not args.skip_bad_rows:
-        raise CliError(EXIT_ROWS, f"{len(problems)} bad row(s) in {args.input}")
+def _load_rows(args) -> tuple[list[SampleRow], list[str], bool]:
+    """The input's rows, its CSV diagnostics (not yet reported), a class flag."""
+    return read_samples(io.StringIO(_read_text(args.input)))
 
 
-def _load_rows(args) -> tuple[list[SampleRow], bool]:
-    rows, problems, has_class = read_samples(io.StringIO(_read_text(args.input)))
-    _report_rows(args, problems)
-    return rows, has_class
+def _row_number(diagnostic: str) -> int:
+    # Every row diagnostic starts with "row N:".
+    return int(diagnostic.split(":", 1)[0].removeprefix("row "))
 
 
-def _map_rows(args, rows: list[SampleRow], work) -> list:
+def _map_rows(args, rows: list[SampleRow], problems: list[str], work) -> list:
     """``work(row)`` for every row, keeping only what it returns.
 
-    A value outside its variable's domain makes that row a diagnostic.
+    A value outside its variable's domain makes that row a diagnostic.  These
+    and the CSV diagnostics in ``problems`` are printed together, in row
+    order; any of them exits 4 unless --skip-bad-rows.
     """
-    results, problems = [], []
+    results, problems = [], list(problems)
     for row in rows:
         try:
             results.append(work(row))
         except FuzzificationError as exc:
             problems.append(f"row {row.row}: {exc}")
-    _report_rows(args, problems)
+    # A stable sort: a row's CSV diagnostics keep their order.
+    problems.sort(key=_row_number)
+    for line in problems:
+        print(line, file=sys.stderr)
+    if problems and not args.skip_bad_rows:
+        bad = len({_row_number(line) for line in problems})
+        raise CliError(EXIT_ROWS, f"{bad} bad row(s) in {args.input}")
     return results
 
 
@@ -166,7 +170,7 @@ def _json_text(payload) -> str:
 
 def cmd_classify(args) -> int:
     variables = hrb.load_variables(_preset_dir())
-    rows, _ = _load_rows(args)
+    rows, problems, _ = _load_rows(args)
 
     if args.crisp:
         header = {"command": "classify", "mode": "crisp"}
@@ -186,7 +190,7 @@ def cmd_classify(args) -> int:
         res = hrb.classify_hrb(row.sample, rb, agg, args.pi_source, variables)
         return _classify_record(row, res.subgroup, res.report)
 
-    records = _map_rows(args, rows, classify_row)
+    records = _map_rows(args, rows, problems, classify_row)
 
     if args.format == "json":
         _write_output(args, _json_text({**header, "results": records}))
@@ -234,14 +238,14 @@ def _classify_cells(record: dict) -> list[str]:
 
 def cmd_memberships(args) -> int:
     variables = hrb.load_variables(_preset_dir())
-    rows, _ = _load_rows(args)
+    rows, problems, _ = _load_rows(args)
     names = [args.variable] if args.variable else list(hrb.VARIABLE_NAMES)
     for name in names:
         if name not in variables:
             raise CliError(EXIT_INPUT, f"unknown variable {name}")
 
     fuzzified = _map_rows(
-        args, rows,
+        args, rows, problems,
         lambda row: (row, hrb.fuzzify_sample(row.sample, args.pi_source, variables)),
     )
     if args.format == "json":
@@ -290,19 +294,19 @@ def cmd_rules(args) -> int:
 
 def cmd_induce(args) -> int:
     variables = hrb.load_variables(_preset_dir())
-    rows, has_class = _load_rows(args)
+    rows, problems, has_class = _load_rows(args)
     if not has_class:
         raise CliError(EXIT_ROWS, "missing class column: induce needs labeled rows")
+    labeled = _map_rows(
+        args, rows, problems,
+        lambda row: (hrb.fuzzify_sample(row.sample, args.pi_source, variables), row.label),
+    )
     unlabeled = [row.row for row in rows if row.label is None]
     if unlabeled:
         raise CliError(
             EXIT_ROWS,
             f"empty class cell on row(s): {', '.join(map(str, unlabeled))}",
         )
-    labeled = _map_rows(
-        args, rows,
-        lambda row: (hrb.fuzzify_sample(row.sample, args.pi_source, variables), row.label),
-    )
     if not labeled:
         raise CliError(EXIT_ROWS, "no labeled rows to induce from")
 

@@ -206,9 +206,10 @@ def _mutate(
     rng: random.Random,
     rb: RuleBase,
     variables: Mapping[str, LinguisticVariable],
-) -> RuleBase:
-    # Toggle one descriptor in one antecedent set of one rule.  A toggle that
-    # would empty the set is dropped, leaving the proposal equal to ``rb``.
+) -> tuple[RuleBase, int | None]:
+    # Toggle one descriptor in one antecedent set of one rule, and report the
+    # index of the changed rule.  A toggle that would empty the set is
+    # dropped: the proposal is ``rb`` itself and the index is None.
     rules = list(rb.rules)
     ri = rng.randrange(len(rules))
     rule = rules[ri]
@@ -218,11 +219,64 @@ def _mutate(
     lab = labels[rng.randrange(len(labels))]
     toggled = allowed - {lab} if lab in allowed else allowed | {lab}
     if not toggled:
-        return rb
+        return rb, None
     antecedents = list(rule.antecedents)
     antecedents[ai] = (var, toggled)
     rules[ri] = Rule(rule.id, tuple(antecedents), rule.consequent)
-    return RuleBase(tuple(rules), rb.class_order)
+    return RuleBase(tuple(rules), rb.class_order), ri
+
+
+class _DofTable:
+    """Every rule's DOF on every labeled sample, and every sample's class scores.
+
+    A class scores ``max(0.0, its rules' DOFs)`` and a sample's winner is the
+    first class in class order with the top score, exactly as ``classify``
+    ranks.  A proposal that changes one rule needs that rule's DOF column
+    and a re-rank of each sample, not a full re-scoring.
+    """
+
+    def __init__(
+        self,
+        rb: RuleBase,
+        labeled: Sequence[tuple[Mapping[str, MembershipVector], str]],
+        agg: Aggregator,
+    ):
+        self.samples = [memberships for memberships, _ in labeled]
+        self.agg = agg
+        position = {cls: i for i, cls in enumerate(rb.class_order)}
+        self.truth = [position.get(cls) for _, cls in labeled]
+        self.owner = [position[rule.consequent] for rule in rb.rules]
+        self.dofs = [self._column(rule) for rule in rb.rules]
+        self.rows = [[0.0] * len(position) for _ in self.samples]
+        for c, column in zip(self.owner, self.dofs):
+            for row, dof in zip(self.rows, column):
+                row[c] = max(row[c], dof)
+
+    def _column(self, rule: Rule) -> list[float]:
+        return [rule_dof(rule, memberships, self.agg) for memberships in self.samples]
+
+    def propose(self, ri: int, rule: Rule) -> tuple[int, tuple]:
+        """Hits with rule ``ri`` replaced by ``rule``, and the change to accept."""
+        column = self._column(rule)
+        c = self.owner[ri]
+        siblings = [
+            self.dofs[r] for r, owner in enumerate(self.owner) if owner == c and r != ri
+        ]
+        scores = [max(0.0, *dofs) for dofs in zip(column, *siblings)]
+        hits = 0
+        for row, score, true in zip(self.rows, scores, self.truth):
+            kept, row[c] = row[c], score
+            # ``max`` and ``index`` both take the first of equal scores.
+            hits += row.index(max(row)) == true
+            row[c] = kept
+        return hits, (ri, column, scores)
+
+    def accept(self, change: tuple) -> None:
+        ri, column, scores = change
+        self.dofs[ri] = column
+        c = self.owner[ri]
+        for row, score in zip(self.rows, scores):
+            row[c] = score
 
 
 def search_rules(
@@ -241,6 +295,12 @@ def search_rules(
     toggles and keeps each proposal whose accuracy does not decrease.  The
     best system seen is returned together with the best-so-far score after
     every iteration; the whole run is reproducible from ``seed``.
+
+    Proposals are scored incrementally: the search keeps every rule's DOF on
+    every sample, recomputes only the changed rule's DOFs and re-ranks each
+    sample.  The result is identical to re-scoring every proposal with
+    ``score_rulebase``; a toggle that would empty a descriptor set is kept
+    with the current score and not re-scored.
 
     Args:
         labeled: (membership vectors, true class) training pairs.
@@ -273,14 +333,18 @@ def search_rules(
     rng = random.Random(seed)
     current = _random_rulebase(rng, variables, classes, rules_per_class)
     current_score = score_rulebase(current, labeled, agg)
+    table = _DofTable(current, labeled, agg)
     best, best_score = current, current_score
     trace = []
     for _ in range(iterations):
-        proposal = _mutate(rng, current, variables)
-        proposal_score = score_rulebase(proposal, labeled, agg)
-        if proposal_score >= current_score:
-            current, current_score = proposal, proposal_score
-            if current_score > best_score:
-                best, best_score = current, current_score
+        proposal, ri = _mutate(rng, current, variables)
+        if ri is not None:
+            hits, change = table.propose(ri, proposal.rules[ri])
+            proposal_score = hits / len(labeled)
+            if proposal_score >= current_score:
+                table.accept(change)
+                current, current_score = proposal, proposal_score
+                if current_score > best_score:
+                    best, best_score = current, current_score
         trace.append(best_score)
     return InductionResult(best, best_score, tuple(trace))

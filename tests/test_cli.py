@@ -426,6 +426,51 @@ class TestOutOfDomainRows:
         ]
 
 
+MIXED_BAD_ROWS_CSV = """\
+id,p2mm,p425,p075,ll,pl,class
+a,100,100,92,nan,25,A-7
+b,100,100,92,120,25,A-7
+c,100,76,7,19,16,A-3
+"""
+
+
+class TestMixedBadRows:
+    """A bad cell and an out-of-domain value are reported in one pass."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        path.write_text(MIXED_BAD_ROWS_CSV)
+        return str(path)
+
+    @pytest.mark.parametrize("mode", OUT_OF_DOMAIN_MODES, ids=" ".join)
+    def test_both_rows_named_in_order(self, mode, path, capsys):
+        code, out, err = run([*mode, path], capsys)
+        assert code == cli.EXIT_ROWS and out == ""
+        assert err.splitlines() == [
+            "row 1: non-finite ll nan",
+            "row 2: ll: value 120.0 outside domain [0.0, 100.0]",
+            f"soilfuzz: 2 bad row(s) in {path}",
+        ]
+
+    @pytest.mark.parametrize("mode", OUT_OF_DOMAIN_MODES, ids=" ".join)
+    def test_skip_bad_rows_keeps_row_3(self, mode, path, capsys):
+        code, out, err = run([*mode, "--skip-bad-rows", path], capsys)
+        assert code == 0
+        assert [line for line in err.splitlines() if line.startswith("row ")] == [
+            "row 1: non-finite ll nan",
+            "row 2: ll: value 120.0 outside domain [0.0, 100.0]",
+        ]
+        if mode[0] == "induce":
+            assert sf.parse_rules(out, sf.load_variables()).class_order == ("A-3",)
+        elif mode[0] == "memberships":
+            assert {r[1] for r in csv_rows(out) if r[0] != "variable"} == {"c"}
+        elif "json" in mode:
+            assert [r["id"] for r in json.loads(out)["results"]] == ["c"]
+        else:
+            assert [r[0] for r in csv_rows(out)[1:]] == ["c"]
+
+
 @st.composite
 def index_properties(draw):
     """(p2mm, p425, p075, ll, pl) with ordered sieves and 0 <= pl <= ll <= 300."""
@@ -541,3 +586,45 @@ class TestGoldenBytes:
         target = tmp_path / "out"
         assert cli.main([*args, "-o", str(target)]) == 0
         assert target.read_bytes() == out.encode()
+
+
+def labeled_golden_corpus_csv():
+    """The golden corpus plus a class column drawn from a seeded RNG.
+
+    The labels do not come from either classifier, so a change to the crisp
+    thresholds cannot move the induction pins below.
+    """
+    rng = random.Random(4)
+    header, *rows = golden_corpus_csv().splitlines()
+    lines = [header + ",class"]
+    lines += [f"{row},{rng.choice(sf.hrb.CLASS_ORDER)}" for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+INDUCE_SHA256 = {
+    ("induce", "--seed", "7", "--iters", "300"): (
+        "d59f7d110d498f1673b8185cff75d71cdd416f37ae9ff837c3a78122fb76c15f"
+    ),
+    ("induce", "--seed", "7", "--iters", "300", "--agg", "min",
+     "--rules-per-class", "2"): (
+        "6270431127bde136197e26aa7988ecb8b2208aa76ae52b2145a08b945e4b75bf"
+    ),
+    ("induce", "--seed", "7", "--iters", "300", "--agg", "product",
+     "--pi-source", "pl"): (
+        "d861cd6d44bd5918a4556d723e3037aa577a82c8b10a9df54fcb35bd22d1c85c"
+    ),
+}
+
+
+class TestInduceGoldenBytes:
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("golden") / "labeled.csv"
+        path.write_text(labeled_golden_corpus_csv())
+        return str(path)
+
+    @pytest.mark.parametrize("mode", list(INDUCE_SHA256), ids=" ".join)
+    def test_output_bytes(self, mode, corpus, capsys):
+        code, out, err = run([*mode, corpus], capsys)
+        assert code == 0 and err.startswith("training accuracy: ")
+        assert hashlib.sha256(out.encode()).hexdigest() == INDUCE_SHA256[mode]

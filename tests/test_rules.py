@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from soilfuzz import rules as rules_module
 from soilfuzz import (
     Aggregator,
     EvaluationError,
@@ -329,3 +332,93 @@ class TestInduceRules:
         labeled = self._labeled(variables)
         with pytest.raises(EvaluationError, match="A-5"):
             search_rules(labeled, variables, seed=1, classes=list(LABELS) + ["A-5"])
+
+
+def full_rescoring_search(
+    labeled, variables, rules_per_class, iterations, seed, agg, classes=None
+):
+    """The search loop before incremental scoring: every proposal re-scored."""
+    if classes is None:
+        classes = list(dict.fromkeys(cls for _, cls in labeled))
+    rng = random.Random(seed)
+    current = rules_module._random_rulebase(rng, variables, classes, rules_per_class)
+    current_score = score_rulebase(current, labeled, agg)
+    best, best_score = current, current_score
+    trace = []
+    for _ in range(iterations):
+        proposal, _ = rules_module._mutate(rng, current, variables)
+        proposal_score = score_rulebase(proposal, labeled, agg)
+        if proposal_score >= current_score:
+            current, current_score = proposal, proposal_score
+            if current_score > best_score:
+                best, best_score = current, current_score
+        trace.append(best_score)
+    return best, best_score, tuple(trace)
+
+
+# Whole units hit ladder centers, where scores tie; fractions fall between.
+DOMAIN_VALUE = st.integers(0, 100) | st.floats(0, 100)
+
+
+@st.composite
+def labeled_sets(draw, variables):
+    classes = draw(
+        st.lists(st.sampled_from(CLASSES), min_size=1, max_size=4, unique=True)
+    )
+    labeled = []
+    for _ in range(draw(st.integers(1, 25))):
+        memberships = {
+            name: fuzzify(var, draw(DOMAIN_VALUE)) for name, var in variables.items()
+        }
+        labeled.append((memberships, draw(st.sampled_from(classes))))
+    return labeled
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.data(),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(list(Aggregator)),
+    st.integers(1, 3),
+    st.integers(0, 60),
+)
+def test_search_equals_full_rescoring(
+    variables, data, seed, agg, rules_per_class, iterations
+):
+    labeled = data.draw(labeled_sets(variables))
+    present = list(dict.fromkeys(cls for _, cls in labeled))
+    # An explicit class order may leave some labels out; those never score.
+    prefixes = st.permutations(present).map(lambda p: p[: len(p) // 2 + 1])
+    classes = data.draw(st.none() | prefixes)
+    result = search_rules(
+        labeled, variables, rules_per_class=rules_per_class,
+        iterations=iterations, seed=seed, agg=agg, classes=classes,
+    )
+    rulebase, score, best_scores = full_rescoring_search(
+        labeled, variables, rules_per_class, iterations, seed, agg, classes
+    )
+    assert result.rulebase == rulebase
+    assert result.score == score
+    assert result.best_scores == best_scores
+
+
+@pytest.mark.parametrize("iterations", [0, 40])
+def test_search_scores_once_in_full(variables, monkeypatch, iterations):
+    # The benchmark tracer reads the initial score from the first
+    # ``score_rulebase`` call, looked up through the module.
+    calls = {"score_rulebase": 0, "classify": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        wrapped = counting(name, getattr(rules_module, name))
+        monkeypatch.setattr(rules_module, name, wrapped)
+    labeled = [
+        (sample_memberships(variables, nz), cls) for nz, cls in zip(SAMPLES, LABELS)
+    ]
+    search_rules(labeled, variables, iterations=iterations, seed=11)
+    assert calls == {"score_rulebase": 1, "classify": len(labeled)}
