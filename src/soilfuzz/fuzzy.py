@@ -7,6 +7,12 @@ degrees of all descriptors sum to 1 and at most two adjacent descriptors are
 active.  Outside that span every degree is 0: values above the top center do
 not belong to the top descriptor at all.
 
+:func:`active_descriptors` is the one fuzzifier: it checks the value against
+the domain and returns only the active descriptors, as at most two
+``(label, degree)`` pairs.  The rule evaluator works on these pairs directly;
+:func:`fuzzify` spreads them over the whole ladder as a
+:class:`MembershipVector`, the reporting view.
+
 Variables and membership vectors are immutable; fuzzification is a pure
 function, so everything here is safe to share between threads.
 """
@@ -90,11 +96,14 @@ def make_partition(
     return LinguisticVariable(name, labels, centers, domain_min, domain_max)
 
 
-def fuzzify(var: LinguisticVariable, x: float) -> MembershipVector:
-    """Evaluate every descriptor of ``var`` at the crisp value ``x``.
+def active_descriptors(
+    var: LinguisticVariable, x: float
+) -> tuple[tuple[str, float], ...]:
+    """The descriptors of ``var`` active at ``x``, as ``(label, degree)`` pairs.
 
-    The first descriptor has only its falling edge and the last only its
-    rising edge; values beyond either end center get an all-zero vector.
+    Inside ``[centers[0], centers[-1]]`` these are the two descriptors whose
+    centers bracket ``x``, low first (one of the degrees is 0 at a center);
+    beyond either end center there are none.
 
     Raises:
         FuzzificationError: if ``x`` is outside the variable's domain or NaN.
@@ -105,13 +114,23 @@ def fuzzify(var: LinguisticVariable, x: float) -> MembershipVector:
             f"{var.name}: value {x} outside domain "
             f"[{var.domain_min}, {var.domain_max}]"
         )
-
     c = var.centers
+    if not c[0] <= x <= c[-1]:
+        return ()
+    j = max(bisect_left(c, x), 1)
+    w = c[j] - c[j - 1]
+    return ((var.labels[j - 1], (c[j] - x) / w), (var.labels[j], (x - c[j - 1]) / w))
+
+
+def fuzzify(var: LinguisticVariable, x: float) -> MembershipVector:
+    """Evaluate every descriptor of ``var`` at the crisp value ``x``.
+
+    The first descriptor has only its falling edge and the last only its
+    rising edge; values beyond either end center get an all-zero vector.
+
+    Raises:
+        FuzzificationError: if ``x`` is outside the variable's domain or NaN.
+    """
     degrees = dict.fromkeys(var.labels, 0.0)
-    if c[0] <= x <= c[-1]:
-        # Only the two descriptors whose centers bracket x are active.
-        j = max(bisect_left(c, x), 1)
-        w = c[j] - c[j - 1]
-        degrees[var.labels[j - 1]] = (c[j] - x) / w
-        degrees[var.labels[j]] = (x - c[j - 1]) / w
-    return MembershipVector(variable=var.name, input_value=x, entries=degrees)
+    degrees.update(active_descriptors(var, x))
+    return MembershipVector(variable=var.name, input_value=float(x), entries=degrees)

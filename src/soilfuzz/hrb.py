@@ -9,6 +9,7 @@ reference oracle, and six bundled validation specimens.
 
 import functools
 import math
+import types
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -16,8 +17,9 @@ from typing import Literal, Mapping
 
 from . import dsl
 from .errors import PartitionError, SampleError
-from .fuzzy import LinguisticVariable, MembershipVector, fuzzify, make_partition
-from .rules import Aggregator, ClassificationReport, RuleBase, classify
+from .fuzzy import LinguisticVariable, MembershipVector, active_descriptors, fuzzify, make_partition
+from .rules import Aggregator, ClassificationReport, RuleBase, _evaluate
+from .rules import classify  # noqa: F401  (bench/tracing.py wraps hrb.classify)
 
 VARIABLE_NAMES = ("p2mm", "p425", "p075", "ll", "pi")
 
@@ -126,8 +128,9 @@ def load_variables(directory: str | Path | None = None) -> dict[str, LinguisticV
 
 
 @functools.lru_cache(maxsize=1)
-def _default_variables() -> dict[str, LinguisticVariable]:
-    return load_variables()
+def _default_variables() -> Mapping[str, LinguisticVariable]:
+    # Read-only: every caller shares this one cached mapping.
+    return types.MappingProxyType(load_variables())
 
 
 def load_preset(
@@ -155,18 +158,20 @@ def fuzzify_sample(
     plasticity index itself (default) or, for compatibility with data sets
     whose plasticity rows track the plastic limit, ``"pl"``.
     """
-    if pi_source not in ("pi", "pl"):
-        raise ValueError(f"pi_source must be 'pi' or 'pl', got {pi_source!r}")
     if variables is None:
         variables = _default_variables()
-    values = {
-        "p2mm": sample.p2mm,
-        "p425": sample.p425,
-        "p075": sample.p075,
-        "ll": sample.ll,
-        "pi": sample.pi if pi_source == "pi" else sample.pl,
+    return {
+        name: fuzzify(variables[name], value)
+        for name, value in zip(VARIABLE_NAMES, _property_values(sample, pi_source))
     }
-    return {name: fuzzify(variables[name], value) for name, value in values.items()}
+
+
+def _property_values(sample: SoilSample, pi_source: str) -> tuple[float, ...]:
+    """The values fuzzified for ``VARIABLE_NAMES``, in that order."""
+    if pi_source not in ("pi", "pl"):
+        raise ValueError(f"pi_source must be 'pi' or 'pl', got {pi_source!r}")
+    pi = sample.pi if pi_source == "pi" else sample.pl
+    return sample.p2mm, sample.p425, sample.p075, sample.ll, pi
 
 
 def a7_split(ll: float, pi: float) -> str:
@@ -183,12 +188,21 @@ def classify_hrb(
 ) -> HrbResult:
     """Classify a sample with a fuzzy rule preset.
 
-    Runs the rule engine over the fuzzified sample, then resolves a winning
-    A-7 group into A-7-5 or A-7-6 and attaches the subgrade rating.
+    Fuzzifies each index property that ``variables`` has a ladder for to its
+    active descriptors and scores the rules on those (as ``classify`` would
+    on ``fuzzify_sample``'s vectors), then resolves a winning A-7 group into
+    A-7-5 or A-7-6 and attaches the subgrade rating.
     """
     rb = preset.rulebase if isinstance(preset, HrbPreset) else preset
-    memberships = fuzzify_sample(sample, pi_source=pi_source, variables=variables)
-    report = classify(rb, memberships, agg)
+    if variables is None:
+        variables = _default_variables()
+    ladders, pairs = {}, {}
+    for name, value in zip(VARIABLE_NAMES, _property_values(sample, pi_source)):
+        var = variables.get(name)
+        if var is not None:
+            ladders[name] = var.labels
+            pairs[name] = active_descriptors(var, value)
+    report = _evaluate(rb, ladders, pairs, agg)
     subgroup = report.winner
     if subgroup == "A-7":
         subgroup = a7_split(sample.ll, sample.pi)

@@ -7,15 +7,29 @@ its per-variable matches with a configurable aggregator.  A class scores the
 best DOF among its rules, and classes are ranked score-first with ties broken
 by the rule base's class order.
 
-Rule bases and reports are immutable and evaluation is pure.  The induction
-search owns a private seeded RNG, so concurrent searches need distinct seeds.
+Every entry point scores rules with one private evaluator over each
+variable's active descriptors, the ``(label, degree)`` pairs of
+:mod:`soilfuzz.fuzzy` (at most two per value): a match is the best degree
+among the pairs whose label the rule allows, or 0.  ``classify_hrb`` feeds it
+pairs straight from the fuzzifier; the functions here convert their
+membership vectors once, with ``nonzero()``.
+
+A rule base is checked against the variable ladders (every antecedent names
+a ladder and descriptors on it) once per rule base and ladder set, not once
+per sample.  The last pair that passed is remembered, replaced in one
+assignment and only after its check passes, so a failed check is repeated
+on every call and concurrent callers at worst check twice.
+
+Rule bases and reports are immutable and evaluation has no other side
+effect.  The induction search owns a private seeded RNG, so concurrent
+searches need distinct seeds.
 """
 
 import enum
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import EvaluationError, RuleConfigError
 from .fuzzy import LinguisticVariable, MembershipVector
@@ -29,11 +43,15 @@ class Aggregator(enum.Enum):
     MEAN = "mean"
 
     def combine(self, matches: Sequence[float]) -> float:
-        if self is Aggregator.MIN:
-            return min(matches)
-        if self is Aggregator.PRODUCT:
-            return math.prod(matches)
-        return sum(matches) / len(matches)
+        return _COMBINE[self](matches)
+
+
+# Each aggregator's combining function, looked up once per sample.
+_COMBINE = {
+    Aggregator.MIN: min,
+    Aggregator.PRODUCT: math.prod,
+    Aggregator.MEAN: lambda matches: sum(matches) / len(matches),
+}
 
 
 @dataclass(frozen=True)
@@ -90,51 +108,68 @@ class ClassificationReport:
     per_rule: dict[str, float]
 
 
-def variable_match(mv: MembershipVector, allowed: Iterable[str]) -> float:
-    """Best membership degree over the descriptors a rule allows.
+# Variable name -> its descriptor labels, and -> its active (label, degree) pairs.
+Ladders = Mapping[str, tuple[str, ...]]
+Pairs = Mapping[str, Sequence[tuple[str, float]]]
+
+
+def _convert(memberships: Mapping[str, MembershipVector]) -> tuple[dict, dict]:
+    """The ladders and the active pairs of a fuzzified sample."""
+    ladders = {name: tuple(mv.entries) for name, mv in memberships.items()}
+    pairs = {name: tuple(mv.nonzero().items()) for name, mv in memberships.items()}
+    return ladders, pairs
+
+
+def _check_rules(rules: Iterable[Rule], ladders: Ladders) -> None:
+    for rule in rules:
+        for var, allowed in rule.antecedents:
+            if var not in ladders:
+                raise EvaluationError(f"rule {rule.id}: no membership vector for {var}")
+            for lab in allowed:
+                if lab not in ladders[var]:
+                    raise RuleConfigError(f"{var}: unknown descriptor {lab}")
+
+
+# The last (rule base, ladders) pair that passed ``_check``.
+_checked: tuple = (None, None)
+
+
+def _check(rb: RuleBase, ladders: Ladders) -> None:
+    """Raise unless ``ladders`` have every variable and descriptor of ``rb``.
+
+    The pair is remembered, so callers pass ``ladders`` built for the call.
 
     Raises:
-        RuleConfigError: if ``allowed`` is empty or names a descriptor the
-            vector's variable does not have.
+        EvaluationError: if a rule names a variable the ladders lack.
+        RuleConfigError: if a rule names a descriptor its variable lacks.
     """
-    best = None
-    for lab in allowed:
-        if lab not in mv.entries:
-            raise RuleConfigError(f"{mv.variable}: unknown descriptor {lab}")
-        d = mv.entries[lab]
-        if best is None or d > best:
-            best = d
-    if best is None:
-        raise RuleConfigError(f"{mv.variable}: empty descriptor set")
-    return best
+    global _checked
+    last_rb, last_ladders = _checked
+    if rb is last_rb and ladders == last_ladders:
+        return
+    _check_rules(rb.rules, ladders)
+    _checked = rb, ladders
 
 
-def rule_dof(
-    rule: Rule,
-    memberships: Mapping[str, MembershipVector],
-    agg: Aggregator = Aggregator.MEAN,
-) -> float:
-    """Degree of fulfilment of one rule against a fuzzified sample."""
+def _dof(rule: Rule, pairs: Pairs, combine: Callable[[list[float]], float]) -> float:
+    """Degree of fulfilment of a checked rule on a sample's active pairs."""
     matches = []
     for var, allowed in rule.antecedents:
-        if var not in memberships:
-            raise EvaluationError(f"rule {rule.id}: no membership vector for {var}")
-        matches.append(variable_match(memberships[var], allowed))
-    return agg.combine(matches)
+        match = 0.0
+        for lab, degree in pairs[var]:
+            if degree > match and lab in allowed:
+                match = degree
+        matches.append(match)
+    return combine(matches)
 
 
-def classify(
-    rb: RuleBase,
-    memberships: Mapping[str, MembershipVector],
-    agg: Aggregator = Aggregator.MEAN,
+def _evaluate(
+    rb: RuleBase, ladders: Ladders, pairs: Pairs, agg: Aggregator
 ) -> ClassificationReport:
-    """Score every class of ``rb`` against a fuzzified sample.
-
-    A class scores the maximum DOF over its rules.  The ranking sorts by
-    score descending and breaks ties by class order, so the report is fully
-    deterministic for identical inputs.
-    """
-    per_rule = {rule.id: rule_dof(rule, memberships, agg) for rule in rb.rules}
+    """Check ``rb`` against ``ladders``, then score it on one sample's pairs."""
+    _check(rb, ladders)
+    combine = _COMBINE[agg]
+    per_rule = {rule.id: _dof(rule, pairs, combine) for rule in rb.rules}
     scores = dict.fromkeys(rb.class_order, 0.0)
     for rule in rb.rules:
         dof = per_rule[rule.id]
@@ -155,6 +190,45 @@ def classify(
     )
 
 
+def variable_match(mv: MembershipVector, allowed: Iterable[str]) -> float:
+    """Best membership degree over the descriptors a rule allows.
+
+    Raises:
+        RuleConfigError: if ``allowed`` is empty or names a descriptor the
+            vector's variable does not have.
+    """
+    allowed = frozenset(allowed)
+    if not allowed:
+        raise RuleConfigError(f"{mv.variable}: empty descriptor set")
+    rule = Rule("", ((mv.variable, allowed),), "")
+    return rule_dof(rule, {mv.variable: mv}, Aggregator.MIN)
+
+
+def rule_dof(
+    rule: Rule,
+    memberships: Mapping[str, MembershipVector],
+    agg: Aggregator = Aggregator.MEAN,
+) -> float:
+    """Degree of fulfilment of one rule against a fuzzified sample."""
+    ladders, pairs = _convert(memberships)
+    _check_rules((rule,), ladders)
+    return _dof(rule, pairs, _COMBINE[agg])
+
+
+def classify(
+    rb: RuleBase,
+    memberships: Mapping[str, MembershipVector],
+    agg: Aggregator = Aggregator.MEAN,
+) -> ClassificationReport:
+    """Score every class of ``rb`` against a fuzzified sample.
+
+    A class scores the maximum DOF over its rules.  The ranking sorts by
+    score descending and breaks ties by class order, so the report is fully
+    deterministic for identical inputs.
+    """
+    return _evaluate(rb, *_convert(memberships), agg)
+
+
 def score_rulebase(
     rb: RuleBase,
     labeled: Sequence[tuple[Mapping[str, MembershipVector], str]],
@@ -165,7 +239,7 @@ def score_rulebase(
         raise EvaluationError("no labeled samples to score")
     hits = sum(
         1 for memberships, cls in labeled
-        if classify(rb, memberships, agg).winner == cls
+        if _evaluate(rb, *_convert(memberships), agg).winner == cls
     )
     return hits / len(labeled)
 
@@ -232,7 +306,9 @@ class _DofTable:
     A class scores ``max(0.0, its rules' DOFs)`` and a sample's winner is the
     first class in class order with the top score, exactly as ``classify``
     ranks.  A proposal that changes one rule needs that rule's DOF column
-    and a re-rank of each sample, not a full re-scoring.
+    and a re-rank of each sample, not a full re-scoring.  Each sample is
+    converted to its active pairs once, and each column's rule is checked
+    once against every distinct ladder set among the samples.
     """
 
     def __init__(
@@ -241,8 +317,13 @@ class _DofTable:
         labeled: Sequence[tuple[Mapping[str, MembershipVector], str]],
         agg: Aggregator,
     ):
-        self.samples = [memberships for memberships, _ in labeled]
-        self.agg = agg
+        self.ladders, self.samples = [], []
+        for memberships, _ in labeled:
+            ladders, pairs = _convert(memberships)
+            if ladders not in self.ladders:
+                self.ladders.append(ladders)
+            self.samples.append(pairs)
+        self.combine = _COMBINE[agg]
         position = {cls: i for i, cls in enumerate(rb.class_order)}
         self.truth = [position.get(cls) for _, cls in labeled]
         self.owner = [position[rule.consequent] for rule in rb.rules]
@@ -253,7 +334,9 @@ class _DofTable:
                 row[c] = max(row[c], dof)
 
     def _column(self, rule: Rule) -> list[float]:
-        return [rule_dof(rule, memberships, self.agg) for memberships in self.samples]
+        for ladders in self.ladders:
+            _check_rules((rule,), ladders)
+        return [_dof(rule, pairs, self.combine) for pairs in self.samples]
 
     def propose(self, ri: int, rule: Rule) -> tuple[int, tuple]:
         """Hits with rule ``ri`` replaced by ``rule``, and the change to accept."""

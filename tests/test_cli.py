@@ -587,6 +587,26 @@ class TestGoldenBytes:
         assert cli.main([*args, "-o", str(target)]) == 0
         assert target.read_bytes() == out.encode()
 
+    def test_classify_builds_no_membership_vectors(self, corpus, capsys, monkeypatch):
+        # ``MembershipVector`` is the reporting view; fuzzy classification
+        # evaluates rules on each value's active descriptors instead.
+        built = []
+        init = sf.MembershipVector.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(sf.MembershipVector, "__init__", counting_init)
+        for mode in GOLDEN_SHA256:
+            if mode[0] == "classify" and "--crisp" not in mode:
+                code, _, _ = run([*mode, corpus], capsys)
+                assert code == 0
+        assert built == []
+        # The counter does see the reporting path: 300 rows x 5 variables.
+        assert run(["memberships", corpus], capsys)[0] == 0
+        assert len(built) == 1500
+
 
 def labeled_golden_corpus_csv():
     """The golden corpus plus a class column drawn from a seeded RNG.

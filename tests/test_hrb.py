@@ -203,6 +203,16 @@ class TestClassifyHrb:
         res1 = sf.classify_hrb(fixtures[0].sample, paper_preset)
         assert res1.rating == "fair to poor"
 
+    def test_default_variables_are_read_only(self):
+        # Every caller shares the cached ladders, so none may change them.
+        shared = sf.hrb._default_variables()
+        with pytest.raises(TypeError):
+            shared["ll"] = shared["pi"]
+        with pytest.raises(TypeError):
+            del shared["ll"]
+        assert sf.hrb._default_variables() is shared
+        assert shared == sf.load_variables()
+
 
 class TestPresetFiles:
     def test_fixture_shape(self, fixtures):

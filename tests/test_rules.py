@@ -1,4 +1,7 @@
+import math
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -7,18 +10,26 @@ from hypothesis import strategies as st
 from soilfuzz import rules as rules_module
 from soilfuzz import (
     Aggregator,
+    ClassificationReport,
     EvaluationError,
+    HrbResult,
     MembershipVector,
     Rule,
     RuleBase,
     RuleConfigError,
+    SoilSample,
+    a7_split,
     classify,
+    classify_hrb,
     fuzzify,
+    fuzzify_sample,
+    make_partition,
     rule_dof,
     score_rulebase,
     search_rules,
     variable_match,
 )
+from soilfuzz.hrb import SUBGRADE_RATINGS, VARIABLE_NAMES
 
 CLASSES = (
     "A-1-a", "A-1-b", "A-3", "A-2-4", "A-2-5", "A-2-6", "A-2-7",
@@ -334,6 +345,67 @@ class TestInduceRules:
             search_rules(labeled, variables, seed=1, classes=list(LABELS) + ["A-5"])
 
 
+# The evaluator before active descriptors: a label -> degree dict per
+# variable, every allowed label looked up, the rule base checked lazily on
+# every sample.
+
+
+def reference_variable_match(mv, allowed):
+    best = None
+    for lab in allowed:
+        if lab not in mv.entries:
+            raise RuleConfigError(f"{mv.variable}: unknown descriptor {lab}")
+        d = mv.entries[lab]
+        if best is None or d > best:
+            best = d
+    if best is None:
+        raise RuleConfigError(f"{mv.variable}: empty descriptor set")
+    return best
+
+
+def reference_rule_dof(rule, memberships, agg):
+    matches = []
+    for var, allowed in rule.antecedents:
+        if var not in memberships:
+            raise EvaluationError(f"rule {rule.id}: no membership vector for {var}")
+        matches.append(reference_variable_match(memberships[var], allowed))
+    if agg is Aggregator.MIN:
+        return min(matches)
+    if agg is Aggregator.PRODUCT:
+        return math.prod(matches)
+    return sum(matches) / len(matches)
+
+
+def reference_classify(rb, memberships, agg):
+    per_rule = {rule.id: reference_rule_dof(rule, memberships, agg) for rule in rb.rules}
+    scores = dict.fromkeys(rb.class_order, 0.0)
+    for rule in rb.rules:
+        dof = per_rule[rule.id]
+        if dof > scores[rule.consequent]:
+            scores[rule.consequent] = dof
+    ranking = tuple(sorted(scores, key=scores.__getitem__, reverse=True))
+    winner = ranking[0]
+    tied = tuple(cls for cls in ranking if scores[cls] == scores[winner])
+    return ClassificationReport(scores, ranking, winner, len(tied) > 1, tied, per_rule)
+
+
+def reference_score_rulebase(rb, labeled, agg):
+    hits = sum(
+        1 for memberships, cls in labeled
+        if reference_classify(rb, memberships, agg).winner == cls
+    )
+    return hits / len(labeled)
+
+
+def reference_classify_hrb(sample, rb, agg, pi_source, variables):
+    memberships = fuzzify_sample(sample, pi_source, variables)
+    report = reference_classify(rb, memberships, agg)
+    subgroup = report.winner
+    if subgroup == "A-7":
+        subgroup = a7_split(sample.ll, sample.pi)
+    return HrbResult(report, subgroup, SUBGRADE_RATINGS.get(subgroup, ""))
+
+
 def full_rescoring_search(
     labeled, variables, rules_per_class, iterations, seed, agg, classes=None
 ):
@@ -342,12 +414,12 @@ def full_rescoring_search(
         classes = list(dict.fromkeys(cls for _, cls in labeled))
     rng = random.Random(seed)
     current = rules_module._random_rulebase(rng, variables, classes, rules_per_class)
-    current_score = score_rulebase(current, labeled, agg)
+    current_score = reference_score_rulebase(current, labeled, agg)
     best, best_score = current, current_score
     trace = []
     for _ in range(iterations):
         proposal, _ = rules_module._mutate(rng, current, variables)
-        proposal_score = score_rulebase(proposal, labeled, agg)
+        proposal_score = reference_score_rulebase(proposal, labeled, agg)
         if proposal_score >= current_score:
             current, current_score = proposal, proposal_score
             if current_score > best_score:
@@ -402,11 +474,42 @@ def test_search_equals_full_rescoring(
     assert result.best_scores == best_scores
 
 
+def test_search_checks_proposals_against_sample_ladders():
+    # Proposals draw descriptors from ``variables``; when the samples' own
+    # ladders lack one, the first proposal that uses it fails, as it does
+    # when every proposal is re-scored in full.
+    variables = {"x": make_partition("x", ["a", "b", "c"], [0, 50, 100], (0, 100))}
+    narrow = make_partition("x", ["a", "b"], [0, 100], (0, 100))
+    labeled = [({"x": fuzzify(narrow, v)}, cls) for v, cls in ((10, "A"), (90, "B"))]
+
+    def outcome(search):
+        try:
+            return search()
+        except RuleConfigError as exc:
+            return str(exc)
+
+    mid_search_errors = 0
+    for seed in range(40):
+        initial = rules_module._random_rulebase(random.Random(seed), variables, "AB", 1)
+        got = outcome(lambda: search_rules(labeled, variables, iterations=6, seed=seed))
+        want = outcome(
+            lambda: full_rescoring_search(labeled, variables, 1, 6, seed, Aggregator.MEAN)
+        )
+        if isinstance(want, str):
+            assert got == want == "x: unknown descriptor c"
+            clean = all("c" not in allowed for r in initial.rules for _, allowed in r.antecedents)
+            mid_search_errors += clean
+        else:
+            assert (got.rulebase, got.score, got.best_scores) == want
+    assert mid_search_errors > 0
+
+
 @pytest.mark.parametrize("iterations", [0, 40])
 def test_search_scores_once_in_full(variables, monkeypatch, iterations):
     # The benchmark tracer reads the initial score from the first
-    # ``score_rulebase`` call, looked up through the module.
-    calls = {"score_rulebase": 0, "classify": 0}
+    # ``score_rulebase`` call, looked up through the module.  ``_evaluate``
+    # scores the whole rule base on one sample; proposals never need it.
+    calls = {"score_rulebase": 0, "_evaluate": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -421,4 +524,220 @@ def test_search_scores_once_in_full(variables, monkeypatch, iterations):
         (sample_memberships(variables, nz), cls) for nz, cls in zip(SAMPLES, LABELS)
     ]
     search_rules(labeled, variables, iterations=iterations, seed=11)
-    assert calls == {"score_rulebase": 1, "classify": len(labeled)}
+    assert calls == {"score_rulebase": 1, "_evaluate": len(labeled)}
+
+
+def ladder_values(var):
+    """Centers, domain ends, values beyond the end centers and anything between."""
+    c = var.centers
+    return (
+        st.sampled_from((*c, var.domain_min, var.domain_max))
+        | st.floats(var.domain_min, c[0])
+        | st.floats(c[-1], var.domain_max)
+        | st.integers(int(var.domain_min), int(var.domain_max)).map(float)
+        | st.floats(var.domain_min, var.domain_max)
+    )
+
+
+@st.composite
+def soil_samples(draw, variables):
+    sieves = sorted(
+        (draw(ladder_values(variables[name])) for name in ("p2mm", "p425", "p075")),
+        reverse=True,
+    )
+    ll = draw(ladder_values(variables["ll"]))
+    # ``pi`` and ``pl`` both feed the pi ladder (``pi_source``), so both
+    # are drawn from it and ``pi`` is given explicitly.
+    pi, pl = draw(ladder_values(variables["pi"])), draw(ladder_values(variables["pi"]))
+    return SoilSample(*sieves, ll=ll, pl=pl, pi=pi)
+
+
+@st.composite
+def random_rulebases(draw, variables):
+    classes = draw(st.lists(st.sampled_from(CLASSES), min_size=1, max_size=5, unique=True))
+    rules = []
+    for i in range(draw(st.integers(1, 8))):
+        names = draw(st.lists(st.sampled_from(list(variables)), min_size=1, unique=True))
+        antecedents = tuple(
+            (name, frozenset(draw(
+                st.lists(st.sampled_from(variables[name].labels), min_size=1, unique=True)
+            )))
+            for name in names
+        )
+        rules.append(Rule(f"R{i + 1}", antecedents, draw(st.sampled_from(classes))))
+    # Classes without a rule score 0 and tie.
+    return RuleBase(tuple(rules), tuple(classes))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(list(Aggregator)), st.sampled_from(["pi", "pl"]))
+def test_evaluator_equals_dict_reference(
+    variables, paper_preset, calibrated_preset, data, agg, pi_source
+):
+    presets = [paper_preset.rulebase, calibrated_preset.rulebase]
+    rb = data.draw(st.sampled_from(presets) | random_rulebases(variables))
+    hrb_variables = data.draw(st.sampled_from([None, variables]))
+    labeled = []
+    for sample in data.draw(st.lists(soil_samples(variables), min_size=1, max_size=4)):
+        memberships = fuzzify_sample(sample, pi_source, variables)
+        for rule in rb.rules:
+            for var, allowed in rule.antecedents:
+                assert variable_match(memberships[var], allowed) == (
+                    reference_variable_match(memberships[var], allowed)
+                )
+            assert rule_dof(rule, memberships, agg) == (
+                reference_rule_dof(rule, memberships, agg)
+            )
+        report = classify(rb, memberships, agg)
+        expected = reference_classify(rb, memberships, agg)
+        # ``repr`` also pins the order of the dicts and the sign of zero.
+        assert report == expected and repr(report) == repr(expected)
+        result = classify_hrb(sample, rb, agg, pi_source, hrb_variables)
+        expected = reference_classify_hrb(sample, rb, agg, pi_source, variables)
+        assert result == expected and repr(result) == repr(expected)
+        labeled.append((memberships, data.draw(st.sampled_from(rb.class_order))))
+    assert score_rulebase(rb, labeled, agg) == reference_score_rulebase(rb, labeled, agg)
+
+
+def memberships_over(variables, sample):
+    """``fuzzify_sample`` over whichever HRB variables ``variables`` has."""
+    values = (sample.p2mm, sample.p425, sample.p075, sample.ll, sample.pi)
+    return {
+        name: fuzzify(variables[name], value)
+        for name, value in zip(VARIABLE_NAMES, values) if name in variables
+    }
+
+
+# Each public entry point that evaluates a rule base on one sample, called
+# as ``entry(rb, variables, sample)``.
+ENTRY_POINTS = {
+    "classify": lambda rb, variables, sample: classify(
+        rb, memberships_over(variables, sample)
+    ),
+    "rule_dof": lambda rb, variables, sample: [
+        rule_dof(rule, memberships_over(variables, sample)) for rule in rb.rules
+    ],
+    "classify_hrb": lambda rb, variables, sample: classify_hrb(
+        sample, rb, variables=variables
+    ),
+    "score_rulebase": lambda rb, variables, sample: score_rulebase(
+        rb, [(memberships_over(variables, sample), rb.class_order[0])]
+    ),
+}
+
+GOOD_RULES = RuleBase(
+    (Rule("R1", (("ll", frozenset({"LM", "M"})), ("pi", frozenset({"L"}))), "C"),),
+    ("C",),
+)
+UNKNOWN_DESCRIPTOR = RuleBase(
+    (Rule("R1", (("ll", frozenset({"LM"})), ("pi", frozenset({"NOPE"}))), "C"),),
+    ("C",),
+)
+MISSING_VARIABLE = RuleBase(
+    (Rule("R1", (("ll", frozenset({"LM"})), ("cbr", frozenset({"L"}))), "C"),),
+    ("C",),
+)
+SAMPLE = SoilSample(100, 80, 40, ll=32, pl=21)
+
+
+class TestCheckedOnce:
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize(
+        "rb, error, message",
+        [
+            (UNKNOWN_DESCRIPTOR, RuleConfigError, "pi: unknown descriptor NOPE"),
+            (MISSING_VARIABLE, EvaluationError, "rule R1: no membership vector for cbr"),
+        ],
+        ids=["unknown-descriptor", "missing-variable"],
+    )
+    def test_failed_check_is_never_remembered(self, variables, entry, rb, error, message):
+        call = ENTRY_POINTS[entry]
+        for _ in range(2):
+            call(GOOD_RULES, variables, SAMPLE)
+            for _ in range(2):
+                with pytest.raises(error, match=message):
+                    call(rb, variables, SAMPLE)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_other_ladders_are_checked_again(self, variables, entry):
+        call = ENTRY_POINTS[entry]
+        relabeled = {**variables, "pi": make_partition("pi", ["lo", "hi"], [0, 70], (0, 100))}
+        without_pi = {name: var for name, var in variables.items() if name != "pi"}
+        for _ in range(2):
+            call(GOOD_RULES, variables, SAMPLE)
+            with pytest.raises(RuleConfigError, match="pi: unknown descriptor L"):
+                call(GOOD_RULES, relabeled, SAMPLE)
+            with pytest.raises(EvaluationError, match="no membership vector for pi"):
+                call(GOOD_RULES, without_pi, SAMPLE)
+
+    def test_rule_base_checked_once_per_ladder_set(
+        self, variables, paper_preset, fixtures, monkeypatch
+    ):
+        checks = []
+        check_rules = rules_module._check_rules
+
+        def counting(rules, ladders):
+            checks.append(ladders)
+            check_rules(rules, ladders)
+
+        monkeypatch.setattr(rules_module, "_check_rules", counting)
+        monkeypatch.setattr(rules_module, "_checked", (None, None))
+        rb = paper_preset.rulebase
+        samples = [fx.sample for fx in fixtures] * 5
+        for sample in samples:
+            classify_hrb(sample, rb, variables=variables)
+        # Vectors over the same ladders need no second check.
+        labeled = [(fuzzify_sample(sample, variables=variables), "A-4") for sample in samples]
+        score_rulebase(rb, labeled)
+        for memberships, _ in labeled:
+            classify(rb, memberships)
+        assert len(checks) == 1
+
+    def test_memo_holds_under_threads(self, variables, paper_preset, fixtures):
+        # Threads share the remembered pair.  Each of two (rule base, ladders)
+        # pairs passes and each mixed pair fails, so a torn or early memo
+        # update in one thread would let another thread's mixed pair through.
+        relabeled = {**variables, "pi": make_partition("pi", ["lo", "hi"], [0, 70], (0, 100))}
+        relabeled_rules = RuleBase(
+            (Rule("R1", (("ll", frozenset({"LM"})), ("pi", frozenset({"lo"}))), "C"),),
+            ("C",),
+        )
+        good = [(paper_preset.rulebase, variables), (relabeled_rules, relabeled)]
+        mixed = [(paper_preset.rulebase, relabeled), (relabeled_rules, variables)]
+        samples = [fx.sample for fx in fixtures]
+        expected = {
+            (g, j): classify_hrb(samples[j], rb, variables=ladders)
+            for g, (rb, ladders) in enumerate(good) for j in range(len(samples))
+        }
+        problems = []
+
+        def worker(k):
+            try:
+                for i in range(400):
+                    j, g = (i + k) % len(samples), (i // 2 + k) % 2
+                    if (i + k) % 2:
+                        rb, ladders = good[g]
+                        if classify_hrb(samples[j], rb, variables=ladders) != expected[g, j]:
+                            problems.append(("wrong result", g, j))
+                        continue
+                    rb, ladders = mixed[g]
+                    try:
+                        classify_hrb(samples[j], rb, variables=ladders)
+                    except RuleConfigError:
+                        continue
+                    problems.append(("not checked", g, j))
+            except Exception as exc:  # reported with the thread's other findings
+                problems.append(("raised", repr(exc)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert problems == []
