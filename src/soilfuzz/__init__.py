@@ -19,7 +19,6 @@ from .rules import (
     rule_dof,
     score_rulebase,
     search_rules,
-    variable_match,
 )
 from .dsl import Diagnostic, RuleParseError, parse_rules, serialize
 from .hrb import (
@@ -77,5 +76,4 @@ __all__ = [
     "score_rulebase",
     "search_rules",
     "serialize",
-    "variable_match",
 ]

@@ -45,21 +45,22 @@ class SampleRow:
     label: str | None
 
 
-def read_samples(stream) -> tuple[list[SampleRow], list[str], bool]:
+def read_samples(stream) -> tuple[list[SampleRow], list[tuple[int, str]], bool]:
     """Parse a sample CSV into rows, per-row diagnostics, and a class flag.
 
-    Diagnostics carry 1-based data row numbers; a missing required column
-    fails the whole file.
+    Each diagnostic is a ``(row, message)`` pair with the 1-based data row
+    number; a missing required column fails the whole file.  Column names
+    are read with surrounding spaces stripped.
     """
     reader = csv.DictReader(stream)
-    fields = [f.strip() for f in reader.fieldnames or []]
+    fields = reader.fieldnames = [f.strip() for f in reader.fieldnames or []]
     missing = [col for col in REQUIRED_COLUMNS if col not in fields]
     if missing:
         raise CliError(EXIT_ROWS, f"missing column(s): {', '.join(missing)}")
     has_class = "class" in fields
 
     rows: list[SampleRow] = []
-    problems: list[str] = []
+    problems: list[tuple[int, str]] = []
     for n, record in enumerate(reader, start=1):
         values = {}
         bad = False
@@ -69,20 +70,20 @@ def read_samples(stream) -> tuple[list[SampleRow], list[str], bool]:
                 if col == "pi":
                     values[col] = None
                     continue
-                problems.append(f"row {n}: empty {col}")
+                problems.append((n, f"empty {col}"))
                 bad = True
                 continue
             try:
                 values[col] = float(cell)
             except ValueError:
-                problems.append(f"row {n}: non-numeric {col}: {cell!r}")
+                problems.append((n, f"non-numeric {col}: {cell!r}"))
                 bad = True
         if bad:
             continue
         try:
             sample = hrb.SoilSample(**values)
         except SampleError as exc:
-            problems.append(f"row {n}: {exc}")
+            problems.append((n, str(exc)))
             continue
         label = (record.get("class") or "").strip() or None
         rows.append(SampleRow(n, (record.get("id") or "").strip(), sample, label))
@@ -103,17 +104,12 @@ def _write_output(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _load_rows(args) -> tuple[list[SampleRow], list[str], bool]:
+def _load_rows(args) -> tuple[list[SampleRow], list[tuple[int, str]], bool]:
     """The input's rows, its CSV diagnostics (not yet reported), a class flag."""
     return read_samples(io.StringIO(_read_text(args.input)))
 
 
-def _row_number(diagnostic: str) -> int:
-    # Every row diagnostic starts with "row N:".
-    return int(diagnostic.split(":", 1)[0].removeprefix("row "))
-
-
-def _map_rows(args, rows: list[SampleRow], problems: list[str], work) -> list:
+def _map_rows(args, rows: list[SampleRow], problems: list[tuple[int, str]], work) -> list:
     """``work(row)`` for every row, keeping only what it returns.
 
     A value outside its variable's domain makes that row a diagnostic.  These
@@ -125,13 +121,13 @@ def _map_rows(args, rows: list[SampleRow], problems: list[str], work) -> list:
         try:
             results.append(work(row))
         except FuzzificationError as exc:
-            problems.append(f"row {row.row}: {exc}")
+            problems.append((row.row, str(exc)))
     # A stable sort: a row's CSV diagnostics keep their order.
-    problems.sort(key=_row_number)
-    for line in problems:
-        print(line, file=sys.stderr)
+    problems.sort(key=lambda problem: problem[0])
+    for n, message in problems:
+        print(f"row {n}: {message}", file=sys.stderr)
     if problems and not args.skip_bad_rows:
-        bad = len({_row_number(line) for line in problems})
+        bad = len({n for n, _ in problems})
         raise CliError(EXIT_ROWS, f"{bad} bad row(s) in {args.input}")
     return results
 

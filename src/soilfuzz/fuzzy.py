@@ -47,7 +47,6 @@ class MembershipVector:
     """
 
     variable: str
-    input_value: float
     entries: dict[str, float]
 
     def nonzero(self) -> dict[str, float]:
@@ -133,4 +132,4 @@ def fuzzify(var: LinguisticVariable, x: float) -> MembershipVector:
     """
     degrees = dict.fromkeys(var.labels, 0.0)
     degrees.update(active_descriptors(var, x))
-    return MembershipVector(variable=var.name, input_value=float(x), entries=degrees)
+    return MembershipVector(variable=var.name, entries=degrees)

@@ -224,21 +224,21 @@ def crisp_classify(sample: SoilSample) -> str:
         return "A-1-a"
     if s.p425 <= 50 and s.p075 <= 25 and s.pi <= 10:
         return "A-1-b"
-    if s.p425 >= 51 and s.p075 <= 10 and s.pi == 0:
+    if s.p425 > 50 and s.p075 <= 10 and s.pi == 0:
         return "A-3"
     if s.p075 <= 35 and s.ll <= 40 and s.pi <= 10:
         return "A-2-4"
-    if s.p075 <= 35 and s.ll >= 41 and s.pi <= 10:
+    if s.p075 <= 35 and s.ll > 40 and s.pi <= 10:
         return "A-2-5"
-    if s.p075 <= 35 and s.ll <= 40 and s.pi >= 11:
+    if s.p075 <= 35 and s.ll <= 40 and s.pi > 10:
         return "A-2-6"
-    if s.p075 <= 35 and s.ll >= 41 and s.pi >= 11:
+    if s.p075 <= 35 and s.ll > 40 and s.pi > 10:
         return "A-2-7"
     if s.ll <= 40 and s.pi <= 10:
         return "A-4"
-    if s.ll >= 41 and s.pi <= 10:
+    if s.ll > 40 and s.pi <= 10:
         return "A-5"
-    if s.ll <= 40 and s.pi >= 11:
+    if s.ll <= 40 and s.pi > 10:
         return "A-6"
     return a7_split(s.ll, s.pi)
 

@@ -42,9 +42,6 @@ class Aggregator(enum.Enum):
     PRODUCT = "product"
     MEAN = "mean"
 
-    def combine(self, matches: Sequence[float]) -> float:
-        return _COMBINE[self](matches)
-
 
 # Each aggregator's combining function, looked up once per sample.
 _COMBINE = {
@@ -188,20 +185,6 @@ def _evaluate(
         tied=tied,
         per_rule=per_rule,
     )
-
-
-def variable_match(mv: MembershipVector, allowed: Iterable[str]) -> float:
-    """Best membership degree over the descriptors a rule allows.
-
-    Raises:
-        RuleConfigError: if ``allowed`` is empty or names a descriptor the
-            vector's variable does not have.
-    """
-    allowed = frozenset(allowed)
-    if not allowed:
-        raise RuleConfigError(f"{mv.variable}: empty descriptor set")
-    rule = Rule("", ((mv.variable, allowed),), "")
-    return rule_dof(rule, {mv.variable: mv}, Aggregator.MIN)
 
 
 def rule_dof(

@@ -81,9 +81,19 @@ class TestReadSamples:
         )
         rows, problems, _ = cli.read_samples(io.StringIO(text))
         assert len(rows) == 1 and rows[0].id == "c"
-        assert len(problems) == 2
-        assert problems[0].startswith("row 1:") and "sieve" in problems[0]
-        assert problems[1].startswith("row 2:") and "non-numeric ll" in problems[1]
+        assert [n for n, _ in problems] == [1, 2]
+        assert "sieve" in problems[0][1]
+        assert problems[1][1] == "non-numeric ll: 'thirty'"
+
+    def test_spaces_after_header_commas(self):
+        text = (
+            "id, p2mm, p425, p075, ll, pl, pi, class\n"
+            "a, 100, 50, 10, 30, 20, 5, A-2-4\n"
+        )
+        rows, problems, has_class = cli.read_samples(io.StringIO(text))
+        assert not problems and has_class
+        assert rows[0].id == "a" and rows[0].label == "A-2-4"
+        assert rows[0].sample == sf.SoilSample(100, 50, 10, ll=30, pl=20, pi=5)
 
     def test_missing_column(self):
         with pytest.raises(cli.CliError) as exc:
@@ -535,10 +545,10 @@ GOLDEN_SHA256 = {
         "3e170f2b9bdfe6488aa80ba13deb8554cdcff0d56e28de7f7ef580d651148e59"
     ),
     ("classify", "--crisp"): (
-        "dea04651778a6da08bdf44e93769e21798d4a6ee6a8cc4b4b4c7fa68f4e6e9fa"
+        "fc50067e4a2777a11bac554a4ccd97f908e4c5a2c6efe76b8481cb28e910f958"
     ),
     ("classify", "--crisp", "--format", "json"): (
-        "64dc799d11393e68450bd72508a180df8da7c891d9ff84f5483105d8aed8b4ff"
+        "c5810483c26feca7cf280b9624ca085385fd6fd48f4ba2a74d3163f4af98e718"
     ),
     ("classify", "--preset", "calibrated", "--agg", "min"): (
         "1e315ca3130d8ed3cac2b3527f813966859df662178fe1dfee3607015394c7cc"

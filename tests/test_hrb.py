@@ -2,6 +2,8 @@ import math
 import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import soilfuzz as sf
 from soilfuzz import SampleError, SoilSample
@@ -166,6 +168,41 @@ class TestCrispClassify:
         assert sf.crisp_classify(SoilSample(100, 80, 50, ll=30, pl=15)) == "A-6"
         assert sf.crisp_classify(SoilSample(100, 80, 60, ll=70, pl=35)) == "A-7-5"
         assert sf.crisp_classify(SoilSample(100, 80, 60, ll=50, pl=20)) == "A-7-6"
+
+    def test_thresholds_meet_between_integers(self):
+        # Each bound's two sides meet: ll 40.5 is above 40, pi 10.5 above 10
+        # and p425 50.5 above 50, so none of these falls through to A-7.
+        assert sf.crisp_classify(SoilSample(100, 60, 20, ll=40.5, pl=35.5)) == "A-2-5"
+        assert sf.crisp_classify(SoilSample(100, 60, 20, ll=30, pl=19.5)) == "A-2-6"
+        assert sf.crisp_classify(SoilSample(100, 50.5, 8, ll=20, pl=20)) == "A-3"
+
+
+def _near(lo, hi, *bounds):
+    # Uniform draws seldom land within a unit of a table bound, where the
+    # two sides of the bound must meet.
+    return st.one_of(st.floats(lo, hi), *(st.floats(b - 1, b + 1) for b in bounds))
+
+
+@st.composite
+def continuous_samples(draw):
+    sieves = sorted((draw(_near(0, 100, 10, 35, 50)) for _ in range(3)), reverse=True)
+    ll = draw(_near(0, 150, 40))
+    pi = min(draw(_near(0, 100, 10)), ll)
+    return SoilSample(*sieves, ll=ll, pl=ll - pi, pi=pi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(continuous_samples())
+def test_crisp_group_meets_its_own_thresholds(sample):
+    group = sf.crisp_classify(sample)
+    # The ll/pi quadrant: 4 low ll and pi, 5 high ll, 6 high pi, 7 both high.
+    quadrant = "4567"[(sample.ll > 40) + 2 * (sample.pi > 10)]
+    if group.startswith("A-2-"):
+        assert sample.p075 <= 35 and group == "A-2-" + quadrant
+    elif group.startswith(("A-4", "A-5", "A-6", "A-7")):
+        assert sample.p075 > 35 and group.startswith("A-" + quadrant)
+    else:
+        assert sample.p075 <= 35
 
 
 class TestClassifyHrb:

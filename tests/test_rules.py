@@ -27,7 +27,6 @@ from soilfuzz import (
     rule_dof,
     score_rulebase,
     search_rules,
-    variable_match,
 )
 from soilfuzz.hrb import SUBGRADE_RATINGS, VARIABLE_NAMES
 
@@ -86,9 +85,8 @@ LABELS = ("A-2-6", "A-4", "A-7", "A-3", "A-6", "A-1-a")
 
 
 def mv(variables, name, nonzero):
-    # Matching only reads the degree table, so the input value is immaterial.
     entries = {lab: nonzero.get(lab, 0.0) for lab in variables[name].labels}
-    return MembershipVector(variable=name, input_value=0.0, entries=entries)
+    return MembershipVector(variable=name, entries=entries)
 
 
 def sample_memberships(variables, nonzero_by_var):
@@ -126,23 +124,29 @@ def brute_classify(nonzero_by_var, agg="mean"):
     return winner, scores
 
 
+def match(v, allowed):
+    # A one-antecedent rule's DOF under MIN is its variable's match.
+    rule = Rule("R", ((v.variable, frozenset(allowed)),), "A-4")
+    return rule_dof(rule, {v.variable: v}, Aggregator.MIN)
+
+
 class TestVariableMatch:
     def test_max_over_allowed(self, variables):
         v = mv(variables, "p2mm", {"H": 0.96, "VH": 0.04})
-        assert variable_match(v, {"VL", "L", "M", "H", "VH"}) == 0.96
+        assert match(v, {"VL", "L", "M", "H", "VH"}) == 0.96
 
     def test_no_overlap_is_zero(self, variables):
         v = mv(variables, "p425", {"LM": 1.0})
-        assert variable_match(v, {"VL", "L"}) == 0.0
+        assert match(v, {"VL", "L"}) == 0.0
 
     def test_singleton_exact(self, variables):
         v = mv(variables, "p2mm", {"M": 1.0})
-        assert variable_match(v, {"M"}) == 1.0
+        assert match(v, {"M"}) == 1.0
 
     def test_unknown_label(self, variables):
         v = mv(variables, "p2mm", {"M": 1.0})
         with pytest.raises(RuleConfigError, match="unknown descriptor"):
-            variable_match(v, {"NOPE"})
+            match(v, {"NOPE"})
 
 
 class TestRuleDof:
@@ -581,10 +585,6 @@ def test_evaluator_equals_dict_reference(
     for sample in data.draw(st.lists(soil_samples(variables), min_size=1, max_size=4)):
         memberships = fuzzify_sample(sample, pi_source, variables)
         for rule in rb.rules:
-            for var, allowed in rule.antecedents:
-                assert variable_match(memberships[var], allowed) == (
-                    reference_variable_match(memberships[var], allowed)
-                )
             assert rule_dof(rule, memberships, agg) == (
                 reference_rule_dof(rule, memberships, agg)
             )
