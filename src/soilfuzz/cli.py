@@ -5,8 +5,9 @@ a missing pi is computed as ll - pl), classifies them against a preset or a
 rule file, dumps membership tables, or induces a rule base from labeled
 rows.  Output is byte-deterministic for identical inputs and flags.
 
-Exit codes: 0 success, 2 unreadable input or bad usage, 3 invalid rule
-file, 4 row validation failures (including missing columns).
+Exit codes: 0 success, 2 unreadable input, unwritable output or bad usage,
+3 invalid rule file, 4 row validation failures (including missing or
+repeated columns).
 """
 
 import argparse
@@ -20,10 +21,13 @@ from pathlib import Path
 
 from . import dsl, hrb
 from .errors import FuzzificationError, SampleError, SoilFuzzError
-from .render import degree_text, fmt_degree, fmt_score, round4
+from .fuzzy import active_descriptors
+# ``fmt_degree`` is unused here, but bench/tracing.py wraps it by this name.
+from .render import degree_text, fmt_degree, fmt_score, round4  # noqa: F401
 from .rules import Aggregator, RuleBase, search_rules
 
 REQUIRED_COLUMNS = ("id", "p2mm", "p425", "p075", "ll", "pl")
+READ_COLUMNS = (*REQUIRED_COLUMNS, "pi", "class")
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -49,14 +53,18 @@ def read_samples(stream) -> tuple[list[SampleRow], list[tuple[int, str]], bool]:
     """Parse a sample CSV into rows, per-row diagnostics, and a class flag.
 
     Each diagnostic is a ``(row, message)`` pair with the 1-based data row
-    number; a missing required column fails the whole file.  Column names
-    are read with surrounding spaces stripped.
+    number; a missing required column, or a column that is read but named
+    twice, fails the whole file.  Column names are read with surrounding
+    spaces stripped.
     """
     reader = csv.DictReader(stream)
     fields = reader.fieldnames = [f.strip() for f in reader.fieldnames or []]
     missing = [col for col in REQUIRED_COLUMNS if col not in fields]
     if missing:
         raise CliError(EXIT_ROWS, f"missing column(s): {', '.join(missing)}")
+    repeated = [col for col in READ_COLUMNS if fields.count(col) > 1]
+    if repeated:
+        raise CliError(EXIT_ROWS, f"duplicate column(s): {', '.join(repeated)}")
     has_class = "class" in fields
 
     rows: list[SampleRow] = []
@@ -99,7 +107,10 @@ def _read_text(path: str) -> str:
 
 def _write_output(args, text: str) -> None:
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise CliError(EXIT_INPUT, f"cannot write {args.output}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -160,8 +171,77 @@ def _csv_text(rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """The JSON document of ``payload``: ``json.dumps(payload, indent=2) + "\\n"``.
+
+    ``json.dumps`` runs its pure-Python encoder whenever ``indent`` is set;
+    this writer gives the same text for the types the CLI builds: ``dict``
+    with ``str`` keys, ``list``, ``str``, ``float``, ``int``, ``bool`` and
+    ``None``.  Any other type, subclasses included, raises ``TypeError``.
+    """
+    chunks: list[str] = []
+    _write_json(payload, "\n", chunks, {})
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _write_json(value, newline: str, chunks: list[str], prefixes: dict) -> None:
+    """Append the JSON text of ``value``, nested after ``newline``, to ``chunks``.
+
+    ``prefixes`` caches each member's ``newline + indent + key + ": "``
+    prefix by indent, then key.
+    """
+    append = chunks.append
+    kind = type(value)
+    if kind is float:
+        text = _float_repr(value)
+        append(_FLOAT_WORDS.get(text, text))
+    elif kind is str:
+        append(_encode_str(value))
+    elif kind is dict:
+        if not value:
+            append("{}")
+            return
+        inner = newline + "  "
+        keyed = prefixes.get(inner)
+        if keyed is None:
+            keyed = prefixes[inner] = {}
+        append("{")
+        for key, item in value.items():
+            prefix = keyed.get(key)
+            if prefix is None:
+                if type(key) is not str:
+                    raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+                prefix = keyed[key] = f"{inner}{_encode_str(key)}: "
+            append(prefix)
+            _write_json(item, inner, chunks, prefixes)
+            append(",")
+        chunks[-1] = newline + "}"
+    elif kind is list:
+        if not value:
+            append("[]")
+            return
+        inner = newline + "  "
+        append("[")
+        for item in value:
+            append(inner)
+            _write_json(item, inner, chunks, prefixes)
+            append(",")
+        chunks[-1] = newline + "]"
+    elif kind is bool:
+        append("true" if value else "false")
+    elif kind is int:
+        append(_int_repr(value))
+    elif value is None:
+        append("null")
+    else:
+        raise TypeError(f"cannot write {kind.__name__} as JSON")
 
 
 def cmd_classify(args) -> int:
@@ -240,10 +320,26 @@ def cmd_memberships(args) -> int:
         if name not in variables:
             raise CliError(EXIT_INPUT, f"unknown variable {name}")
 
-    fuzzified = _map_rows(
-        args, rows, problems,
-        lambda row: (row, hrb.fuzzify_sample(row.sample, args.pi_source, variables)),
-    )
+    zeros = {name: dict.fromkeys(variables[name].labels, 0.0) for name in names}
+
+    def row_degrees(row):
+        """The row's rounded degrees by variable and label, 0.0 where inactive.
+
+        Every property is checked against its domain, listed or not.
+        """
+        values = hrb._property_values(row.sample, args.pi_source)
+        active = {
+            name: active_descriptors(variables[name], value)
+            for name, value in zip(hrb.VARIABLE_NAMES, values)
+        }
+        degrees = {}
+        for name in names:
+            degrees[name] = cells = zeros[name].copy()
+            for label, degree in active[name]:
+                cells[label] = round4(degree)
+        return row.id, degrees
+
+    table_rows = _map_rows(args, rows, problems, row_degrees)
     if args.format == "json":
         payload = {
             "command": "memberships",
@@ -253,14 +349,8 @@ def cmd_memberships(args) -> int:
                     "variable": name,
                     "labels": list(variables[name].labels),
                     "rows": [
-                        {
-                            "id": row.id,
-                            "degrees": {
-                                lab: round4(mv[name].entries[lab])
-                                for lab in variables[name].labels
-                            },
-                        }
-                        for row, mv in fuzzified
+                        {"id": row_id, "degrees": degrees[name]}
+                        for row_id, degrees in table_rows
                     ],
                 }
                 for name in names
@@ -270,13 +360,9 @@ def cmd_memberships(args) -> int:
     else:
         table = []
         for name in names:
-            labels = variables[name].labels
-            table.append(["variable", "id", *labels])
-            for row, mv in fuzzified:
-                table.append(
-                    [name, row.id]
-                    + [fmt_degree(mv[name].entries[lab]) for lab in labels]
-                )
+            table.append(["variable", "id", *variables[name].labels])
+            for row_id, degrees in table_rows:
+                table.append([name, row_id, *map(degree_text, degrees[name].values())])
         _write_output(args, _csv_text(table))
     return EXIT_OK
 

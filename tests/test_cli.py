@@ -101,6 +101,23 @@ class TestReadSamples:
         assert exc.value.code == cli.EXIT_ROWS
         assert "pl" in str(exc.value)
 
+    @pytest.mark.parametrize("header", [
+        "id,p2mm,p425,p075,ll,pl,ll",
+        "id,p2mm,p425,p075,ll,pl, ll",
+    ])
+    def test_duplicate_column(self, header, tmp_path, capsys):
+        # csv.DictReader would keep the last ll cell (80) and classify A-2-7.
+        path = tmp_path / "dup.csv"
+        path.write_text(f"{header}\na,100,60,20,30,20,80\n")
+        code, out, err = run(["classify", "--crisp", str(path)], capsys)
+        assert code == cli.EXIT_ROWS and out == ""
+        assert err == "soilfuzz: duplicate column(s): ll\n"
+
+    def test_unread_columns_may_repeat(self):
+        text = "id,p2mm,p425,p075,ll,pl,note,note,,\na,100,50,10,30,20,x,y,,\n"
+        rows, problems, _ = cli.read_samples(io.StringIO(text))
+        assert not problems and rows[0].sample.ll == 30.0
+
 
 class TestClassifyCommand:
     def test_paper_preset_winners(self, fixture_csv, capsys):
@@ -177,6 +194,13 @@ class TestClassifyCommand:
         code, _, err = run(["classify", "/nonexistent/nope.csv"], capsys)
         assert code == cli.EXIT_INPUT
         assert "cannot read" in err
+
+    def test_unwritable_output(self, fixture_csv, tmp_path, capsys):
+        target = tmp_path / "missing_dir" / "out.csv"
+        code, out, err = run(["classify", fixture_csv, "-o", str(target)], capsys)
+        assert code == cli.EXIT_INPUT and out == ""
+        assert err.startswith(f"soilfuzz: cannot write {target}: ")
+        assert err.count("\n") == 1
 
     def test_invalid_rule_file(self, fixture_csv, tmp_path, capsys):
         bad = tmp_path / "bad.frules"
@@ -311,6 +335,12 @@ class TestRulesCommand:
         assert code == 0
         assert out == sf.serialize(paper_preset.rulebase, variables)
 
+    def test_unwritable_output(self, tmp_path, capsys):
+        code, out, err = run(["rules", "-o", str(tmp_path)], capsys)
+        assert code == cli.EXIT_INPUT and out == ""
+        assert err.startswith(f"soilfuzz: cannot write {tmp_path}: ")
+        assert err.count("\n") == 1
+
     def test_round_trips_custom_file(self, tmp_path, capsys, variables):
         path = tmp_path / "tiny.frules"
         path.write_text("RULE R9: p2mm IS {VH,VL} => A-3\n")
@@ -394,6 +424,7 @@ OUT_OF_DOMAIN_MODES = [
     ["classify"],
     ["classify", "--format", "json"],
     ["memberships"],
+    ["memberships", "--variable", "p075"],  # ll is checked though not listed
     ["induce", "--seed", "1", "--iters", "5"],
 ]
 
@@ -565,6 +596,9 @@ GOLDEN_SHA256 = {
     ("memberships", "--variable", "pi", "--pi-source", "pl"): (
         "a6227ea154135acde9477043faeffd16a89167b3161e8c3ba38f4b85be8c9bf5"
     ),
+    ("memberships", "--variable", "p075", "--format", "json", "--pi-source", "pl"): (
+        "af864b114a96484cb6a085744d5d8a956969ae3dd3b7f0836c5c107569cabf1f"
+    ),
     ("rules", "--preset", "calibrated"): (
         "147806ecc60efeeac4fbe0422cf56559b76fd42d355836e462e0ee09c72e0c49"
     ),
@@ -598,8 +632,9 @@ class TestGoldenBytes:
         assert target.read_bytes() == out.encode()
 
     def test_classify_builds_no_membership_vectors(self, corpus, capsys, monkeypatch):
-        # ``MembershipVector`` is the reporting view; fuzzy classification
-        # evaluates rules on each value's active descriptors instead.
+        # ``MembershipVector`` is the library's reporting view; fuzzy
+        # classification and the membership tables both work on each value's
+        # active descriptors instead.
         built = []
         init = sf.MembershipVector.__init__
 
@@ -609,13 +644,52 @@ class TestGoldenBytes:
 
         monkeypatch.setattr(sf.MembershipVector, "__init__", counting_init)
         for mode in GOLDEN_SHA256:
-            if mode[0] == "classify" and "--crisp" not in mode:
+            if mode[0] != "rules" and "--crisp" not in mode:
                 code, _, _ = run([*mode, corpus], capsys)
                 assert code == 0
         assert built == []
-        # The counter does see the reporting path: 300 rows x 5 variables.
-        assert run(["memberships", corpus], capsys)[0] == 0
+        # The counter does see the reporting view: 300 rows x 5 variables.
+        rows, _, _ = cli.read_samples(io.StringIO(golden_corpus_csv()))
+        for row in rows:
+            sf.fuzzify_sample(row.sample)
         assert len(built) == 1500
+
+
+# Shapes the golden corpus lacks: no data rows at all (empty JSON lists) and
+# an id that JSON must escape (non-ASCII, quote, backslash, tab).
+EDGE_CSV = {
+    "header-only": "id,p2mm,p425,p075,ll,pl\n",
+    "escaped-id": (
+        "id,p2mm,p425,p075,ll,pl\n"
+        '"n\u00e9 ""q"" back\\slash\ttab \u2713",100,80,40,25,17\n'
+        "plain,38,30,11,23,19\n"
+    ),
+}
+
+EDGE_SHA256 = {
+    ("header-only", "classify", "--format", "json"): (
+        "44a369d9019f03734e2f9337a42d91f205a5b1bb96214f39cab69b23d0b15f12"
+    ),
+    ("header-only", "memberships", "--format", "json"): (
+        "ecc9254061a7080ec1d471094d5541c6e91290437bd5b19c083c37483c8d8b3c"
+    ),
+    ("escaped-id", "classify", "--format", "json"): (
+        "d90b1ce422adbf98b1036d62446e8ead182fe5c3b429f96ff9fe08bce05899a4"
+    ),
+    ("escaped-id", "memberships", "--format", "json"): (
+        "3779397f84443d07cc875b3d00e6db10359e477a9252e8016e36b88ad5ccee22"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(EDGE_SHA256), ids=" ".join)
+def test_edge_output_bytes(case, tmp_path, capsys):
+    name, *mode = case
+    path = tmp_path / "edge.csv"
+    path.write_text(EDGE_CSV[name], encoding="utf-8")
+    code, out, err = run([*mode, str(path)], capsys)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == EDGE_SHA256[case]
 
 
 def labeled_golden_corpus_csv():

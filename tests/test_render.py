@@ -1,0 +1,139 @@
+import json
+import math
+from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from soilfuzz import cli
+from soilfuzz.render import degree_text, fmt_degree, round4
+
+
+def reference_round4(x: float) -> float:
+    """The ``Decimal`` rounding of ``repr(x)`` that :func:`round4` must equal."""
+    return float(Decimal(repr(float(x))).quantize(Decimal("0.0001"), ROUND_HALF_UP))
+
+
+def assert_same_float(got: float, want: float):
+    # repr tells -0.0 from 0.0, which == does not.
+    assert repr(got) == repr(want)
+
+
+def half_point_neighbourhoods(lo: int, hi: int):
+    """Each 5-decimal half point in [lo, hi], with both float neighbours."""
+    for k in range(lo * 10_000, hi * 10_000):
+        h = (2 * k + 1) / 20_000
+        yield math.nextafter(h, -math.inf)
+        yield h
+        yield math.nextafter(h, math.inf)
+
+
+class TestRound4:
+    def test_every_half_point_in_unit_interval(self):
+        mismatches = [
+            x for x in half_point_neighbourhoods(0, 1)
+            if repr(round4(x)) != repr(reference_round4(x))
+        ]
+        assert mismatches == []
+
+    @pytest.mark.parametrize("x, want", [
+        (0.00005, 0.0001),
+        (-0.00005, -0.0001),
+        (0.03125, 0.0313),  # an exact binary half point: round() would give 0.0312
+        (2.67e-05, 0.0),
+        (-1e-05, -0.0),
+        (9593418.50545, 9593418.5055),  # above the fast path's bound
+    ])
+    def test_half_up_cases(self, x, want):
+        assert_same_float(round4(x), want)
+
+    def test_non_finite(self):
+        assert math.isnan(round4(math.nan))
+        assert round4(math.inf) == math.inf and round4(-math.inf) == -math.inf
+
+    @pytest.mark.parametrize("x", [2.0**52, 1e24, 1e30, -1.7976931348623157e308])
+    def test_whole_floats_are_kept(self, x):
+        # Quantizing these to 4 decimals overflows Decimal's 28 digits.
+        assert_same_float(round4(x), x)
+
+    @settings(max_examples=2000)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    @example(5e-324)
+    @example(-2.225073858507201e-308)
+    @example(999999.99995)
+    @example(1e6)
+    @example(9593418.50545)
+    @example(-9593418.50545)
+    @example(1.7976931348623157e308)
+    def test_matches_decimal_reference(self, x):
+        try:
+            want = reference_round4(x)
+        except InvalidOperation:  # past Decimal's 28 digits, where x is whole
+            want = x
+        assert_same_float(round4(x), want)
+
+    @settings(max_examples=500)
+    @given(st.integers(-(10**7) * 20_000, 10**7 * 20_000), st.sampled_from([-1, 0, 1]))
+    def test_matches_decimal_reference_near_half_points(self, k, step):
+        x = (2 * k + 1) / 20_000
+        if step:
+            x = math.nextafter(x, step * math.inf)
+        assert_same_float(round4(x), reference_round4(x))
+
+    def test_crisp_a7_cells_round_half_up(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text("id,p2mm,p425,p075,ll,pl\nbig,100,100,90,9593418.50545,0\n")
+        assert cli.main(["classify", "--crisp", str(path)]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["a7_ll"] == cells["a7_pi"] == "9593418.5055"
+
+    def test_crisp_a7_cells_of_whole_floats(self, tmp_path, capsys):
+        # --crisp has no domains, so any finite ll reaches round4.
+        path = tmp_path / "huge.csv"
+        path.write_text("id,p2mm,p425,p075,ll,pl\nhuge,100,100,90,1e30,0\n")
+        assert cli.main(["classify", "--crisp", "--format", "json", str(path)]) == 0
+        record = json.loads(capsys.readouterr().out)["results"][0]
+        assert record["a7"] == {"ll": 1e30, "pi": 1e30}
+
+    def test_fmt_degree_trims_zeros(self):
+        assert [fmt_degree(x) for x in (0.0, 1.0, 0.96, 0.26666)] == ["0", "1", "0.96", "0.2667"]
+        assert degree_text(round4(0.00005)) == "0.0001"
+
+
+FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308, 1e16, 1e-7]
+)
+INTS = st.integers() | st.integers(-(10**80), 10**80)
+TEXT = st.text() | st.sampled_from(["", "\t\"\\", "né ✓", "\x00\x1f\x7f", "\U0001f600"])
+SCALARS = st.none() | st.booleans() | INTS | FLOATS | TEXT
+PAYLOADS = st.recursive(
+    SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(TEXT, children, max_size=4),
+    max_leaves=25,
+)
+
+
+class TestJsonText:
+    @settings(max_examples=300)
+    @given(PAYLOADS)
+    @example({})
+    @example([])
+    @example({"a": [], "b": {}, "c": [{}], "": [[]]})
+    def test_equals_json_dumps(self, payload):
+        assert cli._json_text(payload) == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("payload", [
+        (1, 2),
+        {"a": (1,)},
+        {1: "non-str key"},
+        [{True: 1}],
+        {"a": {1.5}},
+        [b"bytes"],
+        [Decimal("1.5")],
+    ])
+    def test_other_types_raise(self, payload):
+        with pytest.raises(TypeError):
+            cli._json_text(payload)
