@@ -49,15 +49,30 @@ class SampleRow:
     label: str | None
 
 
-def read_samples(stream) -> tuple[list[SampleRow], list[tuple[int, str]], bool]:
+def read_samples(
+    stream, name: str = "<stream>"
+) -> tuple[list[SampleRow], list[tuple[int, str]], bool]:
     """Parse a sample CSV into rows, per-row diagnostics, and a class flag.
 
     Each diagnostic is a ``(row, message)`` pair with the 1-based data row
     number; a missing required column, or a column that is read but named
-    twice, fails the whole file.  Column names are read with surrounding
-    spaces stripped.
+    twice, fails the whole file, and so does text the CSV reader rejects,
+    such as a cell longer than ``csv.field_size_limit()``, reported with
+    ``name`` and its line.  Column names are read with surrounding spaces
+    stripped.
     """
     reader = csv.DictReader(stream)
+    try:
+        return _read_records(reader)
+    except csv.Error as exc:
+        # ``DictReader.line_num`` is updated only after a row parses.
+        line = reader.reader.line_num
+        raise CliError(EXIT_INPUT, f"cannot read {name}: line {line}: {exc}") from None
+
+
+def _read_records(
+    reader: csv.DictReader,
+) -> tuple[list[SampleRow], list[tuple[int, str]], bool]:
     fields = reader.fieldnames = [f.strip() for f in reader.fieldnames or []]
     missing = [col for col in REQUIRED_COLUMNS if col not in fields]
     if missing:
@@ -117,7 +132,7 @@ def _write_output(args, text: str) -> None:
 
 def _load_rows(args) -> tuple[list[SampleRow], list[tuple[int, str]], bool]:
     """The input's rows, its CSV diagnostics (not yet reported), a class flag."""
-    return read_samples(io.StringIO(_read_text(args.input)))
+    return read_samples(io.StringIO(_read_text(args.input)), args.input)
 
 
 def _map_rows(args, rows: list[SampleRow], problems: list[tuple[int, str]], work) -> list:

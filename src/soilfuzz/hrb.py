@@ -175,8 +175,18 @@ def _property_values(sample: SoilSample, pi_source: str) -> tuple[float, ...]:
 
 
 def a7_split(ll: float, pi: float) -> str:
-    """Resolve group A-7: A-7-5 when pi <= ll - 30, else A-7-6."""
-    return "A-7-5" if pi <= ll - 30.0 else "A-7-6"
+    """Resolve group A-7: A-7-5 when pi <= ll - 30, else A-7-6.
+
+    The comparison is exact for finite inputs: ``ll - 30.0`` in floats
+    drops the 30 once ``ll`` reaches about 2**54, so the sign of
+    ``ll - pi - 30`` is taken from its correctly rounded sum instead.
+    """
+    try:
+        a75 = math.fsum((ll, -pi, -30.0)) >= 0.0
+    except OverflowError:
+        # ll - pi is beyond the float range, where the 30 cannot flip its sign.
+        a75 = ll > pi
+    return "A-7-5" if a75 else "A-7-6"
 
 
 def classify_hrb(

@@ -288,10 +288,16 @@ class _DofTable:
 
     A class scores ``max(0.0, its rules' DOFs)`` and a sample's winner is the
     first class in class order with the top score, exactly as ``classify``
-    ranks.  A proposal that changes one rule needs that rule's DOF column
-    and a re-rank of each sample, not a full re-scoring.  Each sample is
-    converted to its active pairs once, and each column's rule is checked
-    once against every distinct ladder set among the samples.
+    ranks.  Each sample is converted to its active pairs once, and a
+    proposed rule is checked once against every distinct ladder set among
+    the samples.
+
+    A proposal that changes one rule can change its DOF only on the samples
+    where a label it adds or drops is active (Ruspini ladders make at most
+    two labels of a value active), so the table indexes the samples by
+    ``(variable, label)`` and keeps each sample's hit flag and the hit count.
+    A proposal recomputes the rule's DOF and re-ranks only those touched
+    samples: its cost is proportional to them, not to every sample.
     """
 
     def __init__(
@@ -301,48 +307,78 @@ class _DofTable:
         agg: Aggregator,
     ):
         self.ladders, self.samples = [], []
-        for memberships, _ in labeled:
+        self.index: dict[tuple[str, str], list[int]] = {}
+        for s, (memberships, _) in enumerate(labeled):
             ladders, pairs = _convert(memberships)
             if ladders not in self.ladders:
                 self.ladders.append(ladders)
             self.samples.append(pairs)
+            for var, active in pairs.items():
+                for lab, _ in active:
+                    self.index.setdefault((var, lab), []).append(s)
         self.combine = _COMBINE[agg]
         position = {cls: i for i, cls in enumerate(rb.class_order)}
         self.truth = [position.get(cls) for _, cls in labeled]
+        self.rules = list(rb.rules)
         self.owner = [position[rule.consequent] for rule in rb.rules]
-        self.dofs = [self._column(rule) for rule in rb.rules]
+        self.dofs = []
+        for rule in rb.rules:
+            self._check(rule)
+            self.dofs.append([_dof(rule, pairs, self.combine) for pairs in self.samples])
         self.rows = [[0.0] * len(position) for _ in self.samples]
         for c, column in zip(self.owner, self.dofs):
             for row, dof in zip(self.rows, column):
                 row[c] = max(row[c], dof)
+        # ``max`` and ``index`` both take the first of equal scores.
+        self.hit = [row.index(max(row)) == true for row, true in zip(self.rows, self.truth)]
+        self.hits = sum(self.hit)
 
-    def _column(self, rule: Rule) -> list[float]:
+    def _check(self, rule: Rule) -> None:
         for ladders in self.ladders:
             _check_rules((rule,), ladders)
-        return [_dof(rule, pairs, self.combine) for pairs in self.samples]
+
+    def _touched(self, old: Rule, new: Rule) -> set[int]:
+        """The samples where a label in one rule's set but not the other's is active.
+
+        The rules name the same variables in the same order.
+        """
+        touched: set[int] = set()
+        for (var, was), (_, now) in zip(old.antecedents, new.antecedents):
+            for lab in was ^ now:
+                touched.update(self.index.get((var, lab), ()))
+        return touched
 
     def propose(self, ri: int, rule: Rule) -> tuple[int, tuple]:
         """Hits with rule ``ri`` replaced by ``rule``, and the change to accept."""
-        column = self._column(rule)
+        self._check(rule)
         c = self.owner[ri]
         siblings = [
             self.dofs[r] for r, owner in enumerate(self.owner) if owner == c and r != ri
         ]
-        scores = [max(0.0, *dofs) for dofs in zip(column, *siblings)]
-        hits = 0
-        for row, score, true in zip(self.rows, scores, self.truth):
+        samples, rows, truth, hit = self.samples, self.rows, self.truth, self.hit
+        combine = self.combine
+        hits = self.hits
+        changed = []
+        for s in self._touched(self.rules[ri], rule):
+            dof = _dof(rule, samples[s], combine)
+            score = max(0.0, dof, *[column[s] for column in siblings])
+            row = rows[s]
             kept, row[c] = row[c], score
-            # ``max`` and ``index`` both take the first of equal scores.
-            hits += row.index(max(row)) == true
+            now = row.index(max(row)) == truth[s]
             row[c] = kept
-        return hits, (ri, column, scores)
+            hits += now - hit[s]
+            changed.append((s, dof, score, now))
+        return hits, (ri, rule, changed, hits)
 
     def accept(self, change: tuple) -> None:
-        ri, column, scores = change
-        self.dofs[ri] = column
-        c = self.owner[ri]
-        for row, score in zip(self.rows, scores):
-            row[c] = score
+        ri, rule, changed, self.hits = change
+        self.rules[ri] = rule
+        column, c = self.dofs[ri], self.owner[ri]
+        rows, hit = self.rows, self.hit
+        for s, dof, score, now in changed:
+            column[s] = dof
+            rows[s][c] = score
+            hit[s] = now
 
 
 def search_rules(
@@ -363,8 +399,12 @@ def search_rules(
     every iteration; the whole run is reproducible from ``seed``.
 
     Proposals are scored incrementally: the search keeps every rule's DOF on
-    every sample, recomputes only the changed rule's DOFs and re-ranks each
-    sample.  The result is identical to re-scoring every proposal with
+    every sample and each sample's hit.  Toggling one descriptor of one rule
+    can change that rule's DOF only where the descriptor is active, which
+    on a Ruspini ladder is at most two adjacent descriptors per value, so a
+    proposal recomputes the changed rule's DOF and re-ranks only those
+    samples; its cost is proportional to them, not to every sample.  The
+    result is identical to re-scoring every proposal with
     ``score_rulebase``; a toggle that would empty a descriptor set is kept
     with the current score and not re-scored.
 

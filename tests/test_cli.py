@@ -113,6 +113,19 @@ class TestReadSamples:
         assert code == cli.EXIT_ROWS and out == ""
         assert err == "soilfuzz: duplicate column(s): ll\n"
 
+    @pytest.mark.parametrize("command", [
+        ["classify"], ["memberships"], ["induce", "--seed", "1"],
+    ])
+    def test_cell_over_the_csv_field_limit(self, command, tmp_path, capsys):
+        # A cell the CSV reader rejects is unreadable input, not a traceback.
+        path = tmp_path / "long.csv"
+        path.write_text(f"id,p2mm,p425,p075,ll,pl,class\nb,{'1' * 200_000},1,1,1,1,A-4\n")
+        code, out, err = run([*command, str(path)], capsys)
+        assert code == cli.EXIT_INPUT and out == ""
+        assert err == (
+            f"soilfuzz: cannot read {path}: line 2: field larger than field limit (131072)\n"
+        )
+
     def test_unread_columns_may_repeat(self):
         text = "id,p2mm,p425,p075,ll,pl,note,note,,\na,100,50,10,30,20,x,y,,\n"
         rows, problems, _ = cli.read_samples(io.StringIO(text))
@@ -550,6 +563,38 @@ def test_classify_is_total_over_valid_rows(csv_paths, samples, mode, skip):
         assert code == 0
         records = csv_rows(stdout.getvalue())[1:]
         assert len(records) + len(diagnostics) == len(samples)
+
+
+ARBITRARY_MODES = [
+    ["classify"],
+    ["classify", "--crisp"],
+    ["memberships", "--format", "json"],
+    ["induce", "--seed", "0", "--iters", "3"],
+]
+# Any text, plus numbers so that some rows get past validation.
+CELLS = st.text() | st.integers(0, 100).map(str) | st.floats().map(repr)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.booleans(),
+    st.lists(st.lists(CELLS, max_size=9), max_size=4),
+    st.sampled_from(ARBITRARY_MODES),
+    st.booleans(),
+)
+def test_cli_never_tracebacks_on_arbitrary_cells(csv_paths, header, cells, mode, skip):
+    # Without the canonical header, the first row of cells is the header.
+    path = next(csv_paths)
+    with path.open("w", encoding="utf-8", newline="") as stream:
+        writer = csv.writer(stream)
+        if header:
+            writer.writerow(cli.READ_COLUMNS)
+        writer.writerows(cells)
+    flags = ["--skip-bad-rows"] if skip else []
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main([*mode, *flags, str(path)])
+    assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_ROWS)
 
 
 def golden_corpus_csv(n=300):

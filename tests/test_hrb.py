@@ -1,12 +1,13 @@
 import math
 import shutil
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import soilfuzz as sf
-from soilfuzz import SampleError, SoilSample
+from soilfuzz import SampleError, SoilSample, cli
 
 
 class TestSoilSample:
@@ -139,6 +140,41 @@ class TestA7Split:
         for ll in range(0, 101, 5):
             for pi in range(0, 101, 5):
                 assert sf.a7_split(ll, pi) in ("A-7-5", "A-7-6")
+
+    def test_huge_ll_keeps_the_30(self, tmp_path, capsys):
+        # pi == ll, so pi > ll - 30 however large ll is.
+        assert sf.a7_split(1e30, 1e30) == "A-7-6"
+        path = tmp_path / "huge.csv"
+        path.write_text("id,p2mm,p425,p075,ll,pl\nhuge,100,100,90,1e30,0\n")
+        assert cli.main(["classify", "--crisp", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("huge,A-7-6,")
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def near_a7_boundary(draw):
+    # Uniform pairs almost never land where pi is within a few ulps of
+    # ll - 30, which is where a rounded comparison goes wrong.
+    ll = draw(FINITE | st.floats(2.0**50, 2.0**60))
+    pi = ll - 30.0
+    for _ in range(draw(st.integers(0, 3))):
+        pi = math.nextafter(pi, draw(st.sampled_from((-math.inf, math.inf))))
+    assume(math.isfinite(pi))
+    return ll, pi
+
+
+@settings(max_examples=1000)
+@given(st.tuples(FINITE, FINITE) | near_a7_boundary())
+@example((1e30, 1e30))
+@example((2.0**54, 2.0**54 - 30))
+@example((-1.7976931348623157e308, 1.7976931348623157e308))
+@example((1.7976931348623157e308, -1.7976931348623157e308))
+def test_a7_split_is_exact(pair):
+    ll, pi = pair
+    want = "A-7-5" if Fraction(pi) <= Fraction(ll) - 30 else "A-7-6"
+    assert sf.a7_split(ll, pi) == want
 
 
 class TestCrispClassify:

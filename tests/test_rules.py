@@ -21,6 +21,7 @@ from soilfuzz import (
     a7_split,
     classify,
     classify_hrb,
+    crisp_classify,
     fuzzify,
     fuzzify_sample,
     make_partition,
@@ -529,6 +530,62 @@ def test_search_scores_once_in_full(variables, monkeypatch, iterations):
     ]
     search_rules(labeled, variables, iterations=iterations, seed=11)
     assert calls == {"score_rulebase": 1, "_evaluate": len(labeled)}
+
+
+def test_proposals_rescore_only_where_a_toggled_label_is_active(variables, monkeypatch):
+    # Toggling label ``lab`` of variable ``var`` in a rule can change that
+    # rule's DOF only on the samples where ``lab`` is active, so a proposal
+    # calls ``_dof`` once per such sample and never on the others.
+    rng = random.Random(5)
+    labeled = []
+    for _ in range(80):
+        p2mm, p425, p075 = sorted((rng.uniform(0, 100) for _ in range(3)), reverse=True)
+        ll = rng.uniform(10, 95)
+        pi = rng.uniform(0, min(ll, 70))
+        sample = SoilSample(p2mm, p425, p075, ll=ll, pl=ll - pi, pi=pi)
+        labeled.append((fuzzify_sample(sample, variables=variables), crisp_classify(sample)))
+
+    toggles = []
+    mutate = rules_module._mutate
+
+    def recording_mutate(rng, rb, variables):
+        proposal, ri = mutate(rng, rb, variables)
+        if ri is not None:
+            toggles.append((rb.rules[ri], proposal.rules[ri]))
+        return proposal, ri
+
+    counts = {"proposing": False, "calls": 0}
+    dof, propose = rules_module._dof, rules_module._DofTable.propose
+
+    def counting_dof(*args):
+        counts["calls"] += counts["proposing"]
+        return dof(*args)
+
+    def counting_propose(*args):
+        counts["proposing"] = True
+        try:
+            return propose(*args)
+        finally:
+            counts["proposing"] = False
+
+    monkeypatch.setattr(rules_module, "_mutate", recording_mutate)
+    monkeypatch.setattr(rules_module, "_dof", counting_dof)
+    monkeypatch.setattr(rules_module._DofTable, "propose", counting_propose)
+    search_rules(labeled, variables, rules_per_class=2, iterations=300, seed=4)
+
+    def touched(old, new):
+        return {
+            s
+            for s, (memberships, _) in enumerate(labeled)
+            for (var, was), (_, now) in zip(old.antecedents, new.antecedents)
+            for lab in was ^ now
+            if memberships[var].entries[lab] > 0
+        }
+
+    expected = sum(len(touched(old, new)) for old, new in toggles)
+    assert len(toggles) > 250
+    assert 0 < expected < len(labeled) * len(toggles) // 2
+    assert counts["calls"] == expected
 
 
 def ladder_values(var):
