@@ -24,7 +24,7 @@ from .errors import FuzzificationError, SampleError, SoilFuzzError
 from .fuzzy import active_descriptors
 # ``fmt_degree`` is unused here, but bench/tracing.py wraps it by this name.
 from .render import degree_text, fmt_degree, fmt_score, round4  # noqa: F401
-from .rules import Aggregator, RuleBase, search_rules
+from .rules import Aggregator, RuleBase, _Batch, _evaluate, _tied, search_rules
 
 REQUIRED_COLUMNS = ("id", "p2mm", "p425", "p075", "ll", "pl")
 READ_COLUMNS = (*REQUIRED_COLUMNS, "pi", "class")
@@ -127,7 +127,10 @@ def _write_output(args, text: str) -> None:
         except OSError as exc:
             raise CliError(EXIT_INPUT, f"cannot write {args.output}: {exc}") from None
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+        except UnicodeEncodeError as exc:
+            raise CliError(EXIT_INPUT, f"cannot write <stdout>: {exc}") from None
 
 
 def _load_rows(args) -> tuple[list[SampleRow], list[tuple[int, str]], bool]:
@@ -265,6 +268,10 @@ def cmd_classify(args) -> int:
 
     if args.crisp:
         header = {"command": "classify", "mode": "crisp"}
+        records = _map_rows(
+            args, rows, problems,
+            lambda row: _classify_record(row, hrb.crisp_classify(row.sample)),
+        )
     else:
         name, rb = _load_rulebase(args, variables)
         agg = Aggregator(args.agg)
@@ -274,14 +281,7 @@ def cmd_classify(args) -> int:
             "aggregator": agg.value,
             "pi_source": args.pi_source,
         }
-
-    def classify_row(row):
-        if args.crisp:
-            return _classify_record(row, hrb.crisp_classify(row.sample), None)
-        res = hrb.classify_hrb(row.sample, rb, agg, args.pi_source, variables)
-        return _classify_record(row, res.subgroup, res.report)
-
-    records = _map_rows(args, rows, problems, classify_row)
+        records = _fuzzy_records(args, rows, problems, rb, agg, variables)
 
     if args.format == "json":
         _write_output(args, _json_text({**header, "results": records}))
@@ -295,20 +295,43 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _classify_record(row, subgroup, report) -> dict:
-    """One row's JSON result object; ``report`` is None for a crisp outcome.
+def _fuzzy_records(args, rows, problems, rb, agg, variables) -> list[dict]:
+    """Fuzzify each row, score the good ones as one batch, and build their records."""
+    batch, ladders = _Batch(), hrb._ladders(variables)
 
-    Every number in it is rounded here, once, for both output formats.
+    def fuzzify_row(row):
+        batch.add(ladders, hrb._active_pairs(row.sample, args.pi_source, variables))
+        return row
+
+    good = _map_rows(args, rows, problems, fuzzify_row)
+    classes, columns, scores = _evaluate(rb, batch, agg)
+    # Free the index and the DOF columns before the records and the text.
+    del batch, columns
+    records = []
+    for row, row_scores in zip(good, scores):
+        tied = _tied(classes, row_scores)
+        subgroup = hrb._subgroup(tied[0], row.sample)
+        records.append(_classify_record(row, subgroup, tied, zip(classes, row_scores)))
+    return records
+
+
+def _classify_record(row, subgroup, tied=None, scores=None) -> dict:
+    """One row's JSON result object; ``tied`` is None for a crisp outcome.
+
+    A fuzzy outcome gives the classes at the top score, in class order, and
+    the ``(class, score)`` pairs.  Every number in the record is rounded
+    here, once, for both output formats.
     """
     record = {
         "id": row.id,
         "winner": subgroup,
         "rating": hrb.SUBGRADE_RATINGS.get(subgroup, ""),
     }
-    if report is not None:
-        record["tie"] = report.tie
-        record["tied"] = list(report.tied) if report.tie else []
-        record["scores"] = {cls: round4(s) for cls, s in report.scores.items()}
+    if tied is not None:
+        tie = len(tied) > 1
+        record["tie"] = tie
+        record["tied"] = tied if tie else []
+        record["scores"] = {cls: round4(s) for cls, s in scores}
     record["a7"] = (
         {"ll": round4(row.sample.ll), "pi": round4(row.sample.pi)}
         if subgroup.startswith("A-7") else None
@@ -394,8 +417,14 @@ def cmd_induce(args) -> int:
     rows, problems, has_class = _load_rows(args)
     if not has_class:
         raise CliError(EXIT_ROWS, "missing class column: induce needs labeled rows")
+    # A class the rule file could not name back is a bad row.
+    unwritable = {
+        row.row: f"class {row.label!r} cannot be written to a rule file"
+        for row in rows if row.label is not None and not dsl._is_word(row.label)
+    }
     labeled = _map_rows(
-        args, rows, problems,
+        args, [row for row in rows if row.row not in unwritable],
+        [*problems, *unwritable.items()],
         lambda row: (hrb.fuzzify_sample(row.sample, args.pi_source, variables), row.label),
     )
     unlabeled = [row.row for row in rows if row.label is None]

@@ -44,15 +44,35 @@ class RuleParseError(SoilFuzzError):
         )
 
 
+# A name or label: rule ids, variables, descriptors and classes.
+_WORD = r"[A-Za-z0-9_][A-Za-z0-9_.\-]*"
+_WORD_RE = re.compile(_WORD)
+
 _TOKEN_RE = re.compile(
     r"""(?P<ws>[^\S\n]+)
       | (?P<arrow>=>)
       | (?P<punct>[:,{}])
-      | (?P<word>[A-Za-z0-9_][A-Za-z0-9_.\-]*)
+      | (?P<word>""" + _WORD + r""")
       | (?P<bad>.)
     """,
     re.VERBOSE,
 )
+
+
+def _is_word(text: str) -> bool:
+    """Whether ``text`` reads back as a single word token."""
+    return _WORD_RE.fullmatch(text) is not None
+
+
+def _word(text: str, what: str) -> str:
+    """``text``, which ``serialize`` writes as a word token.
+
+    Raises:
+        RuleConfigError: if it would not read back as one.
+    """
+    if not _is_word(text):
+        raise RuleConfigError(f"cannot write {what} {text!r}: not a rule-file word")
+    return text
 
 
 def _tokenize(line: str) -> list[tuple[str, str, int]]:
@@ -259,9 +279,11 @@ def serialize(rb: RuleBase, variables: Mapping[str, LinguisticVariable]) -> str:
 
     Raises:
         RuleConfigError: if a rule names a variable or descriptor that
-            ``variables`` lacks, rather than silently dropping it.
+            ``variables`` lacks, rather than silently dropping it, or if a
+            name or label is not a word the parser reads back.
     """
-    lines = ["CLASSES " + ", ".join(rb.class_order)]
+    classes = (_word(cls, "class") for cls in rb.class_order)
+    lines = ["CLASSES " + ", ".join(classes)]
     for rule in rb.rules:
         clauses = []
         for var, allowed in rule.antecedents:
@@ -273,6 +295,9 @@ def serialize(rb: RuleBase, variables: Mapping[str, LinguisticVariable]) -> str:
                 raise RuleConfigError(
                     f"rule {rule.id}: {var} has no descriptor {unknown}"
                 )
-            clauses.append(f"{var} IS {{{', '.join(ordered)}}}")
-        lines.append(f"RULE {rule.id}: {' AND '.join(clauses)} => {rule.consequent}")
+            labels = (_word(lab, "descriptor") for lab in ordered)
+            clauses.append(f"{_word(var, 'variable')} IS {{{', '.join(labels)}}}")
+        lines.append(
+            f"RULE {_word(rule.id, 'rule id')}: {' AND '.join(clauses)} => {rule.consequent}"
+        )
     return "\n".join(lines) + "\n"

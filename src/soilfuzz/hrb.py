@@ -18,7 +18,7 @@ from typing import Literal, Mapping
 from . import dsl
 from .errors import PartitionError, SampleError
 from .fuzzy import LinguisticVariable, MembershipVector, active_descriptors, fuzzify, make_partition
-from .rules import Aggregator, ClassificationReport, RuleBase, _evaluate
+from .rules import Aggregator, ClassificationReport, RuleBase, _Batch, _report
 from .rules import classify  # noqa: F401  (bench/tracing.py wraps hrb.classify)
 
 VARIABLE_NAMES = ("p2mm", "p425", "p075", "ll", "pi")
@@ -199,28 +199,47 @@ def classify_hrb(
     """Classify a sample with a fuzzy rule preset.
 
     Fuzzifies each index property that ``variables`` has a ladder for to its
-    active descriptors and scores the rules on those (as ``classify`` would
-    on ``fuzzify_sample``'s vectors), then resolves a winning A-7 group into
-    A-7-5 or A-7-6 and attaches the subgrade rating.
+    active descriptors and scores the rules on those as a batch of one (as
+    ``classify`` would on ``fuzzify_sample``'s vectors), then resolves a
+    winning A-7 group into A-7-5 or A-7-6 and attaches the subgrade rating.
     """
     rb = preset.rulebase if isinstance(preset, HrbPreset) else preset
     if variables is None:
         variables = _default_variables()
-    ladders, pairs = {}, {}
-    for name, value in zip(VARIABLE_NAMES, _property_values(sample, pi_source)):
-        var = variables.get(name)
-        if var is not None:
-            ladders[name] = var.labels
-            pairs[name] = active_descriptors(var, value)
-    report = _evaluate(rb, ladders, pairs, agg)
-    subgroup = report.winner
-    if subgroup == "A-7":
-        subgroup = a7_split(sample.ll, sample.pi)
+    batch = _Batch()
+    batch.add(_ladders(variables), _active_pairs(sample, pi_source, variables))
+    report = _report(rb, batch, agg)
+    subgroup = _subgroup(report.winner, sample)
     return HrbResult(
         report=report,
         subgroup=subgroup,
         rating=SUBGRADE_RATINGS.get(subgroup, ""),
     )
+
+
+def _ladders(variables: Mapping[str, LinguisticVariable]) -> dict[str, tuple[str, ...]]:
+    """The ladder of each HRB property that ``variables`` has."""
+    return {name: variables[name].labels for name in VARIABLE_NAMES if name in variables}
+
+
+def _active_pairs(
+    sample: SoilSample, pi_source: str, variables: Mapping[str, LinguisticVariable]
+) -> dict[str, tuple[tuple[str, float], ...]]:
+    """The active pairs of each property that ``variables`` has a ladder for.
+
+    Raises:
+        FuzzificationError: if such a property is outside its ladder's domain.
+    """
+    return {
+        name: active_descriptors(variables[name], value)
+        for name, value in zip(VARIABLE_NAMES, _property_values(sample, pi_source))
+        if name in variables
+    }
+
+
+def _subgroup(winner: str, sample: SoilSample) -> str:
+    """The M145 subgroup of a fuzzy winner: A-7 is split by ``a7_split``."""
+    return a7_split(sample.ll, sample.pi) if winner == "A-7" else winner
 
 
 def crisp_classify(sample: SoilSample) -> str:

@@ -7,12 +7,20 @@ its per-variable matches with a configurable aggregator.  A class scores the
 best DOF among its rules, and classes are ranked score-first with ties broken
 by the rule base's class order.
 
-Every entry point scores rules with one private evaluator over each
-variable's active descriptors, the ``(label, degree)`` pairs of
-:mod:`soilfuzz.fuzzy` (at most two per value): a match is the best degree
-among the pairs whose label the rule allows, or 0.  ``classify_hrb`` feeds it
-pairs straight from the fuzzifier; the functions here convert their
-membership vectors once, with ``nonzero()``.
+Every entry point scores rules with one private evaluator over a batch of
+fuzzified samples, one rule column at a time.  A batch indexes the samples
+by ``(variable, label)``: each active descriptor, one of the ``(label,
+degree)`` pairs of :mod:`soilfuzz.fuzzy` (at most two per value), lists the
+samples where it is active and its degree there.  An antecedent's match
+column starts at 0 and takes the greatest degree of the labels it allows,
+walking only their index entries; a rule's DOF column combines its match
+columns sample by sample; a class takes the first maximum of its rules'
+columns.  The CLI, ``score_rulebase`` and the induction search score all
+their samples as one batch, ``classify``, ``classify_hrb`` and ``rule_dof``
+a batch of one.  Only an induction proposal scores sample by sample, on the
+few samples it can change (see ``_DofTable``).  ``classify_hrb`` and the
+CLI take the pairs straight from the fuzzifier; the functions here convert
+membership vectors with ``nonzero()``.
 
 A rule base is checked against the variable ladders (every antecedent names
 a ladder and descriptors on it) once per rule base and ladder set, not once
@@ -26,6 +34,7 @@ searches need distinct seeds.
 """
 
 import enum
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -43,7 +52,7 @@ class Aggregator(enum.Enum):
     MEAN = "mean"
 
 
-# Each aggregator's combining function, looked up once per sample.
+# Each aggregator's combining function, applied to each sample's matches.
 _COMBINE = {
     Aggregator.MIN: min,
     Aggregator.PRODUCT: math.prod,
@@ -110,11 +119,49 @@ Ladders = Mapping[str, tuple[str, ...]]
 Pairs = Mapping[str, Sequence[tuple[str, float]]]
 
 
+class _Batch:
+    """Fuzzified samples, indexed by ``(variable, label)`` for column scoring.
+
+    ``index[var, label]`` holds the samples where that label is active, in
+    sample order, and their degrees, as ``(samples, degrees)``.  ``ladders``
+    lists the samples' distinct ladder sets in order of first appearance,
+    so the first check that fails is the first failing sample's.
+    """
+
+    def __init__(self):
+        self.size = 0
+        self.index: dict[tuple[str, str], tuple[list[int], list[float]]] = {}
+        self.ladders: list[Ladders] = []
+
+    def add(self, ladders: Ladders, pairs: Pairs) -> None:
+        """Append one sample: its ladders and its active pairs by variable."""
+        if ladders not in self.ladders:
+            self.ladders.append(ladders)
+        s = self.size
+        self.size = s + 1
+        index = self.index
+        for var, active in pairs.items():
+            for lab, degree in active:
+                entry = index.get((var, lab))
+                if entry is None:
+                    entry = index[var, lab] = ([], [])
+                entry[0].append(s)
+                entry[1].append(degree)
+
+
 def _convert(memberships: Mapping[str, MembershipVector]) -> tuple[dict, dict]:
     """The ladders and the active pairs of a fuzzified sample."""
     ladders = {name: tuple(mv.entries) for name, mv in memberships.items()}
     pairs = {name: tuple(mv.nonzero().items()) for name, mv in memberships.items()}
     return ladders, pairs
+
+
+def _vector_batch(samples: Iterable[Mapping[str, MembershipVector]]) -> _Batch:
+    """The batch of samples given as membership vectors."""
+    batch = _Batch()
+    for memberships in samples:
+        batch.add(*_convert(memberships))
+    return batch
 
 
 def _check_rules(rules: Iterable[Rule], ladders: Ladders) -> None:
@@ -148,42 +195,73 @@ def _check(rb: RuleBase, ladders: Ladders) -> None:
     _checked = rb, ladders
 
 
-def _dof(rule: Rule, pairs: Pairs, combine: Callable[[list[float]], float]) -> float:
-    """Degree of fulfilment of a checked rule on a sample's active pairs."""
-    matches = []
-    for var, allowed in rule.antecedents:
-        match = 0.0
-        for lab, degree in pairs[var]:
-            if degree > match and lab in allowed:
-                match = degree
-        matches.append(match)
-    return combine(matches)
+def _dof_columns(
+    rules: Iterable[Rule], batch: _Batch, combine: Callable[[Sequence[float]], float]
+) -> list[list[float]]:
+    """Each checked rule's DOF on every sample of ``batch``.
+
+    An antecedent's match column starts at 0 and takes each greater degree
+    of an allowed label, walking only those labels' index entries; the DOF
+    combines the match columns sample by sample, in antecedent order.
+    """
+    n, index = batch.size, batch.index
+    columns = []
+    for rule in rules:
+        matches = []
+        for var, allowed in rule.antecedents:
+            match = [0.0] * n
+            for lab in allowed:
+                entry = index.get((var, lab))
+                if entry is not None:
+                    for s, degree in zip(*entry):
+                        if degree > match[s]:
+                            match[s] = degree
+            matches.append(match)
+        columns.append(list(map(combine, zip(*matches))))
+    return columns
 
 
 def _evaluate(
-    rb: RuleBase, ladders: Ladders, pairs: Pairs, agg: Aggregator
-) -> ClassificationReport:
-    """Check ``rb`` against ``ladders``, then score it on one sample's pairs."""
-    _check(rb, ladders)
-    combine = _COMBINE[agg]
-    per_rule = {rule.id: _dof(rule, pairs, combine) for rule in rb.rules}
-    scores = dict.fromkeys(rb.class_order, 0.0)
-    for rule in rb.rules:
-        dof = per_rule[rule.id]
-        if dof > scores[rule.consequent]:
-            scores[rule.consequent] = dof
+    rb: RuleBase, batch: _Batch, agg: Aggregator
+) -> tuple[tuple[str, ...], list[list[float]], list[tuple[float, ...]]]:
+    """Check ``rb`` against the batch's ladders, then score it on every sample.
 
+    Returns the classes (class order, repeats dropped), each rule's DOF
+    column, and each sample's class scores in that order.  A class scores
+    the first maximum of 0 and its rules' DOFs, as a loop that replaces the
+    score only by a greater DOF would.
+    """
+    for ladders in batch.ladders:
+        _check(rb, ladders)
+    columns = _dof_columns(rb.rules, batch, _COMBINE[agg])
+    owned: dict[str, list[list[float]]] = {cls: [] for cls in rb.class_order}
+    for rule, column in zip(rb.rules, columns):
+        owned[rule.consequent].append(column)
+    zero, n = itertools.repeat(0.0), batch.size
+    by_class = [list(map(max, zero, *cols)) if cols else [0.0] * n for cols in owned.values()]
+    return tuple(owned), columns, list(zip(*by_class))
+
+
+def _tied(classes: Sequence[str], scores: Sequence[float]) -> list[str]:
+    """The classes at the top score, in class order: the first one wins."""
+    top = max(scores)
+    return [cls for cls, score in zip(classes, scores) if score == top]
+
+
+def _report(rb: RuleBase, batch: _Batch, agg: Aggregator) -> ClassificationReport:
+    """The report of ``rb`` on a batch of one sample."""
+    classes, columns, (row,) = _evaluate(rb, batch, agg)
+    scores = dict(zip(classes, row))
+    tied = tuple(_tied(classes, row))
     # A stable sort keeps equal scores in class order.
     ranking = tuple(sorted(scores, key=scores.__getitem__, reverse=True))
-    winner = ranking[0]
-    tied = tuple(cls for cls in ranking if scores[cls] == scores[winner])
     return ClassificationReport(
         scores=scores,
         ranking=ranking,
-        winner=winner,
+        winner=tied[0],
         tie=len(tied) > 1,
         tied=tied,
-        per_rule=per_rule,
+        per_rule={rule.id: column[0] for rule, column in zip(rb.rules, columns)},
     )
 
 
@@ -193,9 +271,9 @@ def rule_dof(
     agg: Aggregator = Aggregator.MEAN,
 ) -> float:
     """Degree of fulfilment of one rule against a fuzzified sample."""
-    ladders, pairs = _convert(memberships)
-    _check_rules((rule,), ladders)
-    return _dof(rule, pairs, _COMBINE[agg])
+    batch = _vector_batch((memberships,))
+    _check_rules((rule,), batch.ladders[0])
+    return _dof_columns((rule,), batch, _COMBINE[agg])[0][0]
 
 
 def classify(
@@ -209,7 +287,7 @@ def classify(
     score descending and breaks ties by class order, so the report is fully
     deterministic for identical inputs.
     """
-    return _evaluate(rb, *_convert(memberships), agg)
+    return _report(rb, _vector_batch((memberships,)), agg)
 
 
 def score_rulebase(
@@ -220,9 +298,10 @@ def score_rulebase(
     """Fraction of labeled samples whose classify winner matches the label."""
     if not labeled:
         raise EvaluationError("no labeled samples to score")
+    batch = _vector_batch(memberships for memberships, _ in labeled)
+    classes, _, rows = _evaluate(rb, batch, agg)
     hits = sum(
-        1 for memberships, cls in labeled
-        if _evaluate(rb, *_convert(memberships), agg).winner == cls
+        classes[row.index(max(row))] == cls for row, (_, cls) in zip(rows, labeled)
     )
     return hits / len(labeled)
 
@@ -283,21 +362,38 @@ def _mutate(
     return RuleBase(tuple(rules), rb.class_order), ri
 
 
+def _dof(rule: Rule, pairs: Pairs, combine: Callable[[list[float]], float]) -> float:
+    """Degree of fulfilment of a checked rule on one sample's active pairs.
+
+    Only ``_DofTable.propose`` scores sample by sample: indexing the few
+    samples a proposal touches costs more than scoring them.  The floats
+    equal ``_dof_columns``'s.
+    """
+    matches = []
+    for var, allowed in rule.antecedents:
+        match = 0.0
+        for lab, degree in pairs[var]:
+            if degree > match and lab in allowed:
+                match = degree
+        matches.append(match)
+    return combine(matches)
+
+
 class _DofTable:
     """Every rule's DOF on every labeled sample, and every sample's class scores.
 
-    A class scores ``max(0.0, its rules' DOFs)`` and a sample's winner is the
-    first class in class order with the top score, exactly as ``classify``
-    ranks.  Each sample is converted to its active pairs once, and a
-    proposed rule is checked once against every distinct ladder set among
-    the samples.
+    The table is scored once by the batch evaluator, so a class scores
+    ``max(0.0, its rules' DOFs)`` and a sample's winner is the first class
+    in class order with the top score, exactly as ``classify`` ranks.  It
+    keeps the batch's ``(variable, label)`` index, each sample's active
+    pairs, each sample's hit flag and the hit count, and checks a proposed
+    rule once against every distinct ladder set among the samples.
 
     A proposal that changes one rule can change its DOF only on the samples
     where a label it adds or drops is active (Ruspini ladders make at most
-    two labels of a value active), so the table indexes the samples by
-    ``(variable, label)`` and keeps each sample's hit flag and the hit count.
-    A proposal recomputes the rule's DOF and re-ranks only those touched
-    samples: its cost is proportional to them, not to every sample.
+    two labels of a value active).  A proposal scores the new rule on just
+    those touched samples, one by one with ``_dof``, and re-ranks only them:
+    its cost is proportional to them, not to every sample.
     """
 
     def __init__(
@@ -306,36 +402,21 @@ class _DofTable:
         labeled: Sequence[tuple[Mapping[str, MembershipVector], str]],
         agg: Aggregator,
     ):
-        self.ladders, self.samples = [], []
-        self.index: dict[tuple[str, str], list[int]] = {}
-        for s, (memberships, _) in enumerate(labeled):
+        self.batch, self.samples = _Batch(), []
+        for memberships, _ in labeled:
             ladders, pairs = _convert(memberships)
-            if ladders not in self.ladders:
-                self.ladders.append(ladders)
+            self.batch.add(ladders, pairs)
             self.samples.append(pairs)
-            for var, active in pairs.items():
-                for lab, _ in active:
-                    self.index.setdefault((var, lab), []).append(s)
+        classes, self.dofs, rows = _evaluate(rb, self.batch, agg)
         self.combine = _COMBINE[agg]
-        position = {cls: i for i, cls in enumerate(rb.class_order)}
+        position = {cls: i for i, cls in enumerate(classes)}
         self.truth = [position.get(cls) for _, cls in labeled]
         self.rules = list(rb.rules)
         self.owner = [position[rule.consequent] for rule in rb.rules]
-        self.dofs = []
-        for rule in rb.rules:
-            self._check(rule)
-            self.dofs.append([_dof(rule, pairs, self.combine) for pairs in self.samples])
-        self.rows = [[0.0] * len(position) for _ in self.samples]
-        for c, column in zip(self.owner, self.dofs):
-            for row, dof in zip(self.rows, column):
-                row[c] = max(row[c], dof)
+        self.rows = [list(row) for row in rows]
         # ``max`` and ``index`` both take the first of equal scores.
         self.hit = [row.index(max(row)) == true for row, true in zip(self.rows, self.truth)]
         self.hits = sum(self.hit)
-
-    def _check(self, rule: Rule) -> None:
-        for ladders in self.ladders:
-            _check_rules((rule,), ladders)
 
     def _touched(self, old: Rule, new: Rule) -> set[int]:
         """The samples where a label in one rule's set but not the other's is active.
@@ -343,14 +424,18 @@ class _DofTable:
         The rules name the same variables in the same order.
         """
         touched: set[int] = set()
+        index = self.batch.index
         for (var, was), (_, now) in zip(old.antecedents, new.antecedents):
             for lab in was ^ now:
-                touched.update(self.index.get((var, lab), ()))
+                entry = index.get((var, lab))
+                if entry is not None:
+                    touched.update(entry[0])
         return touched
 
     def propose(self, ri: int, rule: Rule) -> tuple[int, tuple]:
         """Hits with rule ``ri`` replaced by ``rule``, and the change to accept."""
-        self._check(rule)
+        for ladders in self.batch.ladders:
+            _check_rules((rule,), ladders)
         c = self.owner[ri]
         siblings = [
             self.dofs[r] for r, owner in enumerate(self.owner) if owner == c and r != ri

@@ -5,6 +5,8 @@ import io
 import itertools
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -214,6 +216,21 @@ class TestClassifyCommand:
         assert code == cli.EXIT_INPUT and out == ""
         assert err.startswith(f"soilfuzz: cannot write {target}: ")
         assert err.count("\n") == 1
+
+    def test_unencodable_stdout_is_an_output_error(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "ids.csv"
+        path.write_text(
+            "id,p2mm,p425,p075,ll,pl\nn\u00e9\u2713,100,100,30,32,21\n", encoding="utf-8"
+        )
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="latin-1")
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = cli.main(["classify", "--crisp", str(path)])
+        err = capsys.readouterr().err
+        assert code == cli.EXIT_INPUT
+        assert err.startswith(
+            "soilfuzz: cannot write <stdout>: 'latin-1' codec can't encode character '\\u2713'"
+        )
+        assert stdout.buffer.getvalue() == b""
 
     def test_invalid_rule_file(self, fixture_csv, tmp_path, capsys):
         bad = tmp_path / "bad.frules"
@@ -425,6 +442,36 @@ class TestInduceCommand:
         assert code == cli.EXIT_ROWS
         assert "class" in err
 
+    def test_unwritable_class_labels_are_row_diagnostics(self, tmp_path, capsys):
+        # A rule file names classes with word tokens: these three labels
+        # would give an induced file that ``classify --rules`` rejects.
+        path = tmp_path / "labels.csv"
+        path.write_text(
+            "id,p2mm,p425,p075,ll,pl,class\n"
+            "1,100,100,30,32,21,x y\n"
+            "2,100,80,40,25,17,A-7\n"
+            '3,100,100,92,65,25,"#1,\nA"\n'
+            "4,100,76,7,19,16,A-3\n"
+            "5,38,30,11,23,19,A-1-\u00e9\n",
+            encoding="utf-8",
+        )
+        code, out, err = run(["induce", "--seed", "0", "--iters", "5", str(path)], capsys)
+        assert code == cli.EXIT_ROWS and out == ""
+        assert err.splitlines() == [
+            "row 1: class 'x y' cannot be written to a rule file",
+            "row 3: class '#1,\\nA' cannot be written to a rule file",
+            "row 5: class 'A-1-\u00e9' cannot be written to a rule file",
+            f"soilfuzz: 3 bad row(s) in {path}",
+        ]
+        flags = ["--skip-bad-rows", "--seed", "0", "--iters", "5"]
+        code, out, _ = run(["induce", *flags, str(path)], capsys)
+        assert code == 0
+        assert out.splitlines()[2] == "CLASSES A-7, A-3"
+        rules = tmp_path / "induced.frules"
+        rules.write_text(out)
+        code, out, _ = run(["classify", "--rules", str(rules), str(path)], capsys)
+        assert code == 0 and len(csv_rows(out)) == 6
+
 
 OUT_OF_DOMAIN_CSV = """\
 id,p2mm,p425,p075,ll,pl,class
@@ -595,6 +642,13 @@ def test_cli_never_tracebacks_on_arbitrary_cells(csv_paths, header, cells, mode,
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = cli.main([*mode, *flags, str(path)])
     assert code in (cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_ROWS)
+    if mode[0] == "induce" and code == cli.EXIT_OK:
+        # What induce writes, classify reads back.
+        rules = path.with_suffix(".frules")
+        rules.write_text(stdout.getvalue(), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = cli.main(["classify", "--skip-bad-rows", "--rules", str(rules), str(path)])
+        assert code == cli.EXIT_OK
 
 
 def golden_corpus_csv(n=300):
@@ -611,6 +665,46 @@ def golden_corpus_csv(n=300):
         cells = [v / scale for v in (p2mm, p425, p075, ll, ll - pi)]
         lines.append(f"G{i:03d}," + ",".join(f"{v:g}" for v in cells))
     return "\n".join(lines) + "\n"
+
+
+def mixed_corpus_csv():
+    """The golden corpus with out-of-domain rows and one invalid row mixed in."""
+    header, *rows = golden_corpus_csv().splitlines()
+    bad = {
+        4: "X004,100,80,40,120,30",  # ll above its domain
+        5: "X005,50,80,40,30,20",  # p425 > p2mm: a CSV diagnostic
+        6: "X006,100,90,80,-5,-10",  # ll below its domain
+        90: "X090,100,100,90,95,-20",  # pi = 115, above its domain
+        91: "X091,100,90,80,150,10",  # ll and pi both out: ll is reported
+        250: "X250,100,100,100,100,0",  # domain edges: a good row
+    }
+    for at in sorted(bad):
+        rows.insert(at - 1, bad[at])
+    return "\n".join([header, *rows]) + "\n"
+
+
+# Names a subset of the variables, in non-canonical order; A-1-a has no
+# rule and A-4 has two.
+SUBSET_RULES = """\
+CLASSES A-1-a, A-2-4, A-4, A-6, A-7
+RULE S1: pi IS {VL, L} AND p075 IS {VVVL, VVL, VL, L, LM, M, MH} => A-2-4
+RULE S2: ll IS {VVL, VL, L, LM} AND p075 IS {VH, VVH, VVVH} => A-4
+RULE S3: pi IS {LM, M, MH} AND ll IS {VVL, VL, L, LM} => A-6
+RULE S4: ll IS {M, MH, H, VH, VVH} AND pi IS {M, MH, H, VH} => A-7
+RULE S5: p425 IS {MH, H, VH} AND pi IS {VL} => A-4
+"""
+
+
+def golden_args(mode, corpus):
+    """The argv of a golden mode, reading the files the corpus fixture writes.
+
+    ``--skip-bad-rows`` modes read the mixed corpus, the others the golden one.
+    """
+    if mode[0] == "rules":
+        return list(mode)
+    folder = Path(corpus).parent
+    args = [str(folder / arg) if arg.endswith(".frules") else arg for arg in mode]
+    return [*args, str(folder / "mixed.csv") if "--skip-bad-rows" in mode else corpus]
 
 
 GOLDEN_SHA256 = {
@@ -647,6 +741,24 @@ GOLDEN_SHA256 = {
     ("rules", "--preset", "calibrated"): (
         "147806ecc60efeeac4fbe0422cf56559b76fd42d355836e462e0ee09c72e0c49"
     ),
+    ("classify", "--rules", "subset.frules", "--agg", "min"): (
+        "d74924095a09b828c631059f342010d146d3f4fd02c15b6f9738c4a69f3590b6"
+    ),
+    ("classify", "--skip-bad-rows"): (
+        "9ecbc56a13111bd253e8e5444e7e42733e7b56f1b1d83d3e591705ce4e93b7b9"
+    ),
+}
+
+# Standard error of the golden modes that print diagnostics.
+GOLDEN_STDERR = {
+    ("classify", "--skip-bad-rows"): (
+        "row 4: ll: value 120.0 outside domain [0.0, 100.0]\n"
+        "row 5: sieve fractions must satisfy 0 <= p075 <= p425 <= p2mm <= 100 "
+        "(got p2mm=50.0, p425=80.0, p075=40.0)\n"
+        "row 6: ll: value -5.0 outside domain [0.0, 100.0]\n"
+        "row 90: pi: value 115.0 outside domain [0.0, 100.0]\n"
+        "row 91: ll: value 150.0 outside domain [0.0, 100.0]\n"
+    ),
 }
 
 
@@ -655,6 +767,8 @@ class TestGoldenBytes:
     def corpus(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("golden") / "corpus.csv"
         path.write_text(golden_corpus_csv())
+        path.with_name("mixed.csv").write_text(mixed_corpus_csv())
+        path.with_name("subset.frules").write_text(SUBSET_RULES)
         return str(path)
 
     def test_corpus_has_a7_wins_and_ties(self, corpus, capsys):
@@ -668,9 +782,9 @@ class TestGoldenBytes:
 
     @pytest.mark.parametrize("mode", list(GOLDEN_SHA256), ids=" ".join)
     def test_output_bytes(self, mode, corpus, tmp_path, capsys):
-        args = list(mode) if mode[0] == "rules" else [*mode, corpus]
+        args = golden_args(mode, corpus)
         code, out, err = run(args, capsys)
-        assert code == 0 and err == ""
+        assert code == 0 and err == GOLDEN_STDERR.get(mode, "")
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[mode]
         target = tmp_path / "out"
         assert cli.main([*args, "-o", str(target)]) == 0
@@ -690,7 +804,7 @@ class TestGoldenBytes:
         monkeypatch.setattr(sf.MembershipVector, "__init__", counting_init)
         for mode in GOLDEN_SHA256:
             if mode[0] != "rules" and "--crisp" not in mode:
-                code, _, _ = run([*mode, corpus], capsys)
+                code, _, _ = run(golden_args(mode, corpus), capsys)
                 assert code == 0
         assert built == []
         # The counter does see the reporting view: 300 rows x 5 variables.

@@ -7,6 +7,7 @@ from soilfuzz import (
     RuleBase,
     RuleConfigError,
     RuleParseError,
+    make_partition,
     parse_rules,
     serialize,
 )
@@ -186,6 +187,28 @@ class TestSerialize:
         rb = RuleBase((Rule("R1", (antecedent,), "A-3"),), ("A-3",))
         with pytest.raises(RuleConfigError, match=message):
             serialize(rb, variables)
+
+
+    @pytest.mark.parametrize(
+        "rule_id, antecedent, cls, message",
+        [
+            ("R1", ("p2mm", frozenset({"VL"})), "x y", "cannot write class 'x y'"),
+            ("R1", ("p2mm", frozenset({"VL"})), "A#1", "cannot write class 'A#1'"),
+            ("R,1", ("p2mm", frozenset({"VL"})), "A-3", "cannot write rule id 'R,1'"),
+            ("R1", ("p 2", frozenset({"lo"})), "A-3", "cannot write variable 'p 2'"),
+            ("R1", ("p2", frozenset({"l\no"})), "A-3", "cannot write descriptor 'l\\\\no'"),
+        ],
+    )
+    def test_words_the_parser_cannot_read_are_rejected(
+        self, variables, rule_id, antecedent, cls, message
+    ):
+        odd = {
+            "p 2": make_partition("p 2", ["lo", "hi"], [0, 100], (0, 100)),
+            "p2": make_partition("p2", ["l\no", "hi"], [0, 100], (0, 100)),
+        }
+        rb = RuleBase((Rule(rule_id, (antecedent,), cls),), (cls,))
+        with pytest.raises(RuleConfigError, match=message):
+            serialize(rb, {**variables, **odd})
 
 
 def random_valid_doc(variables, rng):

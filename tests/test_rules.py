@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 import threading
 
@@ -513,7 +514,9 @@ def test_search_checks_proposals_against_sample_ladders():
 def test_search_scores_once_in_full(variables, monkeypatch, iterations):
     # The benchmark tracer reads the initial score from the first
     # ``score_rulebase`` call, looked up through the module.  ``_evaluate``
-    # scores the whole rule base on one sample; proposals never need it.
+    # scores the whole rule base on a batch of samples: once inside
+    # ``score_rulebase`` and once to fill the DOF table; proposals never
+    # need it, so the count does not grow with the iterations.
     calls = {"score_rulebase": 0, "_evaluate": 0}
 
     def counting(name, fn):
@@ -529,7 +532,7 @@ def test_search_scores_once_in_full(variables, monkeypatch, iterations):
         (sample_memberships(variables, nz), cls) for nz, cls in zip(SAMPLES, LABELS)
     ]
     search_rules(labeled, variables, iterations=iterations, seed=11)
-    assert calls == {"score_rulebase": 1, "_evaluate": len(labeled)}
+    assert calls == {"score_rulebase": 1, "_evaluate": 2}
 
 
 def test_proposals_rescore_only_where_a_toggled_label_is_active(variables, monkeypatch):
@@ -653,6 +656,64 @@ def test_evaluator_equals_dict_reference(
         expected = reference_classify_hrb(sample, rb, agg, pi_source, variables)
         assert result == expected and repr(result) == repr(expected)
         labeled.append((memberships, data.draw(st.sampled_from(rb.class_order))))
+    assert score_rulebase(rb, labeled, agg) == reference_score_rulebase(rb, labeled, agg)
+
+
+def sample_vectors(draw, variables, ladders, pi_source):
+    """A fuzzified soil sample or hand-built vectors, over ``ladders``.
+
+    Hand-built vectors take any degree in [0, 1] for every label, so most
+    have three or more nonzero degrees where a Ruspini ladder has two.
+    """
+    if draw(st.booleans()):
+        sample = draw(soil_samples(variables))
+        pi = sample.pi if pi_source == "pi" else sample.pl
+        values = (sample.p2mm, sample.p425, sample.p075, sample.ll, pi)
+        return {
+            name: fuzzify(ladders[name], value)
+            for name, value in zip(VARIABLE_NAMES, values) if name in ladders
+        }
+    return {
+        name: MembershipVector(name, {
+            label: draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 1))
+            for label in var.labels
+        })
+        for name, var in ladders.items()
+    }
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from(list(Aggregator)), st.sampled_from(["pi", "pl"]))
+def test_batch_scoring_equals_reference(variables, data, agg, pi_source):
+    rb = data.draw(random_rulebases(variables))
+    # Samples over other ladder sets fail the rule base's check when it names
+    # a pi descriptor; the first failing sample's error is the one raised.
+    relabeled = {**variables, "pi": make_partition("pi", ["lo", "hi"], [0, 70], (0, 100))}
+    without_pi = {name: var for name, var in variables.items() if name != "pi"}
+    ladder_sets = st.sampled_from([variables, relabeled, without_pi])
+    mixed = data.draw(st.booleans())
+    samples = [
+        sample_vectors(
+            data.draw, variables, data.draw(ladder_sets) if mixed else variables, pi_source
+        )
+        for _ in range(data.draw(st.integers(1, 30)))
+    ]
+    labeled = [(memberships, data.draw(st.sampled_from(rb.class_order))) for memberships in samples]
+    try:
+        expected = [reference_classify(rb, memberships, agg) for memberships in samples]
+    except (EvaluationError, RuleConfigError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            score_rulebase(rb, labeled, agg)
+        return
+
+    batch = rules_module._vector_batch(samples)
+    classes, columns, rows = rules_module._evaluate(rb, batch, agg)
+    for s, report in enumerate(expected):
+        scores = dict(zip(classes, rows[s]))
+        per_rule = {rule.id: column[s] for rule, column in zip(rb.rules, columns)}
+        # ``repr`` also pins the order of the dicts and the sign of zero.
+        assert repr((scores, per_rule)) == repr((report.scores, report.per_rule))
+        assert rules_module._tied(classes, rows[s]) == list(report.tied)
     assert score_rulebase(rb, labeled, agg) == reference_score_rulebase(rb, labeled, agg)
 
 
