@@ -13,11 +13,10 @@ repeated columns).
 import argparse
 import csv
 import io
-import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import dsl, hrb
 from .errors import FuzzificationError, SampleError, SoilFuzzError
@@ -41,8 +40,7 @@ class CliError(Exception):
         self.code = code
 
 
-@dataclass(frozen=True)
-class SampleRow:
+class SampleRow(NamedTuple):
     row: int
     id: str
     sample: hrb.SoilSample
@@ -55,25 +53,25 @@ def read_samples(
     """Parse a sample CSV into rows, per-row diagnostics, and a class flag.
 
     Each diagnostic is a ``(row, message)`` pair with the 1-based data row
-    number; a missing required column, or a column that is read but named
-    twice, fails the whole file, and so does text the CSV reader rejects,
-    such as a cell longer than ``csv.field_size_limit()``, reported with
-    ``name`` and its line.  Column names are read with surrounding spaces
-    stripped.
+    number (blank lines are not rows); a short row's missing cells, and a
+    missing ``pi`` or ``class`` column, read as empty.  A missing required
+    column, or a column that is read but named twice, fails the whole file,
+    and so does text the CSV reader rejects, such as a cell longer than
+    ``csv.field_size_limit()``, reported with ``name`` and its line.
+    Column names are read with surrounding spaces stripped.
     """
-    reader = csv.DictReader(stream)
+    reader = csv.reader(stream)
     try:
         return _read_records(reader)
     except csv.Error as exc:
-        # ``DictReader.line_num`` is updated only after a row parses.
-        line = reader.reader.line_num
-        raise CliError(EXIT_INPUT, f"cannot read {name}: line {line}: {exc}") from None
+        raise CliError(
+            EXIT_INPUT, f"cannot read {name}: line {reader.line_num}: {exc}"
+        ) from None
 
 
-def _read_records(
-    reader: csv.DictReader,
-) -> tuple[list[SampleRow], list[tuple[int, str]], bool]:
-    fields = reader.fieldnames = [f.strip() for f in reader.fieldnames or []]
+def _read_records(reader) -> tuple[list[SampleRow], list[tuple[int, str]], bool]:
+    """Read the header, then every non-blank line as one numbered row."""
+    fields = [f.strip() for f in next(reader, [])]
     missing = [col for col in REQUIRED_COLUMNS if col not in fields]
     if missing:
         raise CliError(EXIT_ROWS, f"missing column(s): {', '.join(missing)}")
@@ -82,34 +80,49 @@ def _read_records(
         raise CliError(EXIT_ROWS, f"duplicate column(s): {', '.join(repeated)}")
     has_class = "class" in fields
 
+    # Each read column's position.  A row is cut or padded with empty cells
+    # to the header's width, then given one more empty cell, which is where
+    # a column the header lacks is read.
+    width = len(fields)
+    at = {col: fields.index(col) if col in fields else width for col in READ_COLUMNS}
+    numeric = [(col, at[col]) for col in ("p2mm", "p425", "p075", "ll", "pl", "pi")]
+    pad = [""] * width
+
     rows: list[SampleRow] = []
     problems: list[tuple[int, str]] = []
-    for n, record in enumerate(reader, start=1):
-        values = {}
+    n = 0
+    for record in reader:
+        if not record:
+            continue
+        n += 1
+        if len(record) != width:
+            record = (record + pad)[:width]
+        record.append("")
+        values = []
         bad = False
-        for col in ("p2mm", "p425", "p075", "ll", "pl", "pi"):
-            cell = (record.get(col) or "").strip()
+        for col, i in numeric:
+            cell = record[i].strip()
             if cell == "":
                 if col == "pi":
-                    values[col] = None
+                    values.append(None)
                     continue
                 problems.append((n, f"empty {col}"))
                 bad = True
                 continue
             try:
-                values[col] = float(cell)
+                values.append(float(cell))
             except ValueError:
                 problems.append((n, f"non-numeric {col}: {cell!r}"))
                 bad = True
         if bad:
             continue
         try:
-            sample = hrb.SoilSample(**values)
+            sample = hrb.SoilSample(*values)
         except SampleError as exc:
             problems.append((n, str(exc)))
             continue
-        label = (record.get("class") or "").strip() or None
-        rows.append(SampleRow(n, (record.get("id") or "").strip(), sample, label))
+        label = record[at["class"]].strip() or None
+        rows.append(SampleRow(n, record[at["id"]].strip(), sample, label))
     return rows, problems, has_class
 
 
@@ -189,7 +202,6 @@ def _csv_text(rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-_encode_str = json.encoder.encode_basestring_ascii
 _float_repr = float.__repr__
 _int_repr = int.__repr__
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -203,15 +215,19 @@ def _json_text(payload) -> str:
     with ``str`` keys, ``list``, ``str``, ``float``, ``int``, ``bool`` and
     ``None``.  Any other type, subclasses included, raises ``TypeError``.
     """
+    # Only JSON output imports the encoder's string escaper.
+    from json.encoder import encode_basestring_ascii
+
     chunks: list[str] = []
-    _write_json(payload, "\n", chunks, {})
+    _write_json(payload, "\n", chunks, {}, encode_basestring_ascii)
     chunks.append("\n")
     return "".join(chunks)
 
 
-def _write_json(value, newline: str, chunks: list[str], prefixes: dict) -> None:
+def _write_json(value, newline: str, chunks: list[str], prefixes: dict, encode) -> None:
     """Append the JSON text of ``value``, nested after ``newline``, to ``chunks``.
 
+    ``encode`` writes a string as an ASCII JSON string literal.
     ``prefixes`` caches each member's ``newline + indent + key + ": "``
     prefix by indent, then key.
     """
@@ -221,7 +237,7 @@ def _write_json(value, newline: str, chunks: list[str], prefixes: dict) -> None:
         text = _float_repr(value)
         append(_FLOAT_WORDS.get(text, text))
     elif kind is str:
-        append(_encode_str(value))
+        append(encode(value))
     elif kind is dict:
         if not value:
             append("{}")
@@ -236,9 +252,9 @@ def _write_json(value, newline: str, chunks: list[str], prefixes: dict) -> None:
             if prefix is None:
                 if type(key) is not str:
                     raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
-                prefix = keyed[key] = f"{inner}{_encode_str(key)}: "
+                prefix = keyed[key] = f"{inner}{encode(key)}: "
             append(prefix)
-            _write_json(item, inner, chunks, prefixes)
+            _write_json(item, inner, chunks, prefixes, encode)
             append(",")
         chunks[-1] = newline + "}"
     elif kind is list:
@@ -249,7 +265,7 @@ def _write_json(value, newline: str, chunks: list[str], prefixes: dict) -> None:
         append("[")
         for item in value:
             append(inner)
-            _write_json(item, inner, chunks, prefixes)
+            _write_json(item, inner, chunks, prefixes, encode)
             append(",")
         chunks[-1] = newline + "]"
     elif kind is bool:

@@ -10,22 +10,21 @@ Grammar (one statement per line, ``#`` starts a comment, blank lines ignored):
 Labels are case-sensitive.  Files are UTF-8; LF and CRLF are both accepted
 and LF is emitted.  Parsing collects every diagnostic (with line and column)
 before failing, so a hand-edited file reports all its mistakes at once.
-Syntax and ``CLASSES`` header diagnostics come first, in line order; name
-checks on syntactically sound rules (duplicate id, unknown variable or
-descriptor, class missing from the header) follow, also in line order.
+Syntax and ``CLASSES`` header diagnostics (a second header, a header after
+rules, a class named twice) come first, in line order; name checks on
+syntactically sound rules (duplicate id, unknown variable or descriptor,
+class missing from the header) follow, also in line order.
 """
 
 import re
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import RuleConfigError, SoilFuzzError
 from .fuzzy import LinguisticVariable
 from .rules import Rule, RuleBase
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     line: int
     column: int
     message: str
@@ -226,6 +225,10 @@ def parse_rules(text: str, variables: Mapping[str, LinguisticVariable]) -> RuleB
                 )
             else:
                 header = [lab for lab, _ in labels]
+                for i, (lab, lab_col) in enumerate(labels):
+                    if lab in header[:i]:
+                        message = f"duplicate class {lab} in CLASSES header"
+                        errors.append(Diagnostic(lineno, lab_col, message))
         elif keyword == "RULE":
             p.take("RULE")
             parsed = _parse_rule_line(p)

@@ -18,13 +18,12 @@ function, so everything here is safe to share between threads.
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import FuzzificationError, PartitionError
 
 
-@dataclass(frozen=True)
-class LinguisticVariable:
+class LinguisticVariable(NamedTuple):
     """An ordered triangular partition over a bounded numeric domain.
 
     Use :func:`make_partition` instead of constructing this directly; the
@@ -38,8 +37,7 @@ class LinguisticVariable:
     domain_max: float
 
 
-@dataclass(frozen=True)
-class MembershipVector:
+class MembershipVector(NamedTuple):
     """Degrees of one crisp value against every descriptor of a variable.
 
     ``entries`` keeps every label of the variable in ladder order, including

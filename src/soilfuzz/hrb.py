@@ -10,10 +10,8 @@ reference oracle, and six bundled validation specimens.
 import functools
 import math
 import types
-from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
-from typing import Literal, Mapping
+from typing import Literal, Mapping, NamedTuple
 
 from . import dsl
 from .errors import PartitionError, SampleError
@@ -41,14 +39,7 @@ SUBGRADE_RATINGS = {
 }
 
 
-@dataclass(frozen=True)
-class SoilSample:
-    """Index properties of one specimen.
-
-    ``pi`` defaults to ``ll - pl``; pass it explicitly to record a measured
-    plasticity index instead.
-    """
-
+class _SoilSampleFields(NamedTuple):
     p2mm: float
     p425: float
     p075: float
@@ -56,33 +47,52 @@ class SoilSample:
     pl: float
     pi: float | None = None
 
-    def __post_init__(self):
-        if self.pi is None:
-            object.__setattr__(self, "pi", float(self.ll) - float(self.pl))
-        for name in ("p2mm", "p425", "p075", "ll", "pl", "pi"):
-            value = float(getattr(self, name))
+
+class SoilSample(_SoilSampleFields):
+    """Index properties of one specimen.
+
+    ``pi`` defaults to ``ll - pl``; pass it explicitly to record a measured
+    plasticity index instead.  Every property is stored as a float.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls, p2mm: float, p425: float, p075: float, ll: float, pl: float,
+        pi: float | None = None,
+    ):
+        if pi is None:
+            pi = float(ll) - float(pl)
+        values = []
+        for name, value in zip(cls._fields, (p2mm, p425, p075, ll, pl, pi)):
+            value = float(value)
             if not math.isfinite(value):
                 raise SampleError(f"non-finite {name} {value}")
-            object.__setattr__(self, name, value)
-        if not 0.0 <= self.p075 <= self.p425 <= self.p2mm <= 100.0:
+            values.append(value)
+        p2mm, p425, p075, ll, pl, pi = values
+        if not 0.0 <= p075 <= p425 <= p2mm <= 100.0:
             raise SampleError(
                 "sieve fractions must satisfy 0 <= p075 <= p425 <= p2mm <= 100 "
-                f"(got p2mm={self.p2mm}, p425={self.p425}, p075={self.p075})"
+                f"(got p2mm={p2mm}, p425={p425}, p075={p075})"
             )
-        if self.pi < 0.0:
-            raise SampleError(f"negative plasticity index {self.pi}")
+        if pi < 0.0:
+            raise SampleError(f"negative plasticity index {pi}")
+        return super().__new__(cls, *values)
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``, so it is checked too.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class HrbPreset:
+class HrbPreset(NamedTuple):
     """A named rule base over the HRB variables."""
 
     kind: str
     rulebase: RuleBase
 
 
-@dataclass(frozen=True)
-class HrbResult:
+class HrbResult(NamedTuple):
     """Fuzzy classification outcome plus the resolved M145 subgroup."""
 
     report: ClassificationReport
@@ -91,12 +101,10 @@ class HrbResult:
 
 
 def _read_preset_text(filename: str, directory: str | Path | None) -> str:
-    if directory is not None:
-        return (Path(directory) / filename).read_text(encoding="utf-8")
-    return (
-        resources.files(__package__).joinpath("presets").joinpath(filename)
-        .read_text(encoding="utf-8")
-    )
+    if directory is None:
+        # The shipped presets are data files inside the package.
+        directory = Path(__file__).parent / "presets"
+    return (Path(directory) / filename).read_text(encoding="utf-8")
 
 
 def parse_variables(text: str) -> dict[str, LinguisticVariable]:
@@ -272,8 +280,7 @@ def crisp_classify(sample: SoilSample) -> str:
     return a7_split(s.ll, s.pi)
 
 
-@dataclass(frozen=True)
-class ReferenceFixture:
+class ReferenceFixture(NamedTuple):
     """One bundled validation specimen.
 
     ``memberships`` lists the expected nonzero degrees per variable (absent

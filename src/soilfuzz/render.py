@@ -16,12 +16,9 @@ and the guard would miss ties; from 2**52 up every float is a whole number
 and is returned as it is, as are NaN and the infinities.
 """
 
-from decimal import ROUND_HALF_UP, Decimal
-
 _FAST_BOUND = 1e6
 _TIE_TOL = 1e-9
 _WHOLE = 2.0**52
-_QUANTUM = Decimal("0.0001")
 
 
 def round4(x: float) -> float:
@@ -33,7 +30,10 @@ def round4(x: float) -> float:
             return r
     elif not -_WHOLE < x < _WHOLE:
         return x
-    return float(Decimal(repr(x)).quantize(_QUANTUM, ROUND_HALF_UP))
+    # Rare: imported here so that the CLI starts without ``decimal``.
+    from decimal import ROUND_HALF_UP, Decimal
+
+    return float(Decimal(repr(x)).quantize(Decimal("0.0001"), ROUND_HALF_UP))
 
 
 def fmt_score(x: float) -> str:

@@ -37,8 +37,7 @@ import enum
 import itertools
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import EvaluationError, RuleConfigError
 from .fuzzy import LinguisticVariable, MembershipVector
@@ -60,50 +59,68 @@ _COMBINE = {
 }
 
 
-@dataclass(frozen=True)
-class Rule:
-    """One IF-THEN rule: every antecedent must be matched for a full DOF."""
-
+class _RuleFields(NamedTuple):
     id: str
     antecedents: tuple[tuple[str, frozenset[str]], ...]
     consequent: str
 
-    def __post_init__(self):
-        if not self.antecedents:
-            raise RuleConfigError(f"rule {self.id}: no antecedents")
-        for var, allowed in self.antecedents:
+
+class Rule(_RuleFields):
+    """One IF-THEN rule: every antecedent must be matched for a full DOF."""
+
+    __slots__ = ()
+
+    def __new__(cls, id: str, antecedents: tuple, consequent: str):
+        if not antecedents:
+            raise RuleConfigError(f"rule {id}: no antecedents")
+        for var, allowed in antecedents:
             if not allowed:
-                raise RuleConfigError(
-                    f"rule {self.id}: empty descriptor set for {var}"
-                )
+                raise RuleConfigError(f"rule {id}: empty descriptor set for {var}")
+        return super().__new__(cls, id, antecedents, consequent)
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``, so it is checked too.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class RuleBase:
-    """An ordered rule collection plus the tie-breaking class order."""
-
+class _RuleBaseFields(NamedTuple):
     rules: tuple[Rule, ...]
     class_order: tuple[str, ...]
 
-    def __post_init__(self):
-        if not self.rules:
+
+class RuleBase(_RuleBaseFields):
+    """An ordered rule collection plus the tie-breaking class order."""
+
+    __slots__ = ()
+
+    def __new__(cls, rules: tuple[Rule, ...], class_order: tuple[str, ...]):
+        if not rules:
             raise RuleConfigError("empty rule base")
         seen = set()
-        for rule in self.rules:
+        for rule in rules:
             if rule.id in seen:
                 raise RuleConfigError(f"duplicate rule id {rule.id}")
             seen.add(rule.id)
-        known = set(self.class_order)
-        for rule in self.rules:
+        known = set(class_order)
+        for rule in rules:
             if rule.consequent not in known:
                 raise RuleConfigError(
                     f"rule {rule.id}: consequent {rule.consequent} "
                     "missing from class order"
                 )
+        if len(known) != len(class_order):
+            repeated = [c for i, c in enumerate(class_order) if c in class_order[:i]]
+            raise RuleConfigError(f"duplicate class {repeated[0]} in class order")
+        return super().__new__(cls, rules, class_order)
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``, so it is checked too.
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Per-class possibility scores, in class order, with a deterministic ranking."""
 
     scores: dict[str, float]
@@ -226,10 +243,10 @@ def _evaluate(
 ) -> tuple[tuple[str, ...], list[list[float]], list[tuple[float, ...]]]:
     """Check ``rb`` against the batch's ladders, then score it on every sample.
 
-    Returns the classes (class order, repeats dropped), each rule's DOF
-    column, and each sample's class scores in that order.  A class scores
-    the first maximum of 0 and its rules' DOFs, as a loop that replaces the
-    score only by a greater DOF would.
+    Returns the class order, each rule's DOF column, and each sample's
+    class scores in that order.  A class scores the first maximum of 0 and
+    its rules' DOFs, as a loop that replaces the score only by a greater DOF
+    would.
     """
     for ladders in batch.ladders:
         _check(rb, ladders)
@@ -239,7 +256,7 @@ def _evaluate(
         owned[rule.consequent].append(column)
     zero, n = itertools.repeat(0.0), batch.size
     by_class = [list(map(max, zero, *cols)) if cols else [0.0] * n for cols in owned.values()]
-    return tuple(owned), columns, list(zip(*by_class))
+    return rb.class_order, columns, list(zip(*by_class))
 
 
 def _tied(classes: Sequence[str], scores: Sequence[float]) -> list[str]:
@@ -306,8 +323,7 @@ def score_rulebase(
     return hits / len(labeled)
 
 
-@dataclass(frozen=True)
-class InductionResult:
+class InductionResult(NamedTuple):
     """Outcome of a rule search: the best base found and its score trace."""
 
     rulebase: RuleBase

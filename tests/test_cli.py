@@ -4,7 +4,9 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -133,6 +135,90 @@ class TestReadSamples:
         rows, problems, _ = cli.read_samples(io.StringIO(text))
         assert not problems and rows[0].sample.ll == 30.0
 
+    def test_blank_lines_are_not_rows(self):
+        text = "id,p2mm,p425,p075,ll,pl\n\na,100,50,10,30,20\n\n\nb,100,50,10,thirty,20\n"
+        rows, problems, _ = cli.read_samples(io.StringIO(text))
+        assert [(row.row, row.id) for row in rows] == [(1, "a")]
+        assert problems == [(2, "non-numeric ll: 'thirty'")]
+
+    def test_short_and_long_rows(self):
+        # Missing cells read as empty; cells past the header are ignored,
+        # even where the header lacks pi or class.
+        text = (
+            "id,p2mm,p425,p075,ll,pl\n"
+            "a,100,50,10,30,20,7,A-4\n"
+            "b,100,50,10,30\n"
+            "c\n"
+        )
+        rows, problems, has_class = cli.read_samples(io.StringIO(text))
+        assert not has_class
+        assert [(row.id, row.sample.pi, row.label) for row in rows] == [("a", 10.0, None)]
+        assert problems == [
+            (2, "empty pl"),
+            (3, "empty p2mm"), (3, "empty p425"), (3, "empty p075"), (3, "empty ll"),
+            (3, "empty pl"),
+        ]
+
+    def test_csv_error_names_its_line(self):
+        text = "id,p2mm,p425,p075,ll,pl\n\na,100,50,10,30,20\nb,100000,1\n"
+        with csv_field_limit(4):
+            with pytest.raises(cli.CliError) as exc:
+                cli.read_samples(io.StringIO(text), "in.csv")
+        assert exc.value.code == cli.EXIT_INPUT
+        assert str(exc.value) == "cannot read in.csv: line 4: field larger than field limit (4)"
+
+
+@contextlib.contextmanager
+def csv_field_limit(limit):
+    old = csv.field_size_limit(limit)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(old)
+
+
+# Headers with every required column, in any order, and some extras.
+HEADERS = st.lists(
+    st.sampled_from(["pi", " pi ", "class", "note", "", " ll"]), max_size=3
+).flatmap(lambda extra: st.permutations([*cli.REQUIRED_COLUMNS, *extra]))
+# Rows of any length, and blank lines.
+LINES = st.lists(
+    st.lists(st.text(max_size=5) | st.integers(0, 100).map(str), max_size=10), max_size=6
+)
+
+
+def dict_reader_view(text):
+    """The read columns of each record as ``csv.DictReader`` sees them, as a CSV text."""
+    reader = csv.DictReader(io.StringIO(text))
+    reader.fieldnames = [f.strip() for f in reader.fieldnames]
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(cli.READ_COLUMNS)
+    for record in reader:
+        writer.writerow([record.get(col) or "" for col in cli.READ_COLUMNS])
+    return out.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(HEADERS, LINES)
+def test_rows_read_as_dict_reader_reads_them(header, lines):
+    # The positional reader gives the rows and diagnostics that reading
+    # each record by column name through ``csv.DictReader`` gives.
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(lines)
+    text = out.getvalue()
+    fields = [f.strip() for f in header]
+    if any(fields.count(col) > 1 for col in cli.READ_COLUMNS):
+        with pytest.raises(cli.CliError, match="duplicate column"):
+            cli.read_samples(io.StringIO(text))
+        return
+    rows, problems, has_class = cli.read_samples(io.StringIO(text))
+    assert has_class == ("class" in fields)
+    view_rows, view_problems, _ = cli.read_samples(io.StringIO(dict_reader_view(text)))
+    assert (rows, problems) == (view_rows, view_problems)
+
 
 class TestClassifyCommand:
     def test_paper_preset_winners(self, fixture_csv, capsys):
@@ -240,6 +326,21 @@ class TestClassifyCommand:
         )
         assert code == cli.EXIT_RULES
         assert "empty descriptor set" in err
+
+    def test_class_named_twice_is_a_rule_file_error(self, fixture_csv, tmp_path, capsys):
+        # Its scores would get two CSV columns, and every row one cell too few.
+        rules = tmp_path / "twice.frules"
+        rules.write_text(
+            "CLASSES A-4, A-7, A-4\n"
+            "RULE R1: p075 IS {VH} => A-4\n"
+            "RULE R2: p075 IS {VVH, VVVH} => A-7\n"
+        )
+        code, out, err = run(["classify", "--rules", str(rules), fixture_csv], capsys)
+        assert code == cli.EXIT_RULES and out == ""
+        assert err == (
+            f"{rules}:1:19: duplicate class A-4 in CLASSES header\n"
+            f"soilfuzz: invalid rule file {rules}\n"
+        )
 
     def test_bad_rows_exit(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -795,13 +896,14 @@ class TestGoldenBytes:
         # classification and the membership tables both work on each value's
         # active descriptors instead.
         built = []
-        init = sf.MembershipVector.__init__
+        new = sf.MembershipVector.__new__
 
-        def counting_init(self, *args, **kwargs):
-            built.append(self)
-            init(self, *args, **kwargs)
+        def counting_new(cls, *args, **kwargs):
+            vector = new(cls, *args, **kwargs)
+            built.append(vector)
+            return vector
 
-        monkeypatch.setattr(sf.MembershipVector, "__init__", counting_init)
+        monkeypatch.setattr(sf.MembershipVector, "__new__", counting_new)
         for mode in GOLDEN_SHA256:
             if mode[0] != "rules" and "--crisp" not in mode:
                 code, _, _ = run(golden_args(mode, corpus), capsys)
@@ -812,6 +914,23 @@ class TestGoldenBytes:
         for row in rows:
             sf.fuzzify_sample(row.sample)
         assert len(built) == 1500
+
+
+def test_cli_starts_without_unused_modules():
+    # Every run is a new process, so each module ``soilfuzz.cli`` imports
+    # costs every run.  None of these is used, or only on a rare path.
+    script = (
+        "import sys; before = set(sys.modules); import soilfuzz.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    added = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "soilfuzz.cli" in added
+    unused = {"dataclasses", "inspect", "ast", "decimal", "json", "importlib.resources"}
+    assert unused.isdisjoint(added)
 
 
 # Shapes the golden corpus lacks: no data rows at all (empty JSON lists) and

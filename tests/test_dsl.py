@@ -117,6 +117,22 @@ class TestParse:
         with pytest.raises(RuleParseError, match="duplicate CLASSES"):
             parse_rules(text, variables)
 
+    def test_class_named_twice_in_header(self, variables):
+        # Each repeat is a header diagnostic, before the semantic ones.
+        text = (
+            "CLASSES A-4, A-7, A-4, A-7\n"
+            "RULE R1: bogus IS {VL} => A-4\n"
+            "RULE R2 p2mm IS {VL} => A-4\n"
+        )
+        with pytest.raises(RuleParseError) as exc:
+            parse_rules(text, variables)
+        assert [(d.line, d.column, d.message) for d in exc.value.diagnostics] == [
+            (1, 19, "duplicate class A-4 in CLASSES header"),
+            (1, 24, "duplicate class A-7 in CLASSES header"),
+            (3, 9, "expected ':', found 'p2mm'"),
+            (2, 10, "unknown variable bogus"),
+        ]
+
     def test_header_after_rules(self, variables):
         text = "RULE R1: p2mm IS {VL} => A-3\nCLASSES A-3\n"
         with pytest.raises(RuleParseError, match="must precede"):

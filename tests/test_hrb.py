@@ -48,6 +48,61 @@ class TestSoilSample:
             SoilSample(**{**values, **overrides})
 
 
+class TestSoilSampleRecord:
+    """The record contract: repr, construction, immutability, equality, messages."""
+
+    def test_repr(self):
+        assert repr(SoilSample(100, 80, 40, 25, 17)) == (
+            "SoilSample(p2mm=100.0, p425=80.0, p075=40.0, ll=25.0, pl=17.0, pi=8.0)"
+        )
+
+    def test_keyword_and_positional_construction(self):
+        s = SoilSample(100, 80, 40, 25, 17)
+        assert SoilSample(p2mm=100, p425=80, p075=40, ll=25, pl=17) == s
+        assert SoilSample(100, 80, 40, 25, 17, 8) == s
+        assert SoilSample(100, 80, 40, 25, 17, pi=None) == s
+        assert SoilSample("100", 80, 40, 25, 17).p2mm == 100.0
+        assert all(type(value) is float for value in (s.p2mm, s.p425, s.p075, s.ll, s.pl, s.pi))
+        assert SoilSample(100, 80, 40, 25, 17, pi=5).pi == 5.0
+
+    def test_fields_cannot_be_assigned(self):
+        s = SoilSample(100, 80, 40, 25, 17)
+        with pytest.raises(AttributeError):
+            s.ll = 30.0
+        assert s.ll == 25.0
+
+    def test_equal_records_hash_equal(self):
+        a, b = SoilSample(100, 80, 40, 25, 17), SoilSample(100.0, 80.0, 40.0, 25.0, 17.0, 8.0)
+        assert a == b and hash(a) == hash(b)
+        assert SoilSample(100, 80, 40, 25, 17, pi=5) != a
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((math.nan, 1, 1, 1, 1), "non-finite p2mm nan"),
+            ((100, 1, 1, math.inf, 1), "non-finite ll inf"),
+            ((100, 50, 10, 30, 20, -math.inf), "non-finite pi -inf"),
+            (
+                (50, 60, 10, 30, 20),
+                "sieve fractions must satisfy 0 <= p075 <= p425 <= p2mm <= 100 "
+                "(got p2mm=50.0, p425=60.0, p075=10.0)",
+            ),
+            ((100, 50, 10, 20, 30), "negative plasticity index -10.0"),
+            ((100, 50, 10, 30, 20, -1), "negative plasticity index -1.0"),
+        ],
+    )
+    def test_validation_messages(self, args, message):
+        with pytest.raises(SampleError) as exc:
+            SoilSample(*args)
+        assert str(exc.value) == message
+
+    def test_replace_is_validated(self):
+        s = SoilSample(100, 80, 40, 25, 17)
+        assert s._replace(ll=30) == SoilSample(100, 80, 40, 30, 17, 8)
+        with pytest.raises(SampleError, match="sieve"):
+            s._replace(p425=101)
+
+
 class TestFuzzifySample:
     def test_specimen6_rows(self, fixtures):
         memberships = sf.fuzzify_sample(fixtures[5].sample, pi_source="pl")
@@ -309,8 +364,8 @@ class TestPresetFiles:
             assert preset.rulebase.rules[-1].consequent == "A-7"
 
     def test_load_from_directory(self, tmp_path, variables):
-        import soilfuzz.hrb as hrb_mod
-        src = hrb_mod.resources.files("soilfuzz").joinpath("presets")
+        from importlib import resources
+        src = resources.files("soilfuzz").joinpath("presets")
         for name in ("hrb-paper.frules", "hrb-calibrated.frules", "hrb-variables.txt"):
             shutil.copy(str(src / name), tmp_path / name)
         preset = sf.load_preset("paper", directory=tmp_path)

@@ -228,6 +228,85 @@ class TestClassify:
             RuleBase((), CLASSES)
 
 
+ONE_RULE = Rule("R1", (("p075", frozenset({"VH"})),), "A-4")
+
+
+class TestRecords:
+    """The record contract: repr, construction, immutability, equality, messages."""
+
+    def test_reprs(self):
+        assert repr(ONE_RULE) == (
+            "Rule(id='R1', antecedents=(('p075', frozenset({'VH'})),), consequent='A-4')"
+        )
+        assert repr(RuleBase((ONE_RULE,), ("A-4", "A-6"))) == (
+            "RuleBase(rules=(Rule(id='R1', antecedents=(('p075', frozenset({'VH'})),), "
+            "consequent='A-4'),), class_order=('A-4', 'A-6'))"
+        )
+        assert repr(MembershipVector("ll", {"L": 0.5, "LM": 0.5})) == (
+            "MembershipVector(variable='ll', entries={'L': 0.5, 'LM': 0.5})"
+        )
+
+    def test_keyword_and_positional_construction(self):
+        antecedents = (("p075", frozenset({"VH"})),)
+        assert Rule(id="R1", antecedents=antecedents, consequent="A-4") == ONE_RULE
+        rb = RuleBase((ONE_RULE,), ("A-4",))
+        assert RuleBase(rules=(ONE_RULE,), class_order=("A-4",)) == rb
+        entries = {"L": 0.5, "LM": 0.5}
+        assert MembershipVector(variable="ll", entries=entries) == MembershipVector("ll", entries)
+        assert MembershipVector("ll", entries).nonzero() == entries
+
+    def test_fields_cannot_be_assigned(self):
+        rb = RuleBase((ONE_RULE,), ("A-4",))
+        vector = MembershipVector("ll", {"L": 1.0})
+        for record, field in [(ONE_RULE, "id"), (rb, "class_order"), (vector, "entries")]:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+            assert getattr(record, field) is not None
+
+    def test_equal_records_hash_equal(self):
+        twin = Rule("R1", (("p075", frozenset({"VH"})),), "A-4")
+        assert twin == ONE_RULE and hash(twin) == hash(ONE_RULE)
+        a, b = RuleBase((ONE_RULE,), ("A-4", "A-6")), RuleBase((twin,), ("A-4", "A-6"))
+        assert a == b and hash(a) == hash(b)
+        assert RuleBase((ONE_RULE,), ("A-6", "A-4")) != a
+        assert MembershipVector("ll", {"L": 1.0}) == MembershipVector("ll", {"L": 1.0})
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Rule("R1", (), "A-4"), "rule R1: no antecedents"),
+            (
+                lambda: Rule("R2", (("ll", frozenset({"L"})), ("pi", frozenset())), "A-4"),
+                "rule R2: empty descriptor set for pi",
+            ),
+            (lambda: RuleBase((), ("A-4",)), "empty rule base"),
+            (lambda: RuleBase((ONE_RULE, ONE_RULE), ("A-4",)), "duplicate rule id R1"),
+            (
+                lambda: RuleBase((ONE_RULE,), ("A-6",)),
+                "rule R1: consequent A-4 missing from class order",
+            ),
+        ],
+    )
+    def test_validation_messages(self, build, message):
+        with pytest.raises(RuleConfigError) as exc:
+            build()
+        assert str(exc.value) == message
+
+    def test_class_order_must_not_repeat(self):
+        # A repeated class would get two score columns but one score.
+        with pytest.raises(RuleConfigError) as exc:
+            RuleBase((ONE_RULE,), ("A-4", "A-7", "A-4"))
+        assert str(exc.value) == "duplicate class A-4 in class order"
+
+    def test_replace_is_validated(self):
+        rb = RuleBase((ONE_RULE,), ("A-4", "A-7"))
+        assert rb._replace(class_order=("A-7", "A-4")).class_order == ("A-7", "A-4")
+        with pytest.raises(RuleConfigError, match="duplicate class A-7"):
+            rb._replace(class_order=("A-4", "A-7", "A-7"))
+        with pytest.raises(RuleConfigError, match="no antecedents"):
+            ONE_RULE._replace(antecedents=())
+
+
 class TestScoreRulebase:
     def test_reference_specimens(self, variables):
         labeled = [
