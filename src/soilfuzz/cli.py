@@ -284,35 +284,41 @@ def cmd_classify(args) -> int:
 
     if args.crisp:
         header = {"command": "classify", "mode": "crisp"}
-        records = _map_rows(
-            args, rows, problems,
-            lambda row: _classify_record(row, hrb.crisp_classify(row.sample)),
-        )
+        rb, classes = None, ()
     else:
         name, rb = _load_rulebase(args, variables)
-        agg = Aggregator(args.agg)
+        classes = rb.class_order
         header = {
             "command": "classify",
             "rules": name,
-            "aggregator": agg.value,
+            "aggregator": args.agg,
             "pi_source": args.pi_source,
         }
-        records = _fuzzy_records(args, rows, problems, rb, agg, variables)
+    outcomes = _outcomes(args, rows, problems, rb, variables)
 
     if args.format == "json":
+        records = [_classify_record(classes, *outcome) for outcome in outcomes]
         _write_output(args, _json_text({**header, "results": records}))
     else:
         columns = ["id", "winner", "rating"]
         if not args.crisp:
-            columns += ["tie", "tied_with", *rb.class_order]
-        table = [columns + ["a7_ll", "a7_pi"]]
-        table += [_classify_cells(record) for record in records]
-        _write_output(args, _csv_text(table))
+            columns += ["tie", "tied_with", *classes]
+        _write_output(args, _csv_text(_classify_table(columns + ["a7_ll", "a7_pi"], outcomes)))
     return EXIT_OK
 
 
-def _fuzzy_records(args, rows, problems, rb, agg, variables) -> list[dict]:
-    """Fuzzify each row, score the good ones as one batch, and build their records."""
+def _outcomes(args, rows, problems, rb, variables):
+    """Yield each good row's ``(row, subgroup, tied, scores)``.
+
+    ``rb`` is None for a crisp run, whose ``tied`` and ``scores`` are None.
+    A fuzzy run scores the good rows as one batch; ``tied`` and ``scores``
+    are the classes at the top score and every class's score, in class order.
+    """
+    if rb is None:
+        yield from _map_rows(
+            args, rows, problems, lambda row: (row, hrb.crisp_classify(row.sample), None, None)
+        )
+        return
     batch, ladders = _Batch(), hrb._ladders(variables)
 
     def fuzzify_row(row):
@@ -320,23 +326,50 @@ def _fuzzy_records(args, rows, problems, rb, agg, variables) -> list[dict]:
         return row
 
     good = _map_rows(args, rows, problems, fuzzify_row)
-    classes, columns, scores = _evaluate(rb, batch, agg)
-    # Free the index and the DOF columns before the records and the text.
+    classes, columns, scores = _evaluate(rb, batch, Aggregator(args.agg))
+    # Free the index and the DOF columns before the output is built.
     del batch, columns
-    records = []
+    subgroup = hrb._subgroup
     for row, row_scores in zip(good, scores):
         tied = _tied(classes, row_scores)
-        subgroup = hrb._subgroup(tied[0], row.sample)
-        records.append(_classify_record(row, subgroup, tied, zip(classes, row_scores)))
-    return records
+        yield row, subgroup(tied[0], row.sample), tied, row_scores
 
 
-def _classify_record(row, subgroup, tied=None, scores=None) -> dict:
+class _ScoreText(dict):
+    """Each score's CSV cell, formatted on first use.
+
+    Scores are ``max(0.0, ...)`` and never -0.0, which would share 0.0's key.
+    """
+
+    def __missing__(self, score: float) -> str:
+        text = self[score] = fmt_score(score)
+        return text
+
+
+def _classify_table(columns: list[str], outcomes) -> list[list[str]]:
+    """The CSV table of the outcomes: ``columns``, then one row each."""
+    score_text = _ScoreText().__getitem__
+    ratings = hrb.SUBGRADE_RATINGS
+    table = [columns]
+    for row, subgroup, tied, scores in outcomes:
+        cells = [row.id, subgroup, ratings.get(subgroup, "")]
+        if tied is not None:
+            cells += ("true", "|".join(tied)) if len(tied) > 1 else ("false", "")
+            cells += map(score_text, scores)
+        if subgroup.startswith("A-7"):
+            sample = row.sample
+            cells += (degree_text(round4(sample.ll)), degree_text(round4(sample.pi)))
+        else:
+            cells += ("", "")
+        table.append(cells)
+    return table
+
+
+def _classify_record(classes, row, subgroup, tied, scores) -> dict:
     """One row's JSON result object; ``tied`` is None for a crisp outcome.
 
-    A fuzzy outcome gives the classes at the top score, in class order, and
-    the ``(class, score)`` pairs.  Every number in the record is rounded
-    here, once, for both output formats.
+    A fuzzy outcome gives the classes at the top score and the scores, both
+    in the order of ``classes``.  Every number is rounded here.
     """
     record = {
         "id": row.id,
@@ -347,23 +380,12 @@ def _classify_record(row, subgroup, tied=None, scores=None) -> dict:
         tie = len(tied) > 1
         record["tie"] = tie
         record["tied"] = tied if tie else []
-        record["scores"] = {cls: round4(s) for cls, s in scores}
+        record["scores"] = {cls: round4(s) for cls, s in zip(classes, scores)}
     record["a7"] = (
         {"ll": round4(row.sample.ll), "pi": round4(row.sample.pi)}
         if subgroup.startswith("A-7") else None
     )
     return record
-
-
-def _classify_cells(record: dict) -> list[str]:
-    """The CSV row of a result object, formatting its already rounded numbers."""
-    cells = [record["id"], record["winner"], record["rating"]]
-    if "scores" in record:
-        cells += ["true" if record["tie"] else "false", "|".join(record["tied"])]
-        cells += [f"{score:.4f}" for score in record["scores"].values()]
-    a7 = record["a7"]
-    cells += [degree_text(a7["ll"]), degree_text(a7["pi"])] if a7 else ["", ""]
-    return cells
 
 
 def cmd_memberships(args) -> int:

@@ -399,6 +399,68 @@ class TestClassifyCommand:
         assert out_preset == out_rules
 
 
+# A-7-6 is never split, and X has no M145 rating.  p075 = 55 sits halfway
+# between the VH and VVH centers, and at p075 = 40.0165 the X score is
+# 0.99945, which ``round`` alone would print as 0.9994.
+EDGE_RULES = """\
+CLASSES A-7-6, X
+RULE R1: p075 IS {VVH, VVVH} => A-7-6
+RULE R2: p075 IS {VH} => X
+"""
+
+
+class TestClassifyCsvCells:
+    @pytest.fixture
+    def edge_rules(self, tmp_path):
+        path = tmp_path / "edge.frules"
+        path.write_text(EDGE_RULES)
+        return str(path)
+
+    def classify(self, rows, rules, tmp_path, capsys):
+        path = tmp_path / "rows.csv"
+        path.write_text("id,p2mm,p425,p075,ll,pl\n" + "".join(f"{r}\n" for r in rows))
+        code, out, err = run(["classify", "--rules", rules, str(path)], capsys)
+        assert code == 0 and err == ""
+        header, *records = csv_rows(out)
+        assert header == [
+            "id", "winner", "rating", "tie", "tied_with", "A-7-6", "X", "a7_ll", "a7_pi"
+        ]
+        return records
+
+    def test_a7_cells_follow_the_subgroup_name(self, edge_rules, tmp_path, capsys):
+        records = self.classify(
+            ["a,100,100,100,65,25", "b,100,100,40,30,20"], edge_rules, tmp_path, capsys
+        )
+        assert records == [
+            ["a", "A-7-6", "fair to poor", "false", "", "1.0000", "0.0000", "65", "40"],
+            ["b", "X", "", "false", "", "0.0000", "1.0000", "", ""],
+        ]
+
+    def test_tie_names_every_top_class(self, edge_rules, tmp_path, capsys):
+        records = self.classify(["t,100,100,55,50,20"], edge_rules, tmp_path, capsys)
+        assert records == [
+            ["t", "A-7-6", "fair to poor", "true", "A-7-6|X", "0.5000", "0.5000", "50", "30"],
+        ]
+
+    def test_negative_zero_limit_prints_as_written(self, edge_rules, tmp_path, capsys):
+        # -0.0 == 0.0, so a cell cache keyed on the value would print "0" twice.
+        records = self.classify(
+            ["o,100,100,100,0,0", "z,100,100,100,-0,0"], edge_rules, tmp_path, capsys
+        )
+        assert [r[-2:] for r in records] == [["0", "0"], ["-0", "-0"]]
+
+    def test_scores_next_to_a_half_point_round_half_up(self, edge_rules, tmp_path, capsys):
+        records = self.classify(
+            ["x,100,100,40.0165,30,20", "y,100,100,40.0165,30,20"], edge_rules, tmp_path, capsys
+        )
+        sample = sf.SoilSample(100, 100, 40.0165, 30, 20)
+        rb = sf.parse_rules(EDGE_RULES, sf.load_variables())
+        score = sf.classify_hrb(sample, rb).report.scores["X"]
+        assert abs(abs(score - round(score, 4)) - 5e-5) <= 1e-9
+        assert f"{round(score, 4):.4f}" == "0.9994"
+        assert [r[5:7] for r in records] == [["0.0006", "0.9995"]] * 2
+
+
 class TestMembershipsCommand:
     EXPECTED_P075 = [
         ["0", "0", "0", "0", "0", "0", "1", "0", "0", "0", "0"],
@@ -711,6 +773,86 @@ def test_classify_is_total_over_valid_rows(csv_paths, samples, mode, skip):
         assert code == 0
         records = csv_rows(stdout.getvalue())[1:]
         assert len(records) + len(diagnostics) == len(samples)
+
+
+# Whole numbers land on ladder centers, where ties occur.
+NUMBERS = st.integers(0, 100).map(float) | st.floats(0, 100)
+
+
+@st.composite
+def in_domain_properties(draw):
+    """(p2mm, p425, p075, ll, pl) with ordered sieves and 0 <= pl <= ll <= 100."""
+    p075, p425, p2mm = sorted(draw(st.lists(NUMBERS, min_size=3, max_size=3)))
+    ll = draw(NUMBERS)
+    return p2mm, p425, p075, ll, draw(st.integers(0, int(ll)).map(float) | st.floats(0, ll))
+
+
+# A-7-5 and A-7-6 are never split; X has no M145 rating.
+PROPERTY_RULES = """\
+CLASSES A-2-4, A-7-5, A-7-6, X
+RULE P1: p075 IS {VVVL, VVL, VL, L, LM, M, MH} AND ll IS {VL, L} => A-2-4
+RULE P2: p075 IS {VH, VVH, VVVH} AND ll IS {MH, H, VH, VVH} AND pi IS {VL, L, LM} => A-7-5
+RULE P3: p075 IS {VH, VVH, VVVH} AND ll IS {MH, H, VH, VVH} AND pi IS {M, MH, H, VH} => A-7-6
+RULE P4: p075 IS {H, VH} => X
+"""
+
+
+def library_rows(samples, mode, variables, rules_path):
+    """The classify CSV rows the library gives: the oracle of bench/checks.py."""
+    from soilfuzz.render import fmt_degree, fmt_score
+
+    crisp = "--crisp" in mode
+    if not crisp:
+        if "--rules" in mode:
+            rb = sf.parse_rules(rules_path.read_text(), variables)
+        else:
+            rb = sf.load_preset(mode[mode.index("--preset") + 1], variables=variables)
+        agg = sf.Aggregator(mode[mode.index("--agg") + 1])
+        pi_source = mode[mode.index("--pi-source") + 1]
+    rows = []
+    for i, values in enumerate(samples):
+        sample = sf.SoilSample(*values)
+        if crisp:
+            subgroup = sf.crisp_classify(sample)
+            cells = [subgroup, sf.hrb.SUBGRADE_RATINGS[subgroup]]
+        else:
+            res = sf.classify_hrb(sample, rb, agg, pi_source, variables)
+            subgroup, tie = res.subgroup, res.report.tie
+            cells = [
+                subgroup,
+                res.rating,
+                "true" if tie else "false",
+                "|".join(res.report.tied) if tie else "",
+                *map(fmt_score, res.report.scores.values()),
+            ]
+        a7 = subgroup.startswith("A-7")
+        cells += [fmt_degree(sample.ll), fmt_degree(sample.pi)] if a7 else ["", ""]
+        rows.append([f"s{i}", *cells])
+    return rows
+
+
+CLASSIFY_MODES = [["--crisp"]] + [
+    [*rules, "--agg", agg, "--pi-source", pi_source]
+    for rules in (["--preset", "paper"], ["--preset", "calibrated"], ["--rules", "PROPERTY"])
+    for agg in ("min", "product", "mean")
+    for pi_source in ("pi", "pl")
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(in_domain_properties(), max_size=8), st.sampled_from(CLASSIFY_MODES))
+def test_classify_csv_rows_match_library(csv_paths, variables, samples, mode):
+    path = next(csv_paths)
+    rules = path.with_suffix(".frules")
+    rules.write_text(PROPERTY_RULES)
+    mode = [str(rules) if arg == "PROPERTY" else arg for arg in mode]
+    lines = ["id,p2mm,p425,p075,ll,pl"]
+    lines += [f"s{i}," + ",".join(map(repr, values)) for i, values in enumerate(samples)]
+    path.write_text("\n".join(lines) + "\n")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(["classify", *mode, str(path)]) == 0
+    assert csv_rows(stdout.getvalue())[1:] == library_rows(samples, mode, variables, rules)
 
 
 ARBITRARY_MODES = [
