@@ -207,13 +207,22 @@ _int_repr = int.__repr__
 _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+class _JsonFragment(str):
+    """The JSON text of a value, as ``json.dumps(value, indent=2)`` writes it.
+
+    ``_write_json`` puts it in place of that value, indented to its depth.
+    """
+
+
 def _json_text(payload) -> str:
     """The JSON document of ``payload``: ``json.dumps(payload, indent=2) + "\\n"``.
 
     ``json.dumps`` runs its pure-Python encoder whenever ``indent`` is set;
     this writer gives the same text for the types the CLI builds: ``dict``
     with ``str`` keys, ``list``, ``str``, ``float``, ``int``, ``bool`` and
-    ``None``.  Any other type, subclasses included, raises ``TypeError``.
+    ``None``, where a ``_JsonFragment`` stands for the value its text
+    writes.  Any other type, every other subclass included, raises
+    ``TypeError``.
     """
     # Only JSON output imports the encoder's string escaper.
     from json.encoder import encode_basestring_ascii
@@ -274,6 +283,9 @@ def _write_json(value, newline: str, chunks: list[str], prefixes: dict, encode) 
         append(_int_repr(value))
     elif value is None:
         append("null")
+    elif kind is _JsonFragment:
+        # A string literal holds no raw line break: each one is layout.
+        append(value.replace("\n", newline))
     else:
         raise TypeError(f"cannot write {kind.__name__} as JSON")
 
@@ -388,57 +400,107 @@ def _classify_record(classes, row, subgroup, tied, scores) -> dict:
     return record
 
 
+class _Degrees(dict):
+    """One property's rendered degrees by value, rendered on first use.
+
+    ``render`` turns a value's active pairs into its text.  The cache pays
+    when values repeat across rows; where none does, each value costs one
+    insert more than rendering it would.  A value becomes a key only once
+    ``active_descriptors`` has accepted it, so a hit needs no domain check.
+    Zero is never a key: 0.0 == -0.0, but a -0.0 value has a -0.0 degree,
+    which prints as such.
+    """
+
+    def __init__(self, var, render):
+        super().__init__()
+        self.var, self.render = var, render
+
+    def __missing__(self, value: float):
+        text = self.render(active_descriptors(self.var, value))
+        if value:
+            self[value] = text
+        return text
+
+
+def _degree_cells(labels):
+    """CSV: a value's ``degree_text`` cells in ladder order, "0" where inactive."""
+
+    def render(active):
+        cells = dict.fromkeys(labels, "0")
+        for label, degree in active:
+            cells[label] = degree_text(round4(degree))
+        return tuple(cells.values())
+
+    return render
+
+
+def _degrees_object(labels, encode):
+    """JSON: a value's ``degrees`` object, laid out as a row's member."""
+    prefixes = [f"\n      {encode(label)}: " for label in labels]
+
+    def render(active):
+        degrees = dict.fromkeys(labels, "0.0")
+        for label, degree in active:
+            degrees[label] = _float_repr(round4(degree))
+        return "{" + ",".join(map(str.__add__, prefixes, degrees.values())) + "\n    }"
+
+    return render
+
+
 def cmd_memberships(args) -> int:
     variables = hrb.load_variables(_preset_dir())
     rows, problems, _ = _load_rows(args)
-    names = [args.variable] if args.variable else list(hrb.VARIABLE_NAMES)
-    for name in names:
-        if name not in variables:
-            raise CliError(EXIT_INPUT, f"unknown variable {name}")
-
-    zeros = {name: dict.fromkeys(variables[name].labels, 0.0) for name in names}
-
-    def row_degrees(row):
-        """The row's rounded degrees by variable and label, 0.0 where inactive.
-
-        Every property is checked against its domain, listed or not.
-        """
-        values = hrb._property_values(row.sample, args.pi_source)
-        active = {
-            name: active_descriptors(variables[name], value)
-            for name, value in zip(hrb.VARIABLE_NAMES, values)
-        }
-        degrees = {}
-        for name in names:
-            degrees[name] = cells = zeros[name].copy()
-            for label, degree in active[name]:
-                cells[label] = round4(degree)
-        return row.id, degrees
-
-    table_rows = _map_rows(args, rows, problems, row_degrees)
+    # The HRB properties the variables file has a ladder for, in column order.
+    ladders = hrb._ladders(variables)
+    if args.variable and args.variable not in ladders:
+        raise CliError(EXIT_INPUT, f"unknown variable {args.variable}")
+    names = [args.variable] if args.variable else list(ladders)
     if args.format == "json":
-        payload = {
-            "command": "memberships",
-            "pi_source": args.pi_source,
-            "tables": [
-                {
-                    "variable": name,
-                    "labels": list(variables[name].labels),
-                    "rows": [
-                        {"id": row_id, "degrees": degrees[name]}
-                        for row_id, degrees in table_rows
-                    ],
-                }
-                for name in names
-            ],
-        }
+        # Only JSON output imports the encoder's string escaper.
+        from json.encoder import encode_basestring_ascii as encode
+
+        render = {name: _degrees_object(ladders[name], encode) for name in names}
+    else:
+        render = {name: _degree_cells(ladders[name]) for name in names}
+
+    # Every property with a ladder is checked against its domain, listed or
+    # not; an unlisted one's values are not rendered.
+    slots = [
+        (i, _Degrees(variables[name], render.get(name, lambda active: None)))
+        for i, name in enumerate(hrb.VARIABLE_NAMES)
+        if name in ladders
+    ]
+    property_values, pi_source = hrb._property_values, args.pi_source
+
+    def row_texts(row):
+        values = property_values(row.sample, pi_source)
+        return row.id, [degrees[values[i]] for i, degrees in slots]
+
+    table_rows = _map_rows(args, rows, problems, row_texts)
+    columns = {name: k for k, name in enumerate(ladders)}
+    if args.format == "json":
+        # Each table's rows array is a fragment laid out as a document of its
+        # own: a row object opens 2 spaces in, its members 4, its degrees 6.
+        heads = [
+            f'\n  {{\n    "id": {encode(row_id)},\n    "degrees": '
+            for row_id, _ in table_rows
+        ]
+        tables = []
+        for name in names:
+            k = columns[name]
+            objects = map(str.__add__, heads, [texts[k] for _, texts in table_rows])
+            array = "[" + "\n  },".join(objects) + "\n  }\n]" if heads else "[]"
+            tables.append(
+                {"variable": name, "labels": list(ladders[name]), "rows": _JsonFragment(array)}
+            )
+        payload = {"command": "memberships", "pi_source": args.pi_source, "tables": tables}
         _write_output(args, _json_text(payload))
     else:
         table = []
         for name in names:
-            table.append(["variable", "id", *variables[name].labels])
-            for row_id, degrees in table_rows:
-                table.append([name, row_id, *map(degree_text, degrees[name].values())])
+            k = columns[name]
+            table.append(["variable", "id", *ladders[name]])
+            table += [[name, row_id, *texts[k]] for row_id, texts in table_rows]
         _write_output(args, _csv_text(table))
     return EXIT_OK
 
@@ -451,7 +513,11 @@ def cmd_rules(args) -> int:
 
 
 def cmd_induce(args) -> int:
-    variables = hrb.load_variables(_preset_dir())
+    # Rules may name only the HRB properties, which are the sample's columns.
+    variables = {
+        name: var for name, var in hrb.load_variables(_preset_dir()).items()
+        if name in hrb.VARIABLE_NAMES
+    }
     rows, problems, has_class = _load_rows(args)
     if not has_class:
         raise CliError(EXIT_ROWS, "missing class column: induce needs labeled rows")

@@ -160,7 +160,7 @@ def fuzzify_sample(
     pi_source: Literal["pi", "pl"] = "pi",
     variables: Mapping[str, LinguisticVariable] | None = None,
 ) -> dict[str, MembershipVector]:
-    """Fuzzify all five index properties of a sample.
+    """Fuzzify each index property of a sample that ``variables`` has a ladder for.
 
     ``pi_source`` selects the value fed to the plasticity partition: the
     plasticity index itself (default) or, for compatibility with data sets
@@ -171,6 +171,7 @@ def fuzzify_sample(
     return {
         name: fuzzify(variables[name], value)
         for name, value in zip(VARIABLE_NAMES, _property_values(sample, pi_source))
+        if name in variables
     }
 
 

@@ -560,6 +560,50 @@ class TestPresetDirOverride:
         rows = csv_rows(out)
         assert all(r[1] == "A-3" for r in rows[1:])
 
+    @staticmethod
+    def use_ladders(tmp_path, monkeypatch, edit):
+        """Point the presets at a variables file whose lines ``edit`` rewrites."""
+        from importlib import resources
+
+        src = resources.files("soilfuzz").joinpath("presets", "hrb-variables.txt")
+        lines = edit(src.read_text().splitlines())
+        (tmp_path / "hrb-variables.txt").write_text("\n".join(lines) + "\n")
+        monkeypatch.setenv("SOILFUZZ_PRESET_DIR", str(tmp_path))
+
+    def test_extra_ladder_is_not_a_column(self, labeled_csv, tmp_path, capsys, monkeypatch):
+        self.use_ladders(tmp_path, monkeypatch, lambda lines: [*lines, "foo; A, B; 0, 10; 0, 100"])
+        code, out, err = run(["memberships", "--variable", "foo", labeled_csv], capsys)
+        assert (code, out, err) == (cli.EXIT_INPUT, "", "soilfuzz: unknown variable foo\n")
+        code, out, _ = run(["memberships", labeled_csv], capsys)
+        assert code == 0
+        tables = dict.fromkeys(r[0] for r in csv_rows(out) if r[0] != "variable")
+        assert list(tables) == list(sf.hrb.VARIABLE_NAMES)
+        # Induced rules name only the properties a sample has.
+        code, out, _ = run(["induce", "--seed", "1", "--iters", "20", labeled_csv], capsys)
+        assert code == 0 and "RULE" in out and "foo" not in out
+
+    def test_missing_ladder_is_neither_checked_nor_fuzzified(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        self.use_ladders(
+            tmp_path, monkeypatch, lambda lines: [ln for ln in lines if not ln.startswith("pi;")]
+        )
+        # Every pi is outside the shipped pi ladder's domain.
+        path = tmp_path / "high-pi.csv"
+        header, *lines = LABELED_CSV.splitlines()
+        path.write_text("\n".join([f"{header},pi", *(f"{ln},150" for ln in lines)]) + "\n")
+        code, out, err = run(["memberships", "--variable", "p075", str(path)], capsys)
+        assert code == 0 and err == ""
+        assert [r[2:] for r in csv_rows(out)[1:]] == TestMembershipsCommand.EXPECTED_P075
+        code, out, _ = run(["memberships", "--format", "json", str(path)], capsys)
+        assert code == 0
+        assert [t["variable"] for t in json.loads(out)["tables"]] == ["p2mm", "p425", "p075", "ll"]
+        code, out, err = run(["memberships", "--variable", "pi", str(path)], capsys)
+        assert (code, out, err) == (cli.EXIT_INPUT, "", "soilfuzz: unknown variable pi\n")
+        code, out, err = run(["induce", "--seed", "1", "--iters", "20", str(path)], capsys)
+        assert code == 0 and err.startswith("training accuracy: ")
+        assert "RULE" in out and " pi IS" not in out
+
 
 class TestInduceCommand:
     def test_induces_and_reports_accuracy(self, labeled_csv, tmp_path, capsys):
@@ -1075,14 +1119,25 @@ def test_cli_starts_without_unused_modules():
     assert unused.isdisjoint(added)
 
 
-# Shapes the golden corpus lacks: no data rows at all (empty JSON lists) and
-# an id that JSON must escape (non-ASCII, quote, backslash, tab).
+# Shapes the golden corpus lacks: no data rows at all (empty JSON lists), an
+# id that JSON must escape (non-ASCII, quote, backslash, tab), and -0 next to
+# 0 in the same columns, a row repeated and an out-of-domain row (signed-zeros,
+# run with --skip-bad-rows): a -0 value has -0 degrees, which print as such.
 EDGE_CSV = {
     "header-only": "id,p2mm,p425,p075,ll,pl\n",
     "escaped-id": (
         "id,p2mm,p425,p075,ll,pl\n"
         '"n\u00e9 ""q"" back\\slash\ttab \u2713",100,80,40,25,17\n'
         "plain,38,30,11,23,19\n"
+    ),
+    "signed-zeros": (
+        "id,p2mm,p425,p075,ll,pl,pi\n"
+        "zero,100,0,0,0,0,0\n"
+        "minus-zero,100,-0,-0,-0,-0,-0\n"
+        "same-a,100,80,40,25,17,8\n"
+        "ll-out,100,80,40,120,30,90\n"
+        "same-b,100,80,40,25,17,8\n"
+        "minus-zero-again,-0,-0,-0,25,-0,-0\n"
     ),
 }
 
@@ -1099,7 +1154,20 @@ EDGE_SHA256 = {
     ("escaped-id", "memberships", "--format", "json"): (
         "3779397f84443d07cc875b3d00e6db10359e477a9252e8016e36b88ad5ccee22"
     ),
+    ("signed-zeros", "memberships", "--format", "json", "--skip-bad-rows"): (
+        "fd43f48f4d14013550c7fc4bc30e553a48930b05c20b3168e54af1fd1a8289b5"
+    ),
+    ("signed-zeros", "memberships", "--skip-bad-rows"): (
+        "6f0b58eba71a14f270a311388c96225e00e7c77b62e27544bec815ae8f060793"
+    ),
+    ("signed-zeros", "memberships", "--variable", "p075", "--pi-source", "pl",
+     "--skip-bad-rows"): (
+        "ef846a6df8d7e3f07577da884122e0fc8f57ff72f2468340562327f170702d58"
+    ),
 }
+
+# Standard error of the edge cases that print diagnostics.
+EDGE_STDERR = {"signed-zeros": "row 4: ll: value 120.0 outside domain [0.0, 100.0]\n"}
 
 
 @pytest.mark.parametrize("case", list(EDGE_SHA256), ids=" ".join)
@@ -1108,8 +1176,74 @@ def test_edge_output_bytes(case, tmp_path, capsys):
     path = tmp_path / "edge.csv"
     path.write_text(EDGE_CSV[name], encoding="utf-8")
     code, out, err = run([*mode, str(path)], capsys)
-    assert code == 0 and err == ""
+    assert code == 0 and err == EDGE_STDERR.get(name, "")
     assert hashlib.sha256(out.encode()).hexdigest() == EDGE_SHA256[case]
+
+
+# Few distinct values, so that values repeat within and across rows, and
+# both signed zeros; ll - pl is -0.0 when ll is -0.0 and pl is 0.0.
+REPEATED = st.sampled_from([0.0, -0.0, 12.5, 30.0, 47.3, 100.0]) | NUMBERS
+# Ids JSON must escape; the reader strips spaces and reads \r\n as \n.
+IDS = st.sampled_from(['né "q" back\\slash\ttab ✓', "\x7f\x1f", "\U0001f600", ""]) | (
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00\r"), max_size=4)
+)
+
+
+@st.composite
+def repeated_properties(draw):
+    """(p2mm, p425, p075, ll, pl) from ``REPEATED``, in every domain."""
+    p075, p425, p2mm = sorted(draw(st.lists(REPEATED, min_size=3, max_size=3)))
+    ll, pl = sorted(draw(st.lists(REPEATED, min_size=2, max_size=2)), reverse=True)
+    return p2mm, p425, p075, ll, pl
+
+
+def memberships_payload(ids, samples, variable, pi_source, variables):
+    """The ``memberships --format json`` payload as a plain tree, from the library."""
+    from soilfuzz.render import round4
+
+    names = [variable] if variable else list(sf.hrb.VARIABLE_NAMES)
+    vectors = [sf.fuzzify_sample(sample, pi_source, variables) for sample in samples]
+    return {
+        "command": "memberships",
+        "pi_source": pi_source,
+        "tables": [
+            {
+                "variable": name,
+                "labels": list(variables[name].labels),
+                "rows": [
+                    {
+                        "id": row_id,
+                        "degrees": {lab: round4(d) for lab, d in vector[name].entries.items()},
+                    }
+                    for row_id, vector in zip(ids, vectors)
+                ],
+            }
+            for name in names
+        ],
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(IDS, repeated_properties()), max_size=6),
+    st.sampled_from([None, *sf.hrb.VARIABLE_NAMES]),
+    st.sampled_from(["pi", "pl"]),
+)
+def test_memberships_json_equals_the_plain_tree(csv_paths, variables, rows, variable, pi_source):
+    path = next(csv_paths)
+    with path.open("w", encoding="utf-8", newline="") as stream:
+        writer = csv.writer(stream)
+        writer.writerow(cli.REQUIRED_COLUMNS)
+        writer.writerows([row_id, *map(repr, values)] for row_id, values in rows)
+    mode = ["--variable", variable] if variable else []
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(["memberships", "--format", "json", "--pi-source", pi_source, *mode, str(path)])
+    assert code == 0
+    ids = [row_id.strip() for row_id, _ in rows]
+    samples = [sf.SoilSample(*values) for _, values in rows]
+    payload = memberships_payload(ids, samples, variable, pi_source, variables)
+    assert stdout.getvalue() == cli._json_text(payload) == json.dumps(payload, indent=2) + "\n"
 
 
 def labeled_golden_corpus_csv():

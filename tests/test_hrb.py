@@ -125,6 +125,15 @@ class TestFuzzifySample:
         with pytest.raises(ValueError, match="pi_source"):
             sf.fuzzify_sample(fixtures[0].sample, pi_source="nope")
 
+    def test_only_properties_with_a_ladder(self, variables):
+        # pi = 150 is outside the pi ladder's domain, which is left out here.
+        sample = sf.SoilSample(100, 80, 40, 25, 17, pi=150)
+        without_pi = {name: var for name, var in variables.items() if name != "pi"}
+        memberships = sf.fuzzify_sample(sample, variables=without_pi)
+        assert list(memberships) == ["p2mm", "p425", "p075", "ll"]
+        with pytest.raises(sf.FuzzificationError, match="pi"):
+            sf.fuzzify_sample(sample, variables=variables)
+
 
 def solve_rising(p1, p2):
     """Recover (foot, center) of a rising edge from two (x, degree) points."""

@@ -133,7 +133,17 @@ class TestJsonText:
         {"a": {1.5}},
         [b"bytes"],
         [Decimal("1.5")],
+        [type("Text", (str,), {})("a str subclass")],
+        {"a": type("Number", (float,), {})(1.5)},
     ])
     def test_other_types_raise(self, payload):
+        # Of the subclasses, only the private pre-rendered fragment is let through.
         with pytest.raises(TypeError):
             cli._json_text(payload)
+
+    def test_fragment_is_indented_to_its_place(self):
+        # Laid out as a document of its own, indented to where it is put.
+        value = {"b": ["laid out", {"c": 1.5}]}
+        fragment = cli._JsonFragment(json.dumps(value, indent=2))
+        payload = {"a": [fragment, "x"]}
+        assert cli._json_text(payload) == json.dumps({"a": [value, "x"]}, indent=2) + "\n"
