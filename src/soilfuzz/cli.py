@@ -13,6 +13,7 @@ repeated columns).
 import argparse
 import csv
 import io
+import operator
 import os
 import sys
 from pathlib import Path
@@ -87,6 +88,8 @@ def _read_records(reader) -> tuple[list[SampleRow], list[tuple[int, str]], bool]
     at = {col: fields.index(col) if col in fields else width for col in READ_COLUMNS}
     numeric = [(col, at[col]) for col in ("p2mm", "p425", "p075", "ll", "pl", "pi")]
     pad = [""] * width
+    # A row's numeric cells; without a pi column, pi is left to its default.
+    cells = operator.itemgetter(*[i for _, i in numeric if i < width])
 
     rows: list[SampleRow] = []
     problems: list[tuple[int, str]] = []
@@ -98,24 +101,28 @@ def _read_records(reader) -> tuple[list[SampleRow], list[tuple[int, str]], bool]
         if len(record) != width:
             record = (record + pad)[:width]
         record.append("")
-        values = []
-        bad = False
-        for col, i in numeric:
-            cell = record[i].strip()
-            if cell == "":
-                if col == "pi":
-                    values.append(None)
+        try:
+            # ``float`` skips only spaces that ``strip`` removes too.
+            values = list(map(float, cells(record)))
+        except ValueError:
+            # Cell by cell, stripped, to name each empty or non-numeric one.
+            values, bad = [], False
+            for col, i in numeric:
+                cell = record[i].strip()
+                if cell == "":
+                    if col == "pi":
+                        values.append(None)
+                        continue
+                    problems.append((n, f"empty {col}"))
+                    bad = True
                     continue
-                problems.append((n, f"empty {col}"))
-                bad = True
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    problems.append((n, f"non-numeric {col}: {cell!r}"))
+                    bad = True
+            if bad:
                 continue
-            try:
-                values.append(float(cell))
-            except ValueError:
-                problems.append((n, f"non-numeric {col}: {cell!r}"))
-                bad = True
-        if bad:
-            continue
         try:
             sample = hrb.SoilSample(*values)
         except SampleError as exc:
@@ -331,13 +338,7 @@ def _outcomes(args, rows, problems, rb, variables):
             args, rows, problems, lambda row: (row, hrb.crisp_classify(row.sample), None, None)
         )
         return
-    batch, ladders = _Batch(), hrb._ladders(variables)
-
-    def fuzzify_row(row):
-        batch.add(ladders, hrb._active_pairs(row.sample, args.pi_source, variables))
-        return row
-
-    good = _map_rows(args, rows, problems, fuzzify_row)
+    batch, good = _fuzzy_batch(args, rows, problems, variables)
     classes, columns, scores = _evaluate(rb, batch, Aggregator(args.agg))
     # Free the index and the DOF columns before the output is built.
     del batch, columns
@@ -345,6 +346,52 @@ def _outcomes(args, rows, problems, rb, variables):
     for row, row_scores in zip(good, scores):
         tied = _tied(classes, row_scores)
         yield row, subgroup(tied[0], row.sample), tied, row_scores
+
+
+def _fuzzy_batch(args, rows, problems, variables) -> tuple[_Batch, list[SampleRow]]:
+    """The batch of the rows that fuzzify, and those rows (see ``_map_rows``).
+
+    The batch equals one built by ``_Batch.add(hrb._ladders(variables),
+    hrb._active_pairs(row.sample, args.pi_source, variables))`` row by row.
+    Every index entry is made once, then filled straight from
+    ``active_descriptors``; a row is added only once all its values fuzzify.
+    """
+    batch = _Batch()
+    index = batch.index
+    # Per property with a ladder: its field of the sample, its variable, and
+    # the two appends of each label's index entry.
+    fields = hrb.SoilSample._fields
+    slots = []
+    for name in hrb.VARIABLE_NAMES:
+        if name in variables:
+            var = variables[name]
+            entries = index[name] = {label: ([], []) for label in var.labels}
+            appends = {label: (s.append, d.append) for label, (s, d) in entries.items()}
+            field = args.pi_source if name == "pi" else name
+            slots.append((fields.index(field), var, appends))
+
+    def fill(row):
+        sample = row.sample
+        actives = [active_descriptors(var, sample[k]) for k, var, _ in slots]
+        s = batch.size
+        for (_, _, appends), active in zip(slots, actives):
+            for label, degree in active:
+                add_sample, add_degree = appends[label]
+                add_sample(s)
+                add_degree(degree)
+        batch.size = s + 1
+        return row
+
+    good = _map_rows(args, rows, problems, fill)
+    # Keep what ``_Batch.add`` makes: each variable's entries once a row is
+    # added, and only the entries of labels active on some row.
+    batch.index = {
+        name: {label: entry for label, entry in entries.items() if entry[0]}
+        for name, entries in index.items() if good
+    }
+    if good:
+        batch.ladders.append(hrb._ladders(variables))
+    return batch, good
 
 
 class _ScoreText(dict):

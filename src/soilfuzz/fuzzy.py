@@ -105,18 +105,17 @@ def active_descriptors(
     Raises:
         FuzzificationError: if ``x`` is outside the variable's domain or NaN.
     """
+    name, labels, c, lo, hi = var
     x = float(x)
-    if not var.domain_min <= x <= var.domain_max:
-        raise FuzzificationError(
-            f"{var.name}: value {x} outside domain "
-            f"[{var.domain_min}, {var.domain_max}]"
-        )
-    c = var.centers
+    if not lo <= x <= hi:
+        raise FuzzificationError(f"{name}: value {x} outside domain [{lo}, {hi}]")
     if not c[0] <= x <= c[-1]:
         return ()
-    j = max(bisect_left(c, x), 1)
-    w = c[j] - c[j - 1]
-    return ((var.labels[j - 1], (c[j] - x) / w), (var.labels[j], (x - c[j - 1]) / w))
+    # x == c[0] falls in the first interval.
+    j = bisect_left(c, x) or 1
+    left, right = c[j - 1], c[j]
+    w = right - left
+    return ((labels[j - 1], (right - x) / w), (labels[j], (x - left) / w))
 
 
 def fuzzify(var: LinguisticVariable, x: float) -> MembershipVector:

@@ -9,18 +9,25 @@ by the rule base's class order.
 
 Every entry point scores rules with one private evaluator over a batch of
 fuzzified samples, one rule column at a time.  A batch indexes the samples
-by ``(variable, label)``: each active descriptor, one of the ``(label,
+by variable, then label: each active descriptor, one of the ``(label,
 degree)`` pairs of :mod:`soilfuzz.fuzzy` (at most two per value), lists the
 samples where it is active and its degree there.  An antecedent's match
 column starts at 0 and takes the greatest degree of the labels it allows,
-walking only their index entries; a rule's DOF column combines its match
-columns sample by sample; a class takes the first maximum of its rules'
-columns.  The CLI, ``score_rulebase`` and the induction search score all
-their samples as one batch, ``classify``, ``classify_hrb`` and ``rule_dof``
-a batch of one.  Only an induction proposal scores sample by sample, on the
-few samples it can change (see ``_DofTable``).  ``classify_hrb`` and the
-CLI take the pairs straight from the fuzzifier; the functions here convert
-membership vectors with ``nonzero()``.
+walking only their index entries.  A rule's DOF column combines its match
+columns whole, in C: the mean adds them left to right, in antecedent order,
+then divides by their count; the product multiplies them left to right; the
+minimum takes each sample's least.  A class takes the first maximum of its
+rules' columns.  The CLI, ``score_rulebase`` and the induction search score
+all their samples as one batch, ``classify``, ``classify_hrb`` and
+``rule_dof`` a batch of one.  Only an induction proposal scores sample by
+sample, on the few samples it can change (see ``_DofTable``).
+``classify_hrb`` and the CLI take the pairs straight from the fuzzifier;
+the functions here convert membership vectors with ``nonzero()``.
+
+The mean never calls ``sum()``, which compensates float rounding from
+Python 3.12 on, so its last bit would depend on the version.  Adding left
+to right gives ``((a + b) + c) / 3`` on every version, the bits ``sum()``
+gave before 3.12 (matches start at 0.0 and are never -0.0).
 
 A rule base is checked against the variable ladders (every antecedent names
 a ladder and descriptors on it) once per rule base and ladder set, not once
@@ -36,6 +43,7 @@ searches need distinct seeds.
 import enum
 import itertools
 import math
+import operator
 import random
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -51,12 +59,16 @@ class Aggregator(enum.Enum):
     MEAN = "mean"
 
 
-# Each aggregator's combining function, applied to each sample's matches.
-_COMBINE = {
-    Aggregator.MIN: min,
-    Aggregator.PRODUCT: math.prod,
-    Aggregator.MEAN: lambda matches: sum(matches) / len(matches),
-}
+def _mean(matches: Sequence[float]) -> float:
+    total = 0.0
+    for match in matches:
+        total += match
+    return total / len(matches)
+
+
+# Each aggregator's combining function of one sample's matches, in
+# antecedent order.  ``_mean`` adds and ``math.prod`` multiplies left to right.
+_COMBINE = {Aggregator.MIN: min, Aggregator.PRODUCT: math.prod, Aggregator.MEAN: _mean}
 
 
 class _RuleFields(NamedTuple):
@@ -137,9 +149,9 @@ Pairs = Mapping[str, Sequence[tuple[str, float]]]
 
 
 class _Batch:
-    """Fuzzified samples, indexed by ``(variable, label)`` for column scoring.
+    """Fuzzified samples, indexed by variable and label for column scoring.
 
-    ``index[var, label]`` holds the samples where that label is active, in
+    ``index[var][label]`` holds the samples where that label is active, in
     sample order, and their degrees, as ``(samples, degrees)``.  ``ladders``
     lists the samples' distinct ladder sets in order of first appearance,
     so the first check that fails is the first failing sample's.
@@ -147,7 +159,7 @@ class _Batch:
 
     def __init__(self):
         self.size = 0
-        self.index: dict[tuple[str, str], tuple[list[int], list[float]]] = {}
+        self.index: dict[str, dict[str, tuple[list[int], list[float]]]] = {}
         self.ladders: list[Ladders] = []
 
     def add(self, ladders: Ladders, pairs: Pairs) -> None:
@@ -158,10 +170,13 @@ class _Batch:
         self.size = s + 1
         index = self.index
         for var, active in pairs.items():
+            entries = index.get(var)
+            if entries is None:
+                entries = index[var] = {}
             for lab, degree in active:
-                entry = index.get((var, lab))
+                entry = entries.get(lab)
                 if entry is None:
-                    entry = index[var, lab] = ([], [])
+                    entry = entries[lab] = ([], [])
                 entry[0].append(s)
                 entry[1].append(degree)
 
@@ -212,29 +227,56 @@ def _check(rb: RuleBase, ladders: Ladders) -> None:
     _checked = rb, ladders
 
 
-def _dof_columns(
-    rules: Iterable[Rule], batch: _Batch, combine: Callable[[Sequence[float]], float]
-) -> list[list[float]]:
+def _fold(op: Callable[[float, float], float], columns: list[list[float]]) -> Iterable[float]:
+    """``op`` applied left to right across ``columns``, sample by sample."""
+    total = columns[0]
+    for column in columns[1:]:
+        total = map(op, total, column)
+    return total
+
+
+# Each aggregator's DOF column from a rule's two or more match columns, in
+# antecedent order: each sample's DOF equals ``_COMBINE`` of its matches.
+_COMBINE_COLUMNS = {
+    Aggregator.MIN: lambda matches: list(map(min, *matches)),
+    Aggregator.PRODUCT: lambda matches: list(_fold(operator.mul, matches)),
+    Aggregator.MEAN: lambda matches: list(
+        map(operator.truediv, _fold(operator.add, matches), itertools.repeat(len(matches)))
+    ),
+}
+
+
+def _dof_columns(rules: Iterable[Rule], batch: _Batch, agg: Aggregator) -> list[list[float]]:
     """Each checked rule's DOF on every sample of ``batch``.
 
     An antecedent's match column starts at 0 and takes each greater degree
     of an allowed label, walking only those labels' index entries; the DOF
-    combines the match columns sample by sample, in antecedent order.
+    column combines the match columns with ``_COMBINE_COLUMNS``.  A single
+    match column is the DOF column: m / 1, 1 * m and min((m,)) are all m.
     """
     n, index = batch.size, batch.index
+    if n == 1:
+        # One call per rule costs less than a map per match column.
+        by_sample = _COMBINE[agg]
+
+        def combine(matches):
+            return [by_sample([match[0] for match in matches])]
+    else:
+        combine = _COMBINE_COLUMNS[agg]
     columns = []
     for rule in rules:
         matches = []
         for var, allowed in rule.antecedents:
             match = [0.0] * n
+            entries = index.get(var, {})
             for lab in allowed:
-                entry = index.get((var, lab))
+                entry = entries.get(lab)
                 if entry is not None:
                     for s, degree in zip(*entry):
                         if degree > match[s]:
                             match[s] = degree
             matches.append(match)
-        columns.append(list(map(combine, zip(*matches))))
+        columns.append(combine(matches) if len(matches) > 1 else matches[0])
     return columns
 
 
@@ -250,7 +292,7 @@ def _evaluate(
     """
     for ladders in batch.ladders:
         _check(rb, ladders)
-    columns = _dof_columns(rb.rules, batch, _COMBINE[agg])
+    columns = _dof_columns(rb.rules, batch, agg)
     owned: dict[str, list[list[float]]] = {cls: [] for cls in rb.class_order}
     for rule, column in zip(rb.rules, columns):
         owned[rule.consequent].append(column)
@@ -290,7 +332,7 @@ def rule_dof(
     """Degree of fulfilment of one rule against a fuzzified sample."""
     batch = _vector_batch((memberships,))
     _check_rules((rule,), batch.ladders[0])
-    return _dof_columns((rule,), batch, _COMBINE[agg])[0][0]
+    return _dof_columns((rule,), batch, agg)[0][0]
 
 
 def classify(
@@ -442,8 +484,9 @@ class _DofTable:
         touched: set[int] = set()
         index = self.batch.index
         for (var, was), (_, now) in zip(old.antecedents, new.antecedents):
+            entries = index.get(var, {})
             for lab in was ^ now:
-                entry = index.get((var, lab))
+                entry = entries.get(lab)
                 if entry is not None:
                     touched.update(entry[0])
         return touched

@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -159,6 +160,55 @@ class TestReadSamples:
             (3, "empty pl"),
         ]
 
+    def test_cells_float_reads_only_once_stripped(self):
+        # ``str.strip`` removes U+001C-U+001F and ``float`` does not, so a
+        # row with such a cell is read cell by cell, to the same values.
+        padded = "\x1c100\x1d,\x1e50,10\x1f"
+        with pytest.raises(ValueError):
+            float("\x1c100\x1d")
+        text = f"id,p2mm,p425,p075,ll,pl\na,{padded},30,20\nb,100,50,10,30,\x1f20\x1c\n"
+        rows, problems, _ = cli.read_samples(io.StringIO(text))
+        assert not problems
+        assert [row.sample for row in rows] == [sf.SoilSample(100, 50, 10, 30, 20)] * 2
+
+    def test_underscores(self):
+        text = "id,p2mm,p425,p075,ll,pl\na,1_00,5_0,1_0,3_0,2_0\nb,1_00,5_0,1_0,3_0,\x1c2_0\n"
+        rows, problems, _ = cli.read_samples(io.StringIO(text))
+        assert not problems
+        assert [row.sample for row in rows] == [sf.SoilSample(100, 50, 10, 30, 20)] * 2
+
+    @pytest.mark.parametrize("word", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["p2mm", "p425", "p075", "ll", "pl", "pi"])
+    def test_non_finite_cells_name_their_field(self, field, word):
+        # Each row gives the same message on the fast path and, with a cell
+        # ``float`` cannot read as it is, cell by cell.
+        columns = ["p2mm", "p425", "p075", "ll", "pl", "pi"]
+        cells = ["100", "50", "10", "30", "20", "10"]
+        cells[columns.index(field)] = word
+        slow = [*cells[:-1], "\x1c" + cells[-1]]
+        text = f"id,{','.join(columns)}\na,{','.join(cells)}\nb,{','.join(slow)}\n"
+        rows, problems, _ = cli.read_samples(io.StringIO(text))
+        assert rows == []
+        assert problems == [(n, f"non-finite {field} {float(word)}") for n in (1, 2)]
+
+    def test_six_value_sum_may_overflow(self):
+        # pi = ll - pl = 1.7e308, and the six values sum past the float range.
+        text = "id,p2mm,p425,p075,ll,pl\na,100,50,10,1.7e308,0\n"
+        rows, problems, _ = cli.read_samples(io.StringIO(text))
+        assert not problems
+        assert rows[0].sample == sf.SoilSample(100, 50, 10, 1.7e308, 0)
+        assert rows[0].sample.pi == 1.7e308
+
+    def test_short_rows_with_and_without_a_pi_column(self):
+        text = "id,p2mm,p425,p075,ll,pl,pi\na,100,50,10,30,20\nb,100,50,10\n"
+        rows, problems, _ = cli.read_samples(io.StringIO(text))
+        assert [(row.id, row.sample.pi) for row in rows] == [("a", 10.0)]
+        assert problems == [(2, "empty ll"), (2, "empty pl")]
+        text = "id,p2mm,p425,p075,ll,pl\na,100,50,10,30,20\nb,100,50,10,30\n"
+        rows, problems, _ = cli.read_samples(io.StringIO(text))
+        assert [(row.id, row.sample.pi) for row in rows] == [("a", 10.0)]
+        assert problems == [(2, "empty pl")]
+
     def test_csv_error_names_its_line(self):
         text = "id,p2mm,p425,p075,ll,pl\n\na,100,50,10,30,20\nb,100000,1\n"
         with csv_field_limit(4):
@@ -181,9 +231,18 @@ def csv_field_limit(limit):
 HEADERS = st.lists(
     st.sampled_from(["pi", " pi ", "class", "note", "", " ll"]), max_size=3
 ).flatmap(lambda extra: st.permutations([*cli.REQUIRED_COLUMNS, *extra]))
+# Cells ``float`` reads only once stripped (U+001C-U+001F), underscores,
+# the non-finite words, and values whose six-value sum overflows.
+PADDED = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["", " ", "\x1c", "\x1d", "\x1e", "\x1f"]),
+    st.integers(0, 100).map(str) | st.sampled_from(["1_0", "nan", "inf", "-inf", "1.7e308"]),
+    st.sampled_from(["", " ", "\x1c", "\x1f"]),
+)
 # Rows of any length, and blank lines.
 LINES = st.lists(
-    st.lists(st.text(max_size=5) | st.integers(0, 100).map(str), max_size=10), max_size=6
+    st.lists(st.text(max_size=5) | st.integers(0, 100).map(str) | PADDED, max_size=10),
+    max_size=6,
 )
 
 
@@ -218,6 +277,38 @@ def test_rows_read_as_dict_reader_reads_them(header, lines):
     assert has_class == ("class" in fields)
     view_rows, view_problems, _ = cli.read_samples(io.StringIO(dict_reader_view(text)))
     assert (rows, problems) == (view_rows, view_problems)
+    # ``repr`` also tells -0.0 from 0.0.
+    assert repr((rows, problems)) == repr(cell_by_cell(dict_reader_view(text)))
+
+
+def cell_by_cell(text):
+    """What ``read_samples`` reads, stripping and converting every cell on its own."""
+    reader = csv.DictReader(io.StringIO(text))
+    rows, problems = [], []
+    for n, record in enumerate(reader, start=1):
+        values, bad = [], False
+        for col in ("p2mm", "p425", "p075", "ll", "pl", "pi"):
+            cell = record[col].strip()
+            if cell == "" and col == "pi":
+                values.append(None)
+            elif cell == "":
+                problems.append((n, f"empty {col}"))
+                bad = True
+            else:
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    problems.append((n, f"non-numeric {col}: {cell!r}"))
+                    bad = True
+        if bad:
+            continue
+        try:
+            sample = sf.SoilSample(*values)
+        except sf.SampleError as exc:
+            problems.append((n, str(exc)))
+            continue
+        rows.append(cli.SampleRow(n, record["id"].strip(), sample, record["class"].strip() or None))
+    return rows, problems
 
 
 class TestClassifyCommand:
@@ -605,6 +696,29 @@ class TestPresetDirOverride:
         assert "RULE" in out and " pi IS" not in out
 
 
+    def test_mean_adds_matches_left_to_right(self, tmp_path, capsys, monkeypatch):
+        # On these ladders B's degree at x is x / 100, so X's matches are 0.1,
+        # 0.2 and 0.3 and its mean ((0.1 + 0.2) + 0.3) / 3 is one bit above
+        # Y's 0.2; a compensated sum gives one bit below, and Y, first in
+        # class order, would win.
+        lines = [f"{name}; A, B; 0, 100; 0, 100" for name in sf.hrb.VARIABLE_NAMES]
+        (tmp_path / "hrb-variables.txt").write_text("\n".join(lines) + "\n")
+        monkeypatch.setenv("SOILFUZZ_PRESET_DIR", str(tmp_path))
+        rules = tmp_path / "order.frules"
+        rules.write_text(
+            "CLASSES Y, X\n"
+            "RULE R1: p075 IS {B} AND p425 IS {B} AND p2mm IS {B} => X\n"
+            "RULE R2: p425 IS {B} => Y\n"
+        )
+        # A batch of one row and a batch of three.
+        for n in (1, 3):
+            path = tmp_path / f"rows{n}.csv"
+            path.write_text("id,p2mm,p425,p075,ll,pl\n" + "s,30,20,10,25,17\n" * n)
+            code, out, err = run(["classify", "--rules", str(rules), str(path)], capsys)
+            assert (code, err) == (0, "")
+            assert [r[1:5] for r in csv_rows(out)[1:]] == [["X", "", "false", ""]] * n
+
+
 class TestInduceCommand:
     def test_induces_and_reports_accuracy(self, labeled_csv, tmp_path, capsys):
         out = tmp_path / "induced.frules"
@@ -817,6 +931,68 @@ def test_classify_is_total_over_valid_rows(csv_paths, samples, mode, skip):
         assert code == 0
         records = csv_rows(stdout.getvalue())[1:]
         assert len(records) + len(diagnostics) == len(samples)
+
+
+def ladder_points(var):
+    """Centers, domain bounds, values beyond the end centers, ±0.0 and anything between."""
+    c = var.centers
+    return (
+        st.sampled_from((*c, var.domain_min, var.domain_max, 0.0, -0.0))
+        | st.floats(var.domain_min, c[0])
+        | st.floats(c[-1], var.domain_max)
+        | st.floats(var.domain_min, var.domain_max)
+    )
+
+
+OUTSIDE = st.floats(100, 1e6, exclude_min=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from(["pi", "pl"]))
+def test_fuzzy_batch_equals_rows_added_one_by_one(variables, data, pi_source):
+    # Some rows have ll, pi or pl outside its domain: ll is checked after
+    # three sieves that fuzzify, and pi or pl last.
+    point = {name: ladder_points(var) for name, var in variables.items()}
+    rows = []
+    for n in range(1, data.draw(st.integers(0, 8)) + 1):
+        p075, p425, p2mm = sorted(data.draw(point[name]) for name in ("p075", "p425", "p2mm"))
+        ll, pi, pl = data.draw(point["ll"]), data.draw(point["pi"]), data.draw(point["pi"])
+        outside = data.draw(st.sampled_from([None, None, "ll", "pi", "pl"]))
+        if outside == "ll":
+            ll = data.draw(OUTSIDE)
+        elif outside == "pi":
+            pi = data.draw(OUTSIDE)
+        elif outside == "pl":
+            pl = data.draw(OUTSIDE | st.floats(-1e6, 0, exclude_max=True))
+        sample = sf.SoilSample(p2mm, p425, p075, ll=ll, pl=pl, pi=pi)
+        rows.append(cli.SampleRow(n, f"r{n}", sample, None))
+    args = types.SimpleNamespace(pi_source=pi_source, skip_bad_rows=True, input="in.csv")
+    with contextlib.redirect_stderr(io.StringIO()):
+        batch, good = cli._fuzzy_batch(args, rows, [], variables)
+
+    expected, kept = sf.rules._Batch(), []
+    ladders = sf.hrb._ladders(variables)
+    for row in rows:
+        try:
+            pairs = sf.hrb._active_pairs(row.sample, pi_source, variables)
+        except sf.FuzzificationError:
+            continue
+        expected.add(ladders, pairs)
+        kept.append(row)
+    assert good == kept
+    assert (batch.size, batch.ladders, batch.index) == (
+        expected.size, expected.ladders, expected.index
+    )
+
+    def signed(index):
+        # ``float.hex`` tells -0.0 from 0.0, which compare equal.
+        return {
+            (var, label): (samples, [degree.hex() for degree in degrees])
+            for var, entries in index.items()
+            for label, (samples, degrees) in entries.items()
+        }
+
+    assert signed(batch.index) == signed(expected.index)
 
 
 # Whole numbers land on ladder centers, where ties occur.

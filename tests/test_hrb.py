@@ -48,6 +48,18 @@ class TestSoilSample:
             SoilSample(**{**values, **overrides})
 
 
+    def test_first_bad_field_is_the_one_reported(self):
+        # A non-finite field before one ``float`` rejects is reported first,
+        # and one after it is never reached.
+        with pytest.raises(SampleError, match="^non-finite p2mm nan$"):
+            SoilSample(math.nan, "x", 10, ll=30, pl=20)
+        with pytest.raises(ValueError) as exc:
+            SoilSample(100, "x", math.nan, ll=30, pl=20)
+        assert exc.type is ValueError
+        with pytest.raises(SampleError, match="^non-finite p075 inf$"):
+            SoilSample(100, 50, math.inf, ll=30, pl=-math.inf)
+
+
 class TestSoilSampleRecord:
     """The record contract: repr, construction, immutability, equality, messages."""
 

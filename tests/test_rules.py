@@ -458,7 +458,11 @@ def reference_rule_dof(rule, memberships, agg):
         return min(matches)
     if agg is Aggregator.PRODUCT:
         return math.prod(matches)
-    return sum(matches) / len(matches)
+    # Left to right, as ``sum()`` added floats before Python 3.12.
+    total = 0.0
+    for m in matches:
+        total += m
+    return total / len(matches)
 
 
 def reference_classify(rb, memberships, agg):
@@ -938,3 +942,67 @@ class TestCheckedOnce:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert problems == []
+
+
+class TestMeansAddLeftToRight:
+    """A mean DOF adds its matches left to right, in antecedent order.
+
+    With matches 0.1, 0.2 and 0.3 that is ((0.1 + 0.2) + 0.3) / 3, one bit
+    above 0.2, where a compensated sum (``sum()`` from Python 3.12 on, or
+    ``math.fsum``) gives one bit below.  So a rule whose DOF is exactly 0.2
+    loses to it here and would win under a compensated sum.  A product
+    multiplies left to right too.
+    """
+
+    DEGREES = (0.1, 0.2, 0.3)
+    EXPECTED = {
+        Aggregator.MEAN: ((0.1 + 0.2) + 0.3) / 3,
+        Aggregator.PRODUCT: (0.1 * 0.2) * 0.3,
+    }
+
+    @pytest.fixture(scope="class")
+    def memberships(self):
+        # On a ladder centered on 0 and 100, B's degree at x is x / 100.
+        names = ("p075", "p425", "p2mm")
+        ladders = {name: make_partition(name, ("A", "B"), (0, 100), (0, 100)) for name in names}
+        out = {name: fuzzify(ladders[name], x) for name, x in zip(names, (10, 20, 30))}
+        assert tuple(mv.entries["B"] for mv in out.values()) == self.DEGREES
+        return out
+
+    @staticmethod
+    def rulebase(first=frozenset({"B"})):
+        # X's matches are 0.1, 0.2 and 0.3; Y's one match is 0.2.  Y comes
+        # first in class order, so it wins any tie.
+        x = Rule("X", (("p075", first), ("p425", frozenset({"B"})), ("p2mm", frozenset({"B"}))), "X")
+        y = Rule("Y", (("p425", frozenset({"B"})),), "Y")
+        return RuleBase((x, y), ("Y", "X"))
+
+    def test_the_sums_differ(self):
+        assert self.EXPECTED[Aggregator.MEAN] > 0.2 > math.fsum(self.DEGREES) / 3
+        assert self.EXPECTED[Aggregator.PRODUCT] != 0.1 * (0.2 * 0.3)
+
+    @pytest.mark.parametrize("agg", [Aggregator.MEAN, Aggregator.PRODUCT])
+    def test_rule_dof_and_classify(self, memberships, agg):
+        rb = self.rulebase()
+        assert rule_dof(rb.rules[0], memberships, agg) == self.EXPECTED[agg]
+        report = classify(rb, memberships, agg)
+        assert report.per_rule["X"] == report.scores["X"] == self.EXPECTED[agg]
+
+    def test_classify_and_score_rulebase_pick_x(self, memberships):
+        rb = self.rulebase()
+        assert classify(rb, memberships, Aggregator.MEAN).winner == "X"
+        # A batch of one and a batch of three.
+        for n in (1, 3):
+            assert score_rulebase(rb, [(memberships, "X")] * n, Aggregator.MEAN) == 1.0
+
+    @pytest.mark.parametrize("agg", [Aggregator.MEAN, Aggregator.PRODUCT])
+    def test_dof_table_and_proposal(self, memberships, agg):
+        labeled = [(memberships, "X")] * 3
+        table = rules_module._DofTable(self.rulebase(), labeled, agg)
+        assert table.dofs[0] == [self.EXPECTED[agg]] * 3
+        # Start X at p075 IS {A}, whose match is 0.9, and propose {B}.
+        table = rules_module._DofTable(self.rulebase(frozenset({"A"})), labeled, agg)
+        hits, (_, _, changed, _) = table.propose(0, self.rulebase().rules[0])
+        assert [dof for _, dof, _, _ in changed] == [self.EXPECTED[agg]] * 3
+        if agg is Aggregator.MEAN:
+            assert hits == 3
