@@ -16,15 +16,16 @@ import io
 import operator
 import os
 import sys
+from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import NamedTuple
 
 from . import dsl, hrb
 from .errors import FuzzificationError, SampleError, SoilFuzzError
-from .fuzzy import active_descriptors
+from .fuzzy import active_columns, active_descriptors
 # ``fmt_degree`` is unused here, but bench/tracing.py wraps it by this name.
 from .render import degree_text, fmt_degree, fmt_score, round4  # noqa: F401
-from .rules import Aggregator, RuleBase, _Batch, _evaluate, _tied, search_rules
+from .rules import Aggregator, RuleBase, _Batch, _evaluate, search_rules
 
 REQUIRED_COLUMNS = ("id", "p2mm", "p425", "p075", "ll", "pl")
 READ_COLUMNS = (*REQUIRED_COLUMNS, "pi", "class")
@@ -161,9 +162,9 @@ def _load_rows(args) -> tuple[list[SampleRow], list[tuple[int, str]], bool]:
 def _map_rows(args, rows: list[SampleRow], problems: list[tuple[int, str]], work) -> list:
     """``work(row)`` for every row, keeping only what it returns.
 
-    A value outside its variable's domain makes that row a diagnostic.  These
-    and the CSV diagnostics in ``problems`` are printed together, in row
-    order; any of them exits 4 unless --skip-bad-rows.
+    A value outside its variable's domain makes that row a diagnostic,
+    reported with the CSV diagnostics in ``problems`` (see
+    ``_report_problems``).
     """
     results, problems = [], list(problems)
     for row in rows:
@@ -171,6 +172,12 @@ def _map_rows(args, rows: list[SampleRow], problems: list[tuple[int, str]], work
             results.append(work(row))
         except FuzzificationError as exc:
             problems.append((row.row, str(exc)))
+    _report_problems(args, problems)
+    return results
+
+
+def _report_problems(args, problems: list[tuple[int, str]]) -> None:
+    """Print the row diagnostics in row order; any of them exits 4 unless --skip-bad-rows."""
     # A stable sort: a row's CSV diagnostics keep their order.
     problems.sort(key=lambda problem: problem[0])
     for n, message in problems:
@@ -178,7 +185,6 @@ def _map_rows(args, rows: list[SampleRow], problems: list[tuple[int, str]], work
     if problems and not args.skip_bad_rows:
         bad = len({n for n, _ in problems})
         raise CliError(EXIT_ROWS, f"{bad} bad row(s) in {args.input}")
-    return results
 
 
 def _preset_dir() -> str | None:
@@ -202,7 +208,7 @@ def _load_rulebase(args, variables) -> tuple[str, RuleBase]:
     return preset.kind, preset.rulebase
 
 
-def _csv_text(rows: list[list[str]]) -> str:
+def _csv_text(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerows(rows)
@@ -303,148 +309,162 @@ def cmd_classify(args) -> int:
 
     if args.crisp:
         header = {"command": "classify", "mode": "crisp"}
-        rb, classes = None, ()
+        _report_problems(args, problems)
+        winners = [hrb.crisp_classify(row.sample) for row in rows]
+        scored = None
     else:
         name, rb = _load_rulebase(args, variables)
-        classes = rb.class_order
         header = {
             "command": "classify",
             "rules": name,
             "aggregator": args.agg,
             "pi_source": args.pi_source,
         }
-    outcomes = _outcomes(args, rows, problems, rb, variables)
+        batch, rows = _fuzzy_batch(args, rows, problems, variables)
+        classes, columns, by_class = _evaluate(rb, batch, Aggregator(args.agg))
+        # Free the index and the DOF columns before the output is built.
+        del batch, columns
+        winners, tied = _rank(classes, by_class)
+        scored = classes, by_class, tied
 
+    # The limits of each A-7 subgroup's rows; a fuzzy A-7 is split here.
+    a7 = {}
+    for i in compress(range(len(rows)), map(str.startswith, winners, repeat("A-7"))):
+        sample = rows[i].sample
+        if winners[i] == "A-7":
+            winners[i] = hrb.a7_split(sample.ll, sample.pi)
+        a7[i] = sample.ll, sample.pi
+    results = (
+        [row.id for row in rows],
+        winners,
+        list(map(hrb.SUBGRADE_RATINGS.get, winners, repeat(""))),
+        a7,
+        scored,
+    )
+    # Free the rows too: the output needs only their ids and A-7 limits.
+    del rows
     if args.format == "json":
-        records = [_classify_record(classes, *outcome) for outcome in outcomes]
-        _write_output(args, _json_text({**header, "results": records}))
+        _write_output(args, _json_text({**header, "results": _classify_records(*results)}))
     else:
-        columns = ["id", "winner", "rating"]
-        if not args.crisp:
-            columns += ["tie", "tied_with", *classes]
-        _write_output(args, _csv_text(_classify_table(columns + ["a7_ll", "a7_pi"], outcomes)))
+        _write_output(args, _csv_text(_classify_table(*results)))
     return EXIT_OK
 
 
-def _outcomes(args, rows, problems, rb, variables):
-    """Yield each good row's ``(row, subgroup, tied, scores)``.
-
-    ``rb`` is None for a crisp run, whose ``tied`` and ``scores`` are None.
-    A fuzzy run scores the good rows as one batch; ``tied`` and ``scores``
-    are the classes at the top score and every class's score, in class order.
-    """
-    if rb is None:
-        yield from _map_rows(
-            args, rows, problems, lambda row: (row, hrb.crisp_classify(row.sample), None, None)
-        )
-        return
-    batch, good = _fuzzy_batch(args, rows, problems, variables)
-    classes, columns, scores = _evaluate(rb, batch, Aggregator(args.agg))
-    # Free the index and the DOF columns before the output is built.
-    del batch, columns
-    subgroup = hrb._subgroup
-    for row, row_scores in zip(good, scores):
-        tied = _tied(classes, row_scores)
-        yield row, subgroup(tied[0], row.sample), tied, row_scores
-
-
 def _fuzzy_batch(args, rows, problems, variables) -> tuple[_Batch, list[SampleRow]]:
-    """The batch of the rows that fuzzify, and those rows (see ``_map_rows``).
+    """The batch of the rows that fuzzify, and those rows.
 
     The batch equals one built by ``_Batch.add(hrb._ladders(variables),
-    hrb._active_pairs(row.sample, args.pi_source, variables))`` row by row.
-    Every index entry is made once, then filled straight from
-    ``active_descriptors``; a row is added only once all its values fuzzify.
+    hrb._active_pairs(row.sample, args.pi_source, variables))`` row by row
+    over those rows.  A row with a value outside its variable's domain is a
+    diagnostic, with ``active_descriptors``' message for its first such
+    value, reported with the CSV diagnostics in ``problems`` (see
+    ``_report_problems``).  Each property is fuzzified as one column.
     """
-    batch = _Batch()
-    index = batch.index
-    # Per property with a ladder: its field of the sample, its variable, and
-    # the two appends of each label's index entry.
     fields = hrb.SoilSample._fields
-    slots = []
-    for name in hrb.VARIABLE_NAMES:
-        if name in variables:
-            var = variables[name]
-            entries = index[name] = {label: ([], []) for label in var.labels}
-            appends = {label: (s.append, d.append) for label, (s, d) in entries.items()}
-            field = args.pi_source if name == "pi" else name
-            slots.append((fields.index(field), var, appends))
-
-    def fill(row):
-        sample = row.sample
-        actives = [active_descriptors(var, sample[k]) for k, var, _ in slots]
-        s = batch.size
-        for (_, _, appends), active in zip(slots, actives):
-            for label, degree in active:
-                add_sample, add_degree = appends[label]
-                add_sample(s)
-                add_degree(degree)
-        batch.size = s + 1
-        return row
-
-    good = _map_rows(args, rows, problems, fill)
-    # Keep what ``_Batch.add`` makes: each variable's entries once a row is
-    # added, and only the entries of labels active on some row.
-    batch.index = {
-        name: {label: entry for label, entry in entries.items() if entry[0]}
-        for name, entries in index.items() if good
-    }
-    if good:
+    slots = [
+        (name, variables[name], fields.index(args.pi_source if name == "pi" else name))
+        for name in hrb.VARIABLE_NAMES if name in variables
+    ]
+    samples = [row.sample for row in rows]
+    columns = [list(map(operator.itemgetter(k), samples)) for _, _, k in slots]
+    bad: dict[int, str] = {}
+    for (_, var, _), column in zip(slots, columns):
+        if column and not var.domain_min <= min(column) <= max(column) <= var.domain_max:
+            for i, x in enumerate(column):
+                if i not in bad:
+                    try:
+                        active_descriptors(var, x)
+                    except FuzzificationError as exc:
+                        bad[i] = str(exc)
+    _report_problems(args, [*problems, *((rows[i].row, message) for i, message in bad.items())])
+    if bad:
+        keep = [i not in bad for i in range(len(rows))]
+        rows = list(compress(rows, keep))
+        columns = [list(compress(column, keep)) for column in columns]
+    batch = _Batch()
+    if rows:
+        batch.size = len(rows)
         batch.ladders.append(hrb._ladders(variables))
-    return batch, good
+        # Every property's index holds the same ints, as ``_Batch.add`` makes it.
+        positions = list(range(len(rows)))
+        for name, var, _ in slots:
+            # Each property's values are freed once its index is built.
+            batch.index[name] = active_columns(var, columns.pop(0), positions)
+    return batch, rows
 
 
-class _ScoreText(dict):
-    """Each score's CSV cell, formatted on first use.
+def _rank(classes, by_class) -> tuple[list[str], dict[int, list[str]]]:
+    """Each sample's winner, and the classes at the top score of each tied sample.
 
-    Scores are ``max(0.0, ...)`` and never -0.0, which would share 0.0's key.
+    ``by_class`` holds each class's score column, in the order of
+    ``classes``; the winner is the first class in that order with the top
+    score.
     """
-
-    def __missing__(self, score: float) -> str:
-        text = self[score] = fmt_score(score)
-        return text
-
-
-def _classify_table(columns: list[str], outcomes) -> list[list[str]]:
-    """The CSV table of the outcomes: ``columns``, then one row each."""
-    score_text = _ScoreText().__getitem__
-    ratings = hrb.SUBGRADE_RATINGS
-    table = [columns]
-    for row, subgroup, tied, scores in outcomes:
-        cells = [row.id, subgroup, ratings.get(subgroup, "")]
-        if tied is not None:
-            cells += ("true", "|".join(tied)) if len(tied) > 1 else ("false", "")
-            cells += map(score_text, scores)
-        if subgroup.startswith("A-7"):
-            sample = row.sample
-            cells += (degree_text(round4(sample.ll)), degree_text(round4(sample.pi)))
-        else:
-            cells += ("", "")
-        table.append(cells)
-    return table
-
-
-def _classify_record(classes, row, subgroup, tied, scores) -> dict:
-    """One row's JSON result object; ``tied`` is None for a crisp outcome.
-
-    A fuzzy outcome gives the classes at the top score and the scores, both
-    in the order of ``classes``.  Every number is rounded here.
-    """
-    record = {
-        "id": row.id,
-        "winner": subgroup,
-        "rating": hrb.SUBGRADE_RATINGS.get(subgroup, ""),
+    n = len(by_class[0])
+    tops = list(map(max, *by_class)) if len(by_class) > 1 else by_class[0]
+    winners: list = [None] * n
+    tied = set()
+    # From the last class to the first, so the first class at the top is
+    # kept; a sample a later class has already taken is tied.
+    for cls, column in zip(reversed(classes), reversed(by_class)):
+        for i in compress(range(n), map(operator.eq, column, tops)):
+            if winners[i] is not None:
+                tied.add(i)
+            winners[i] = cls
+    return winners, {
+        i: [cls for cls, column in zip(classes, by_class) if column[i] == tops[i]]
+        for i in tied
     }
-    if tied is not None:
-        tie = len(tied) > 1
-        record["tie"] = tie
-        record["tied"] = tied if tie else []
-        record["scores"] = {cls: round4(s) for cls, s in zip(classes, scores)}
-    record["a7"] = (
-        {"ll": round4(row.sample.ll), "pi": round4(row.sample.pi)}
-        if subgroup.startswith("A-7") else None
-    )
-    return record
+
+
+def _classify_table(ids, winners, ratings, a7, scored):
+    """The CSV rows of the results: the column names, then one row each.
+
+    ``scored`` is None for a crisp run, and otherwise the classes, their
+    score columns and the tied samples' top classes (see ``_rank``).
+    """
+    n = len(ids)
+    a7_ll, a7_pi = [""] * n, [""] * n
+    for i, (ll, pi) in a7.items():
+        a7_ll[i], a7_pi[i] = degree_text(round4(ll)), degree_text(round4(pi))
+    if scored is None:
+        header = ("id", "winner", "rating", "a7_ll", "a7_pi")
+        return chain((header,), zip(ids, winners, ratings, a7_ll, a7_pi))
+    classes, by_class, tied = scored
+    header = ("id", "winner", "rating", "tie", "tied_with", *classes, "a7_ll", "a7_pi")
+    ties, tied_with = ["false"] * n, [""] * n
+    for i, names in tied.items():
+        ties[i], tied_with[i] = "true", "|".join(names)
+    # Each distinct score is formatted once.  Scores are never -0.0, which
+    # would share 0.0's key.
+    text = {score: fmt_score(score) for score in set().union(*by_class)}
+    cells = [map(text.__getitem__, column) for column in by_class]
+    return chain((header,), zip(ids, winners, ratings, ties, tied_with, *cells, a7_ll, a7_pi))
+
+
+def _classify_records(ids, winners, ratings, a7, scored) -> list[dict]:
+    """The JSON result objects of the results (see ``_classify_table``).
+
+    Every number is rounded here, each distinct score once.
+    """
+    records = [
+        {"id": id_, "winner": winner, "rating": rating}
+        for id_, winner, rating in zip(ids, winners, ratings)
+    ]
+    if scored is not None:
+        classes, by_class, tied = scored
+        rounded = {score: round4(score) for score in set().union(*by_class)}
+        rows = zip(*[map(rounded.__getitem__, column) for column in by_class])
+        for i, (record, scores) in enumerate(zip(records, rows)):
+            names = tied.get(i, [])
+            record["tie"] = bool(names)
+            record["tied"] = names
+            record["scores"] = dict(zip(classes, scores))
+    for record in records:
+        record["a7"] = None
+    for i, (ll, pi) in a7.items():
+        records[i]["a7"] = {"ll": round4(ll), "pi": round4(pi)}
+    return records
 
 
 class _Degrees(dict):

@@ -7,18 +7,23 @@ degrees of all descriptors sum to 1 and at most two adjacent descriptors are
 active.  Outside that span every degree is 0: values above the top center do
 not belong to the top descriptor at all.
 
-:func:`active_descriptors` is the one fuzzifier: it checks the value against
-the domain and returns only the active descriptors, as at most two
-``(label, degree)`` pairs.  The rule evaluator works on these pairs directly;
-:func:`fuzzify` spreads them over the whole ladder as a
-:class:`MembershipVector`, the reporting view.
+:func:`active_descriptors` is the per-value fuzzifier: it checks the value
+against the domain and returns only the active descriptors, as at most two
+``(label, degree)`` pairs.  :func:`fuzzify` spreads them over the whole
+ladder as a :class:`MembershipVector`, the reporting view.
+:func:`active_columns` is its batch form over a column of values: the same
+degrees, by the same formulas, indexed by label as the rule evaluator's
+batches hold them.
 
 Variables and membership vectors are immutable; fuzzification is a pure
 function, so everything here is safe to share between threads.
 """
 
 from bisect import bisect_left
-from typing import NamedTuple
+from itertools import repeat
+from math import inf, nextafter
+from operator import sub, truediv
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import FuzzificationError, PartitionError
 
@@ -116,6 +121,65 @@ def active_descriptors(
     left, right = c[j - 1], c[j]
     w = right - left
     return ((labels[j - 1], (right - x) / w), (labels[j], (x - left) / w))
+
+
+def active_columns(
+    var: LinguisticVariable, values: Sequence[float], positions: Iterable[int] | None = None
+) -> dict[str, tuple[list[int], list[float]]]:
+    """:func:`active_descriptors` of every value, as ``(positions, degrees)`` by label.
+
+    A label maps to the positions of the values where it is active, in
+    order, and its degree at each; a label active on no value is left out.
+    The degrees are the floats ``active_descriptors`` gives: the values are
+    grouped by the pair of centers that bracket them, and each group's
+    degrees are computed with the same formulas, a map at a time.
+    ``positions``, if given, must equal ``range(len(values))``: its ints are
+    the ones the result holds, so columns of one batch can share them.
+
+    Raises:
+        FuzzificationError: for the first value outside the domain or NaN.
+    """
+    name, labels, c, lo, hi = var
+    total = sum(values)  # NaN if a value is
+    if values and not (lo <= min(values) and max(values) <= hi and total == total):
+        for x in values:
+            active_descriptors(var, x)
+    # Each value's segment j, where c[j - 1] < x <= c[j] (c[0] <= x for
+    # j == 1), as ``active_descriptors`` finds it, or 0 below c[0] and
+    # ``top`` beyond c[-1], where no descriptor is active.  A value below
+    # c[0] is at most the float just below it.
+    top = len(c)
+    segment = list(map(bisect_left, repeat((nextafter(c[0], -inf), *c[1:])), values))
+    # The positions grouped by segment, in order within each.
+    if positions is None:
+        positions = range(len(values))
+    order = sorted(positions, key=segment.__getitem__)
+    segment = list(map(segment.__getitem__, order))
+    columns = {}
+    start, below = bisect_left(segment, 1), ([], [])
+    for j in range(1, top + 1):
+        # Label j - 1 is active where it is segment j - 1's upper label and
+        # where it is segment j's lower one.
+        if j < top:
+            end = bisect_left(segment, j + 1, start)
+            at, start = order[start:end], end
+            xs = list(map(values.__getitem__, at))
+            left, right = c[j - 1], c[j]
+            w = right - left
+            falling = list(map(truediv, map(sub, repeat(right), xs), repeat(w)))
+            rising = list(map(truediv, map(sub, xs, repeat(left)), repeat(w)))
+        else:
+            at = falling = rising = []
+        active, degrees = below[0] + at, below[1] + falling
+        if below[0] and at:
+            # Two runs in order: merge them back into position order.
+            merged = sorted(range(len(active)), key=active.__getitem__)
+            active.sort()
+            degrees = list(map(degrees.__getitem__, merged))
+        if active:
+            columns[labels[j - 1]] = (active, degrees)
+        below = at, rising
+    return columns
 
 
 def fuzzify(var: LinguisticVariable, x: float) -> MembershipVector:

@@ -228,7 +228,9 @@ def classify_hrb(
     batch = _Batch()
     batch.add(_ladders(variables), _active_pairs(sample, pi_source, variables))
     report = _report(rb, batch, agg)
-    subgroup = _subgroup(report.winner, sample)
+    subgroup = report.winner
+    if subgroup == "A-7":
+        subgroup = a7_split(sample.ll, sample.pi)
     return HrbResult(
         report=report,
         subgroup=subgroup,
@@ -254,11 +256,6 @@ def _active_pairs(
         for name, value in zip(VARIABLE_NAMES, _property_values(sample, pi_source))
         if name in variables
     }
-
-
-def _subgroup(winner: str, sample: SoilSample) -> str:
-    """The M145 subgroup of a fuzzy winner: A-7 is split by ``a7_split``."""
-    return a7_split(sample.ll, sample.pi) if winner == "A-7" else winner
 
 
 def crisp_classify(sample: SoilSample) -> str:

@@ -13,16 +13,20 @@ by variable, then label: each active descriptor, one of the ``(label,
 degree)`` pairs of :mod:`soilfuzz.fuzzy` (at most two per value), lists the
 samples where it is active and its degree there.  An antecedent's match
 column starts at 0 and takes the greatest degree of the labels it allows,
-walking only their index entries.  A rule's DOF column combines its match
-columns whole, in C: the mean adds them left to right, in antecedent order,
-then divides by their count; the product multiplies them left to right; the
-minimum takes each sample's least.  A class takes the first maximum of its
-rules' columns.  The CLI, ``score_rulebase`` and the induction search score
-all their samples as one batch, ``classify``, ``classify_hrb`` and
+walking only their index entries; rules that share an antecedent, as rules
+read off one decision tree do, share its match column.  A rule's DOF column
+combines its match columns whole, in C: the mean adds them left to right,
+in antecedent order, then divides by their count; the product multiplies
+them left to right; the minimum takes each sample's least.  A class's score
+column takes the first maximum of its rules' columns, and the evaluator
+returns one per class: callers rank by column and transpose only where they
+need a sample's row.  The CLI, ``score_rulebase`` and the induction search
+score all their samples as one batch, ``classify``, ``classify_hrb`` and
 ``rule_dof`` a batch of one.  Only an induction proposal scores sample by
-sample, on the few samples it can change (see ``_DofTable``).
-``classify_hrb`` and the CLI take the pairs straight from the fuzzifier;
-the functions here convert membership vectors with ``nonzero()``.
+sample, on the few samples it can change (see ``_DofTable``).  The CLI
+builds its index a property at a time with ``fuzzy.active_columns``,
+``classify_hrb`` from the pairs of ``fuzzy.active_descriptors``; the
+functions here convert membership vectors with ``nonzero()``.
 
 The mean never calls ``sum()``, which compensates float rounding from
 Python 3.12 on, so its last bit would depend on the version.  Adding left
@@ -247,12 +251,14 @@ _COMBINE_COLUMNS = {
 
 
 def _dof_columns(rules: Iterable[Rule], batch: _Batch, agg: Aggregator) -> list[list[float]]:
-    """Each checked rule's DOF on every sample of ``batch``.
+    """Each checked rule's DOF on every sample of ``batch``, each a list of its own.
 
     An antecedent's match column starts at 0 and takes each greater degree
-    of an allowed label, walking only those labels' index entries; the DOF
+    of an allowed label, walking only those labels' index entries; rules
+    that share an antecedent share its match column, built once.  The DOF
     column combines the match columns with ``_COMBINE_COLUMNS``.  A single
-    match column is the DOF column: m / 1, 1 * m and min((m,)) are all m.
+    match column is the DOF column (m / 1, 1 * m and min((m,)) are all m),
+    copied, since ``_DofTable.accept`` changes DOF columns in place.
     """
     n, index = batch.size, batch.index
     if n == 1:
@@ -263,32 +269,38 @@ def _dof_columns(rules: Iterable[Rule], batch: _Batch, agg: Aggregator) -> list[
             return [by_sample([match[0] for match in matches])]
     else:
         combine = _COMBINE_COLUMNS[agg]
+    built: dict[tuple[str, frozenset[str]], list[float]] = {}
     columns = []
     for rule in rules:
         matches = []
-        for var, allowed in rule.antecedents:
-            match = [0.0] * n
-            entries = index.get(var, {})
-            for lab in allowed:
-                entry = entries.get(lab)
-                if entry is not None:
-                    for s, degree in zip(*entry):
-                        if degree > match[s]:
-                            match[s] = degree
+        for antecedent in rule.antecedents:
+            match = built.get(antecedent)
+            if match is None:
+                var, allowed = antecedent
+                match = built[antecedent] = [0.0] * n
+                entries = index.get(var, {})
+                for lab in allowed:
+                    entry = entries.get(lab)
+                    if entry is not None:
+                        for s, degree in zip(*entry):
+                            if degree > match[s]:
+                                match[s] = degree
             matches.append(match)
-        columns.append(combine(matches) if len(matches) > 1 else matches[0])
+        columns.append(combine(matches) if len(matches) > 1 else matches[0][:])
     return columns
 
 
 def _evaluate(
     rb: RuleBase, batch: _Batch, agg: Aggregator
-) -> tuple[tuple[str, ...], list[list[float]], list[tuple[float, ...]]]:
+) -> tuple[tuple[str, ...], list[list[float]], list[list[float]]]:
     """Check ``rb`` against the batch's ladders, then score it on every sample.
 
-    Returns the class order, each rule's DOF column, and each sample's
-    class scores in that order.  A class scores the first maximum of 0 and
-    its rules' DOFs, as a loop that replaces the score only by a greater DOF
-    would.
+    Returns the class order, each rule's DOF column, and each class's score
+    column in that order.  A class scores the first maximum of 0 and its
+    rules' DOFs, as a loop that replaces the score only by a greater DOF
+    would.  A DOF is never below +0.0 (a match starts at 0.0 and only
+    grows), so that is its rules' first maximum, and a class with one rule
+    scores that rule's column itself.
     """
     for ladders in batch.ladders:
         _check(rb, ladders)
@@ -296,22 +308,21 @@ def _evaluate(
     owned: dict[str, list[list[float]]] = {cls: [] for cls in rb.class_order}
     for rule, column in zip(rb.rules, columns):
         owned[rule.consequent].append(column)
-    zero, n = itertools.repeat(0.0), batch.size
-    by_class = [list(map(max, zero, *cols)) if cols else [0.0] * n for cols in owned.values()]
-    return rb.class_order, columns, list(zip(*by_class))
-
-
-def _tied(classes: Sequence[str], scores: Sequence[float]) -> list[str]:
-    """The classes at the top score, in class order: the first one wins."""
-    top = max(scores)
-    return [cls for cls, score in zip(classes, scores) if score == top]
+    n = batch.size
+    by_class = [
+        cols[0] if len(cols) == 1 else list(map(max, *cols)) if cols else [0.0] * n
+        for cols in owned.values()
+    ]
+    return rb.class_order, columns, by_class
 
 
 def _report(rb: RuleBase, batch: _Batch, agg: Aggregator) -> ClassificationReport:
     """The report of ``rb`` on a batch of one sample."""
-    classes, columns, (row,) = _evaluate(rb, batch, agg)
-    scores = dict(zip(classes, row))
-    tied = tuple(_tied(classes, row))
+    classes, columns, by_class = _evaluate(rb, batch, agg)
+    scores = {cls: column[0] for cls, column in zip(classes, by_class)}
+    # The classes at the top score, in class order: the first one wins.
+    top = max(scores.values())
+    tied = tuple(cls for cls, score in scores.items() if score == top)
     # A stable sort keeps equal scores in class order.
     ranking = tuple(sorted(scores, key=scores.__getitem__, reverse=True))
     return ClassificationReport(
@@ -358,9 +369,9 @@ def score_rulebase(
     if not labeled:
         raise EvaluationError("no labeled samples to score")
     batch = _vector_batch(memberships for memberships, _ in labeled)
-    classes, _, rows = _evaluate(rb, batch, agg)
+    classes, _, by_class = _evaluate(rb, batch, agg)
     hits = sum(
-        classes[row.index(max(row))] == cls for row, (_, cls) in zip(rows, labeled)
+        classes[row.index(max(row))] == cls for row, (_, cls) in zip(zip(*by_class), labeled)
     )
     return hits / len(labeled)
 
@@ -465,13 +476,13 @@ class _DofTable:
             ladders, pairs = _convert(memberships)
             self.batch.add(ladders, pairs)
             self.samples.append(pairs)
-        classes, self.dofs, rows = _evaluate(rb, self.batch, agg)
+        classes, self.dofs, by_class = _evaluate(rb, self.batch, agg)
         self.combine = _COMBINE[agg]
         position = {cls: i for i, cls in enumerate(classes)}
         self.truth = [position.get(cls) for _, cls in labeled]
         self.rules = list(rb.rules)
         self.owner = [position[rule.consequent] for rule in rb.rules]
-        self.rows = [list(row) for row in rows]
+        self.rows = [list(row) for row in zip(*by_class)]
         # ``max`` and ``index`` both take the first of equal scores.
         self.hit = [row.index(max(row)) == true for row, true in zip(self.rows, self.truth)]
         self.hits = sum(self.hit)

@@ -1075,6 +1075,148 @@ def test_classify_csv_rows_match_library(csv_paths, variables, samples, mode):
     assert csv_rows(stdout.getvalue())[1:] == library_rows(samples, mode, variables, rules)
 
 
+# E has no rule, X has two, and Y's one rule is A-2-4's, so Y ties with A-2-4
+# wherever it scores.
+RANK_RULES = """\
+CLASSES E, A-2-4, X, Y, A-7
+RULE T1: p075 IS {VVVL, VVL, VL, L} => A-2-4
+RULE T2: ll IS {M, MH} => X
+RULE T3: p075 IS {VH, VVH, VVVH} AND pi IS {M, MH} => X
+RULE T4: p075 IS {VVVL, VVL, VL, L} => Y
+RULE T5: ll IS {H, VH, VVH} AND pi IS {M, MH, H, VH} => A-7
+"""
+ONE_CLASS_RULES = """\
+CLASSES X
+RULE O1: p075 IS {VH, VVH, VVVH} AND ll IS {MH, H} => X
+"""
+
+
+def rank_samples(n=120):
+    """Seeded (p2mm, p425, p075, ll, pl), every other one in whole units.
+
+    The first matches no ``RANK_RULES`` antecedent under any aggregator.
+    """
+    rng = random.Random(3)
+    samples = [(100.0, 50.0, 27.0, 20.0, 15.0)]
+    for i in range(n):
+        def draw(hi):
+            return float(rng.randint(0, int(hi))) if i % 2 else rng.uniform(0, hi)
+        p2mm = draw(100)
+        p425 = draw(p2mm)
+        p075 = draw(p425)
+        ll = draw(100)
+        samples.append((p2mm, p425, p075, ll, draw(ll)))
+    return samples
+
+
+class TestRankEdgeCases:
+    def classify(self, tmp_path, capsys, variables, rules_text, agg, samples):
+        path, rules = tmp_path / "rows.csv", tmp_path / "rank.frules"
+        rules.write_text(rules_text)
+        lines = ["id,p2mm,p425,p075,ll,pl"]
+        lines += [f"s{i}," + ",".join(map(repr, values)) for i, values in enumerate(samples)]
+        path.write_text("\n".join(lines) + "\n")
+        mode = ["--rules", str(rules), "--agg", agg, "--pi-source", "pi"]
+        code, out, err = run(["classify", *mode, str(path)], capsys)
+        assert code == 0 and err == ""
+        return csv_rows(out), library_rows(samples, mode, variables, rules)
+
+    @pytest.mark.parametrize("agg", ["min", "product", "mean"])
+    def test_two_rules_for_a_class_and_a_class_without_one(
+        self, tmp_path, capsys, variables, agg
+    ):
+        samples = rank_samples()
+        rows, expected = self.classify(tmp_path, capsys, variables, RANK_RULES, agg, samples)
+        assert rows[0][5:-2] == ["E", "A-2-4", "X", "Y", "A-7"]
+        assert rows[1:] == expected
+        # The corpus has the shapes: E wins where every class scores 0, Y
+        # ties with A-2-4, and A-7 wins and is split.
+        winners = {row[1] for row in rows[1:]}
+        assert {"E", "X", "A-2-4"} <= winners and winners & {"A-7-5", "A-7-6"}
+        assert any(row[4] == "E|A-2-4|X|Y|A-7" for row in rows[1:])
+        assert any(row[4].startswith("A-2-4|") and "Y" in row[4] for row in rows[1:])
+
+    @pytest.mark.parametrize("agg", ["min", "product", "mean"])
+    def test_one_class(self, tmp_path, capsys, variables, agg):
+        samples = rank_samples()
+        rows, expected = self.classify(tmp_path, capsys, variables, ONE_CLASS_RULES, agg, samples)
+        assert rows[0] == ["id", "winner", "rating", "tie", "tied_with", "X", "a7_ll", "a7_pi"]
+        assert rows[1:] == expected
+        assert {(row[1], row[3], row[4]) for row in rows[1:]} == {("X", "false", "")}
+        assert len({row[5] for row in rows[1:]}) > 2
+
+    @pytest.mark.parametrize("mode", [[], ["--crisp"], ["--rules", "RANK"]])
+    @pytest.mark.parametrize("text", [
+        "id,p2mm,p425,p075,ll,pl\n",
+        "id,p2mm,p425,p075,ll,pl\na,100,80,x,25,17\nb,10,80,40,25,17\nc,100,80,40,25,30\n",
+    ], ids=["header-only", "every-row-dropped"])
+    def test_no_rows_left(self, tmp_path, capsys, mode, text):
+        path, rules = tmp_path / "rows.csv", tmp_path / "rank.frules"
+        path.write_text(text)
+        rules.write_text(RANK_RULES)
+        mode = [str(rules) if arg == "RANK" else arg for arg in mode]
+        args = ["classify", *mode, "--skip-bad-rows", str(path)]
+        code, out, err = run(args, capsys)
+        assert code == 0
+        assert err.count("\n") == text.count("\n") - 1
+        header = ["id", "winner", "rating"]
+        if "--crisp" not in mode:
+            classes = ["E", "A-2-4", "X", "Y", "A-7"] if "--rules" in mode else list(sf.CLASS_ORDER)
+            header += ["tie", "tied_with", *classes]
+        assert out == ",".join([*header, "a7_ll", "a7_pi"]) + "\n"
+        code, out, _ = run([*args, "--format", "json"], capsys)
+        assert code == 0 and json.loads(out)["results"] == []
+
+    def test_every_class_at_zero_ties_them_all(self, tmp_path, capsys):
+        # Past p2mm's top center and at pi's LM center, every paper rule
+        # matches some antecedent 0, so under min every class scores 0.
+        path = tmp_path / "rows.csv"
+        path.write_text("id,p2mm,p425,p075,ll,pl\nz,100,100,30,32,22\nw,38,30,11,23,19\n")
+        code, out, _ = run(["classify", "--preset", "paper", "--agg", "min", str(path)], capsys)
+        assert code == 0
+        zero, other = csv_rows(out)[1:]
+        assert zero[1:5] == ["A-1-a", "excellent to good", "true", "|".join(sf.CLASS_ORDER)]
+        assert zero[5:-2] == ["0.0000"] * 11
+        assert other[3] == "false"
+
+
+FORMAT_MODES = [["--crisp"]] + [
+    [*rules, "--agg", agg]
+    for rules in (["--preset", "paper"], ["--preset", "calibrated"], ["--rules", "RANK"])
+    for agg in ("min", "product", "mean")
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(in_domain_properties(), max_size=8), st.sampled_from(FORMAT_MODES))
+def test_csv_and_json_agree(csv_paths, samples, mode):
+    path = next(csv_paths)
+    rules = path.with_suffix(".frules")
+    rules.write_text(RANK_RULES)
+    mode = [str(rules) if arg == "RANK" else arg for arg in mode]
+    lines = ["id,p2mm,p425,p075,ll,pl"]
+    lines += [f"s{i}," + ",".join(map(repr, values)) for i, values in enumerate(samples)]
+    path.write_text("\n".join(lines) + "\n")
+    outputs = []
+    for fmt in ("csv", "json"):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert cli.main(["classify", *mode, "--format", fmt, str(path)]) == 0
+        outputs.append(stdout.getvalue())
+    header, *rows = csv_rows(outputs[0])
+    records = json.loads(outputs[1])["results"]
+    assert len(rows) == len(records) == len(samples)
+    for row, record in zip(rows, records):
+        assert row[:3] == [record["id"], record["winner"], record["rating"]]
+        if "--crisp" not in mode:
+            assert row[3:5] == ["true" if record["tie"] else "false", "|".join(record["tied"])]
+            assert list(record["scores"]) == header[5:-2]
+            assert row[5:-2] == [f"{score:.4f}" for score in record["scores"].values()]
+        a7 = record["a7"]
+        limits = ["", ""] if a7 is None else [sf.render.degree_text(a7[k]) for k in ("ll", "pi")]
+        assert row[-2:] == limits
+
+
 ARBITRARY_MODES = [
     ["classify"],
     ["classify", "--crisp"],

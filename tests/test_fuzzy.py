@@ -1,9 +1,13 @@
 import math
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from soilfuzz import FuzzificationError, PartitionError, fuzzify, make_partition
+from soilfuzz import FuzzificationError, PartitionError, fuzzify, load_variables, make_partition
+from soilfuzz.fuzzy import active_columns, active_descriptors
 
 
 def five_range():
@@ -159,3 +163,75 @@ def test_two_neighbour_fuzzify_matches_triangles(variables):
             assert [math.copysign(1, d) for d in got] == [
                 math.copysign(1, d) for d in want
             ], x
+
+
+# The shipped ladders, one whose first center is above its domain's lower
+# bound and one across zero.
+LADDERS = (
+    *load_variables().values(),
+    make_partition("x", ["A", "B", "C"], [10, 20, 60], (0, 100)),
+    make_partition("z", ["N", "P"], [-5, 5], (-10, 10)),
+)
+
+
+def ladder_points(var):
+    """The first and every center, ±0.0, beyond the end centers, the domain ends."""
+    c = var.centers
+    return (
+        st.sampled_from((*c, var.domain_min, var.domain_max, 0.0, -0.0))
+        | st.floats(var.domain_min, c[0])
+        | st.floats(c[-1], var.domain_max)
+        | st.floats(var.domain_min, var.domain_max)
+    )
+
+
+def by_label(var, values):
+    """``active_descriptors`` value by value, indexed as ``active_columns`` indexes it."""
+    index = {}
+    for position, x in enumerate(values):
+        for label, degree in active_descriptors(var, x):
+            entry = index.setdefault(label, ([], []))
+            entry[0].append(position)
+            entry[1].append(degree)
+    return index
+
+
+def hexed(index):
+    # ``float.hex`` tells -0.0 from 0.0, which compare equal.
+    return {label: (at, [d.hex() for d in degrees]) for label, (at, degrees) in index.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_active_columns_equal_active_descriptors(data):
+    var = data.draw(st.sampled_from(LADDERS))
+    values = data.draw(st.lists(ladder_points(var), max_size=40))
+    got = active_columns(var, values)
+    assert hexed(got) == hexed(by_label(var, values))
+    assert all(type(at) is list and type(d) is list for at, d in got.values())
+    # Given positions, the result holds those very ints.
+    positions = list(range(len(values)))
+    shared = active_columns(var, values, positions)
+    assert hexed(shared) == hexed(got)
+    held = {id(p) for at, _ in shared.values() for p in at}
+    assert held <= {id(p) for p in positions}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_active_columns_reject_the_first_value_active_descriptors_rejects(data):
+    var = data.draw(st.sampled_from(LADDERS))
+    lo, hi = var.domain_min, var.domain_max
+    outside = (
+        st.floats(hi, 1e9, exclude_min=True)
+        | st.floats(-1e9, lo, exclude_max=True)
+        | st.sampled_from([math.nan, math.inf, -math.inf])
+    )
+    values = data.draw(st.lists(ladder_points(var), max_size=10))
+    for _ in range(data.draw(st.integers(1, 3))):
+        values.insert(data.draw(st.integers(0, len(values))), data.draw(outside))
+    first = next(x for x in values if not lo <= x <= hi)
+    with pytest.raises(FuzzificationError) as expected:
+        active_descriptors(var, first)
+    with pytest.raises(FuzzificationError, match=re.escape(str(expected.value))):
+        active_columns(var, values)

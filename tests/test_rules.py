@@ -674,6 +674,49 @@ def test_proposals_rescore_only_where_a_toggled_label_is_active(variables, monke
     assert counts["calls"] == expected
 
 
+@pytest.mark.parametrize("agg", list(Aggregator))
+@pytest.mark.parametrize("seed", [1, 2])
+def test_search_keeps_shared_antecedents_apart(variables, monkeypatch, agg, seed):
+    # R1, R2 and R4 have one antecedent, the same one, so the evaluator builds
+    # one match column for all three; ``_DofTable.accept`` changes a DOF
+    # column in place, so each rule must hold a copy.  Every accepted system's
+    # score must be the one ``score_rulebase`` gives it from scratch.
+    shared = ("p075", frozenset({"L", "LM", "M"}))
+    start = RuleBase(
+        (
+            Rule("R1", (shared,), "A"),
+            Rule("R2", (shared,), "A"),
+            Rule("R3", (("p075", frozenset({"H", "VH"})),), "B"),
+            Rule("R4", (shared,), "B"),
+        ),
+        ("A", "B"),
+    )
+    monkeypatch.setattr(rules_module, "_random_rulebase", lambda *args: start)
+    rng = random.Random(seed)
+    labeled = []
+    for _ in range(120):
+        p075 = rng.uniform(0, 100)
+        sample = SoilSample(100, 100, p075, 40, 20)
+        labeled.append((fuzzify_sample(sample, variables=variables), "A" if p075 < 22 else "B"))
+
+    accepted = []
+    accept = rules_module._DofTable.accept
+
+    def recording_accept(table, change):
+        accept(table, change)
+        accepted.append((RuleBase(tuple(table.rules), start.class_order), table.hits))
+
+    monkeypatch.setattr(rules_module._DofTable, "accept", recording_accept)
+    result = search_rules(
+        labeled, {"p075": variables["p075"]}, rules_per_class=2, iterations=300,
+        seed=seed, agg=agg, classes=["A", "B"],
+    )
+    assert len({rb for rb, _ in accepted}) > 10
+    for rb, hits in accepted:
+        assert hits / len(labeled) == score_rulebase(rb, labeled, agg)
+    assert result.score == score_rulebase(result.rulebase, labeled, agg)
+
+
 def ladder_values(var):
     """Centers, domain ends, values beyond the end centers and anything between."""
     c = var.centers
@@ -790,13 +833,15 @@ def test_batch_scoring_equals_reference(variables, data, agg, pi_source):
         return
 
     batch = rules_module._vector_batch(samples)
-    classes, columns, rows = rules_module._evaluate(rb, batch, agg)
+    classes, columns, by_class = rules_module._evaluate(rb, batch, agg)
+    rows = list(zip(*by_class))
     for s, report in enumerate(expected):
         scores = dict(zip(classes, rows[s]))
         per_rule = {rule.id: column[s] for rule, column in zip(rb.rules, columns)}
         # ``repr`` also pins the order of the dicts and the sign of zero.
         assert repr((scores, per_rule)) == repr((report.scores, report.per_rule))
-        assert rules_module._tied(classes, rows[s]) == list(report.tied)
+        top = max(rows[s])
+        assert tuple(c for c, score in zip(classes, rows[s]) if score == top) == report.tied
     assert score_rulebase(rb, labeled, agg) == reference_score_rulebase(rb, labeled, agg)
 
 
