@@ -159,23 +159,6 @@ def _load_rows(args) -> tuple[list[SampleRow], list[tuple[int, str]], bool]:
     return read_samples(io.StringIO(_read_text(args.input)), args.input)
 
 
-def _map_rows(args, rows: list[SampleRow], problems: list[tuple[int, str]], work) -> list:
-    """``work(row)`` for every row, keeping only what it returns.
-
-    A value outside its variable's domain makes that row a diagnostic,
-    reported with the CSV diagnostics in ``problems`` (see
-    ``_report_problems``).
-    """
-    results, problems = [], list(problems)
-    for row in rows:
-        try:
-            results.append(work(row))
-        except FuzzificationError as exc:
-            problems.append((row.row, str(exc)))
-    _report_problems(args, problems)
-    return results
-
-
 def _report_problems(args, problems: list[tuple[int, str]]) -> None:
     """Print the row diagnostics in row order; any of them exits 4 unless --skip-bad-rows."""
     # A stable sort: a row's CSV diagnostics keep their order.
@@ -350,25 +333,24 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _fuzzy_batch(args, rows, problems, variables) -> tuple[_Batch, list[SampleRow]]:
-    """The batch of the rows that fuzzify, and those rows.
+def _property_columns(args, rows, problems, variables) -> tuple[list[SampleRow], dict]:
+    """The rows whose values all lie in their domains, and those values by property.
 
-    The batch equals one built by ``_Batch.add(hrb._ladders(variables),
-    hrb._active_pairs(row.sample, args.pi_source, variables))`` row by row
-    over those rows.  A row with a value outside its variable's domain is a
-    diagnostic, with ``active_descriptors``' message for its first such
-    value, reported with the CSV diagnostics in ``problems`` (see
-    ``_report_problems``).  Each property is fuzzified as one column.
+    The columns hold, for each HRB property that ``variables`` has a ladder
+    for, in ``VARIABLE_NAMES`` order, the value fuzzified for it (``pl`` for
+    ``pi`` under ``--pi-source pl``) on each kept row.  A row with a value
+    outside its variable's domain is a diagnostic, with
+    ``active_descriptors``' message for its first such value, reported with
+    the CSV diagnostics in ``problems`` (see ``_report_problems``).
     """
     fields = hrb.SoilSample._fields
-    slots = [
-        (name, variables[name], fields.index(args.pi_source if name == "pi" else name))
-        for name in hrb.VARIABLE_NAMES if name in variables
-    ]
     samples = [row.sample for row in rows]
-    columns = [list(map(operator.itemgetter(k), samples)) for _, _, k in slots]
-    bad: dict[int, str] = {}
-    for (_, var, _), column in zip(slots, columns):
+    columns, bad = {}, {}
+    for name in hrb.VARIABLE_NAMES:
+        if name not in variables:
+            continue
+        k, var = fields.index(args.pi_source if name == "pi" else name), variables[name]
+        column = columns[name] = list(map(operator.itemgetter(k), samples))
         if column and not var.domain_min <= min(column) <= max(column) <= var.domain_max:
             for i, x in enumerate(column):
                 if i not in bad:
@@ -380,16 +362,27 @@ def _fuzzy_batch(args, rows, problems, variables) -> tuple[_Batch, list[SampleRo
     if bad:
         keep = [i not in bad for i in range(len(rows))]
         rows = list(compress(rows, keep))
-        columns = [list(compress(column, keep)) for column in columns]
+        columns = {name: list(compress(column, keep)) for name, column in columns.items()}
+    return rows, columns
+
+
+def _fuzzy_batch(args, rows, problems, variables) -> tuple[_Batch, list[SampleRow]]:
+    """The batch of the rows that fuzzify, and those rows (see ``_property_columns``).
+
+    The batch equals one built by ``_Batch.add(hrb._ladders(variables),
+    hrb._active_pairs(row.sample, args.pi_source, variables))`` row by row
+    over those rows.  Each property is fuzzified as one column.
+    """
+    rows, columns = _property_columns(args, rows, problems, variables)
     batch = _Batch()
     if rows:
         batch.size = len(rows)
         batch.ladders.append(hrb._ladders(variables))
         # Every property's index holds the same ints, as ``_Batch.add`` makes it.
         positions = list(range(len(rows)))
-        for name, var, _ in slots:
+        for name in list(columns):
             # Each property's values are freed once its index is built.
-            batch.index[name] = active_columns(var, columns.pop(0), positions)
+            batch.index[name] = active_columns(variables[name], columns.pop(name), positions)
     return batch, rows
 
 
@@ -531,31 +524,20 @@ def cmd_memberships(args) -> int:
         render = {name: _degree_cells(ladders[name]) for name in names}
 
     # Every property with a ladder is checked against its domain, listed or
-    # not; an unlisted one's values are not rendered.
-    slots = [
-        (i, _Degrees(variables[name], render.get(name, lambda active: None)))
-        for i, name in enumerate(hrb.VARIABLE_NAMES)
-        if name in ladders
-    ]
-    property_values, pi_source = hrb._property_values, args.pi_source
-
-    def row_texts(row):
-        values = property_values(row.sample, pi_source)
-        return row.id, [degrees[values[i]] for i, degrees in slots]
-
-    table_rows = _map_rows(args, rows, problems, row_texts)
-    columns = {name: k for k, name in enumerate(ladders)}
+    # not; only the listed ones are rendered, each distinct value once.
+    rows, columns = _property_columns(args, rows, problems, variables)
+    ids = [row.id for row in rows]
+    texts = {
+        name: list(map(_Degrees(variables[name], render[name]).__getitem__, columns[name]))
+        for name in names
+    }
     if args.format == "json":
         # Each table's rows array is a fragment laid out as a document of its
         # own: a row object opens 2 spaces in, its members 4, its degrees 6.
-        heads = [
-            f'\n  {{\n    "id": {encode(row_id)},\n    "degrees": '
-            for row_id, _ in table_rows
-        ]
+        heads = [f'\n  {{\n    "id": {encode(row_id)},\n    "degrees": ' for row_id in ids]
         tables = []
         for name in names:
-            k = columns[name]
-            objects = map(str.__add__, heads, [texts[k] for _, texts in table_rows])
+            objects = map(str.__add__, heads, texts[name])
             array = "[" + "\n  },".join(objects) + "\n  }\n]" if heads else "[]"
             tables.append(
                 {"variable": name, "labels": list(ladders[name]), "rows": _JsonFragment(array)}
@@ -565,9 +547,8 @@ def cmd_memberships(args) -> int:
     else:
         table = []
         for name in names:
-            k = columns[name]
             table.append(["variable", "id", *ladders[name]])
-            table += [[name, row_id, *texts[k]] for row_id, texts in table_rows]
+            table += [[name, row_id, *cells] for row_id, cells in zip(ids, texts[name])]
         _write_output(args, _csv_text(table))
     return EXIT_OK
 
@@ -593,11 +574,13 @@ def cmd_induce(args) -> int:
         row.row: f"class {row.label!r} cannot be written to a rule file"
         for row in rows if row.label is not None and not dsl._is_word(row.label)
     }
-    labeled = _map_rows(
+    kept, _ = _property_columns(
         args, [row for row in rows if row.row not in unwritable],
-        [*problems, *unwritable.items()],
-        lambda row: (hrb.fuzzify_sample(row.sample, args.pi_source, variables), row.label),
+        [*problems, *unwritable.items()], variables,
     )
+    labeled = [
+        (hrb.fuzzify_sample(row.sample, args.pi_source, variables), row.label) for row in kept
+    ]
     unlabeled = [row.row for row in rows if row.label is None]
     if unlabeled:
         raise CliError(

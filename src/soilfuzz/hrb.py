@@ -16,7 +16,7 @@ from typing import Literal, Mapping, NamedTuple
 from . import dsl
 from .errors import PartitionError, SampleError
 from .fuzzy import LinguisticVariable, MembershipVector, active_descriptors, fuzzify, make_partition
-from .rules import Aggregator, ClassificationReport, RuleBase, _Batch, _report
+from .rules import Aggregator, ClassificationReport, RuleBase, _report
 from .rules import classify  # noqa: F401  (bench/tracing.py wraps hrb.classify)
 
 VARIABLE_NAMES = ("p2mm", "p425", "p075", "ll", "pi")
@@ -218,16 +218,15 @@ def classify_hrb(
     """Classify a sample with a fuzzy rule preset.
 
     Fuzzifies each index property that ``variables`` has a ladder for to its
-    active descriptors and scores the rules on those as a batch of one (as
-    ``classify`` would on ``fuzzify_sample``'s vectors), then resolves a
-    winning A-7 group into A-7-5 or A-7-6 and attaches the subgrade rating.
+    active descriptors and scores the rules on those pairs directly (as
+    ``classify`` does on ``fuzzify_sample``'s vectors, which it converts to
+    pairs), then resolves a winning A-7 group into A-7-5 or A-7-6 and
+    attaches the subgrade rating.
     """
     rb = preset.rulebase if isinstance(preset, HrbPreset) else preset
     if variables is None:
         variables = _default_variables()
-    batch = _Batch()
-    batch.add(_ladders(variables), _active_pairs(sample, pi_source, variables))
-    report = _report(rb, batch, agg)
+    report = _report(rb, _ladders(variables), _active_pairs(sample, pi_source, variables), agg)
     subgroup = report.winner
     if subgroup == "A-7":
         subgroup = a7_split(sample.ll, sample.pi)

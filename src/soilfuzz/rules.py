@@ -7,37 +7,36 @@ its per-variable matches with a configurable aggregator.  A class scores the
 best DOF among its rules, and classes are ranked score-first with ties broken
 by the rule base's class order.
 
-Every entry point scores rules with one private evaluator over a batch of
-fuzzified samples, one rule column at a time.  A batch indexes the samples
-by variable, then label: each active descriptor, one of the ``(label,
-degree)`` pairs of :mod:`soilfuzz.fuzzy` (at most two per value), lists the
-samples where it is active and its degree there.  An antecedent's match
-column starts at 0 and takes the greatest degree of the labels it allows,
-walking only their index entries; rules that share an antecedent, as rules
-read off one decision tree do, share its match column.  A rule's DOF column
-combines its match columns whole, in C: the mean adds them left to right,
-in antecedent order, then divides by their count; the product multiplies
-them left to right; the minimum takes each sample's least.  A class's score
-column takes the first maximum of its rules' columns, and the evaluator
-returns one per class: callers rank by column and transpose only where they
-need a sample's row.  The CLI, ``score_rulebase`` and the induction search
-score all their samples as one batch, ``classify``, ``classify_hrb`` and
-``rule_dof`` a batch of one.  Only an induction proposal scores sample by
-sample, on the few samples it can change (see ``_DofTable``).  The CLI
-builds its index a property at a time with ``fuzzy.active_columns``,
-``classify_hrb`` from the pairs of ``fuzzy.active_descriptors``; the
-functions here convert membership vectors with ``nonzero()``.
+Two private kernels score rules on fuzzified samples, given as active
+descriptors: the ``(label, degree)`` pairs of :mod:`soilfuzz.fuzzy`, at
+most two per value.  ``classify``, ``classify_hrb`` and ``rule_dof`` score
+one sample with ``_dof``, as does an induction proposal on each sample it
+can change (see ``_DofTable``).  The CLI, ``score_rulebase`` and the
+induction search score all their samples as one batch with ``_evaluate``,
+one rule column at a time, over an index by variable, then label: each
+active descriptor lists the samples where it is active and its degree
+there.  In both, an antecedent's match starts at 0 and takes the greatest
+degree of the active labels it allows.  A batch's rules that share an
+antecedent, as rules read off one decision tree do, share its match
+column.  A rule's DOF column combines its match columns whole, in C: the
+mean adds them left to right, in antecedent order, then divides by their
+count; the product multiplies them left to right; the minimum takes each
+sample's least.  ``_dof`` gives the same floats with ``_COMBINE``.  A
+class's score column takes the first maximum of its rules' columns;
+callers rank by column and transpose only where they need a sample's row.
+The CLI builds its index a property at a time with
+``fuzzy.active_columns``, ``classify_hrb`` its pairs with
+``fuzzy.active_descriptors``; the functions here convert membership
+vectors with ``nonzero()``.
 
 The mean never calls ``sum()``, which compensates float rounding from
 Python 3.12 on, so its last bit would depend on the version.  Adding left
 to right gives ``((a + b) + c) / 3`` on every version, the bits ``sum()``
 gave before 3.12 (matches start at 0.0 and are never -0.0).
 
-A rule base is checked against the variable ladders (every antecedent names
-a ladder and descriptors on it) once per rule base and ladder set, not once
-per sample.  The last pair that passed is remembered, replaced in one
-assignment and only after its check passes, so a failed check is repeated
-on every call and concurrent callers at worst check twice.
+Every call checks its rules against the ladders (every antecedent names a
+ladder and descriptors on it) before it scores, a batch once per distinct
+ladder set among its samples.
 
 Rule bases and reports are immutable and evaluation has no other side
 effect.  The induction search owns a private seeded RNG, so concurrent
@@ -201,6 +200,12 @@ def _vector_batch(samples: Iterable[Mapping[str, MembershipVector]]) -> _Batch:
 
 
 def _check_rules(rules: Iterable[Rule], ladders: Ladders) -> None:
+    """Raise unless ``ladders`` have every variable and descriptor of ``rules``.
+
+    Raises:
+        EvaluationError: if a rule names a variable the ladders lack.
+        RuleConfigError: if a rule names a descriptor its variable lacks.
+    """
     for rule in rules:
         for var, allowed in rule.antecedents:
             if var not in ladders:
@@ -208,27 +213,6 @@ def _check_rules(rules: Iterable[Rule], ladders: Ladders) -> None:
             for lab in allowed:
                 if lab not in ladders[var]:
                     raise RuleConfigError(f"{var}: unknown descriptor {lab}")
-
-
-# The last (rule base, ladders) pair that passed ``_check``.
-_checked: tuple = (None, None)
-
-
-def _check(rb: RuleBase, ladders: Ladders) -> None:
-    """Raise unless ``ladders`` have every variable and descriptor of ``rb``.
-
-    The pair is remembered, so callers pass ``ladders`` built for the call.
-
-    Raises:
-        EvaluationError: if a rule names a variable the ladders lack.
-        RuleConfigError: if a rule names a descriptor its variable lacks.
-    """
-    global _checked
-    last_rb, last_ladders = _checked
-    if rb is last_rb and ladders == last_ladders:
-        return
-    _check_rules(rb.rules, ladders)
-    _checked = rb, ladders
 
 
 def _fold(op: Callable[[float, float], float], columns: list[list[float]]) -> Iterable[float]:
@@ -261,14 +245,7 @@ def _dof_columns(rules: Iterable[Rule], batch: _Batch, agg: Aggregator) -> list[
     copied, since ``_DofTable.accept`` changes DOF columns in place.
     """
     n, index = batch.size, batch.index
-    if n == 1:
-        # One call per rule costs less than a map per match column.
-        by_sample = _COMBINE[agg]
-
-        def combine(matches):
-            return [by_sample([match[0] for match in matches])]
-    else:
-        combine = _COMBINE_COLUMNS[agg]
+    combine = _COMBINE_COLUMNS[agg]
     built: dict[tuple[str, frozenset[str]], list[float]] = {}
     columns = []
     for rule in rules:
@@ -303,7 +280,7 @@ def _evaluate(
     scores that rule's column itself.
     """
     for ladders in batch.ladders:
-        _check(rb, ladders)
+        _check_rules(rb.rules, ladders)
     columns = _dof_columns(rb.rules, batch, agg)
     owned: dict[str, list[list[float]]] = {cls: [] for cls in rb.class_order}
     for rule, column in zip(rb.rules, columns):
@@ -316,10 +293,37 @@ def _evaluate(
     return rb.class_order, columns, by_class
 
 
-def _report(rb: RuleBase, batch: _Batch, agg: Aggregator) -> ClassificationReport:
-    """The report of ``rb`` on a batch of one sample."""
-    classes, columns, by_class = _evaluate(rb, batch, agg)
-    scores = {cls: column[0] for cls, column in zip(classes, by_class)}
+def _dof(rule: Rule, pairs: Pairs, combine: Callable[[list[float]], float]) -> float:
+    """Degree of fulfilment of a checked rule on one sample's active pairs.
+
+    The kernel of every single-sample call, and of ``_DofTable.propose``:
+    indexing the few samples a proposal touches costs more than scoring
+    them.  The floats equal ``_dof_columns``'s.
+    """
+    matches = []
+    for var, allowed in rule.antecedents:
+        match = 0.0
+        for lab, degree in pairs[var]:
+            if degree > match and lab in allowed:
+                match = degree
+        matches.append(match)
+    return combine(matches)
+
+
+def _report(
+    rb: RuleBase, ladders: Ladders, pairs: Pairs, agg: Aggregator
+) -> ClassificationReport:
+    """Check ``rb`` against one sample's ladders, then score it on the sample's pairs.
+
+    A class scores the first maximum of 0 and its rules' DOFs.
+    """
+    _check_rules(rb.rules, ladders)
+    combine = _COMBINE[agg]
+    per_rule, scores = {}, dict.fromkeys(rb.class_order, 0.0)
+    for rule in rb.rules:
+        dof = per_rule[rule.id] = _dof(rule, pairs, combine)
+        if dof > scores[rule.consequent]:
+            scores[rule.consequent] = dof
     # The classes at the top score, in class order: the first one wins.
     top = max(scores.values())
     tied = tuple(cls for cls, score in scores.items() if score == top)
@@ -331,7 +335,7 @@ def _report(rb: RuleBase, batch: _Batch, agg: Aggregator) -> ClassificationRepor
         winner=tied[0],
         tie=len(tied) > 1,
         tied=tied,
-        per_rule={rule.id: column[0] for rule, column in zip(rb.rules, columns)},
+        per_rule=per_rule,
     )
 
 
@@ -341,9 +345,9 @@ def rule_dof(
     agg: Aggregator = Aggregator.MEAN,
 ) -> float:
     """Degree of fulfilment of one rule against a fuzzified sample."""
-    batch = _vector_batch((memberships,))
-    _check_rules((rule,), batch.ladders[0])
-    return _dof_columns((rule,), batch, agg)[0][0]
+    ladders, pairs = _convert(memberships)
+    _check_rules((rule,), ladders)
+    return _dof(rule, pairs, _COMBINE[agg])
 
 
 def classify(
@@ -357,7 +361,7 @@ def classify(
     score descending and breaks ties by class order, so the report is fully
     deterministic for identical inputs.
     """
-    return _report(rb, _vector_batch((memberships,)), agg)
+    return _report(rb, *_convert(memberships), agg)
 
 
 def score_rulebase(
@@ -429,23 +433,6 @@ def _mutate(
     antecedents[ai] = (var, toggled)
     rules[ri] = Rule(rule.id, tuple(antecedents), rule.consequent)
     return RuleBase(tuple(rules), rb.class_order), ri
-
-
-def _dof(rule: Rule, pairs: Pairs, combine: Callable[[list[float]], float]) -> float:
-    """Degree of fulfilment of a checked rule on one sample's active pairs.
-
-    Only ``_DofTable.propose`` scores sample by sample: indexing the few
-    samples a proposal touches costs more than scoring them.  The floats
-    equal ``_dof_columns``'s.
-    """
-    matches = []
-    for var, allowed in rule.antecedents:
-        match = 0.0
-        for lab, degree in pairs[var]:
-            if degree > match and lab in allowed:
-                match = degree
-        matches.append(match)
-    return combine(matches)
 
 
 class _DofTable:

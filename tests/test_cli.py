@@ -838,6 +838,22 @@ class TestOutOfDomainRows:
         else:
             assert [r[0] for r in csv_rows(out)[1:]] == ["b", "c"]
 
+    @pytest.mark.parametrize("mode", OUT_OF_DOMAIN_MODES, ids=" ".join)
+    def test_first_bad_value_named_once(self, mode, tmp_path, capsys):
+        # ll and pi (250 - 20) are both outside [0, 100]; ll is checked first.
+        path = tmp_path / "both.csv"
+        path.write_text(
+            "id,p2mm,p425,p075,ll,pl,class\n"
+            "a,100,100,92,250,20,A-7\n"
+            "c,100,76,7,19,16,A-3\n"
+        )
+        code, out, err = run([*mode, str(path)], capsys)
+        assert code == cli.EXIT_ROWS and out == ""
+        assert err.splitlines() == [
+            "row 1: ll: value 250.0 outside domain [0.0, 100.0]",
+            f"soilfuzz: 1 bad row(s) in {path}",
+        ]
+
     def test_crisp_unchanged(self, path, capsys):
         code, out, err = run(["classify", "--crisp", path], capsys)
         assert code == 0 and err == ""

@@ -18,6 +18,7 @@ from soilfuzz import (
     Rule,
     RuleBase,
     RuleConfigError,
+    SoilFuzzError,
     SoilSample,
     a7_split,
     classify,
@@ -825,6 +826,17 @@ def test_batch_scoring_equals_reference(variables, data, agg, pi_source):
         for _ in range(data.draw(st.integers(1, 30)))
     ]
     labeled = [(memberships, data.draw(st.sampled_from(rb.class_order))) for memberships in samples]
+    # The single-sample path, on each sample alone.
+    for memberships in samples:
+        try:
+            expected = reference_classify(rb, memberships, agg)
+        except (EvaluationError, RuleConfigError) as exc:
+            with pytest.raises(SoilFuzzError) as raised:
+                classify(rb, memberships, agg)
+            assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+            continue
+        # ``repr`` also pins the order of the dicts and the sign of zero.
+        assert repr(classify(rb, memberships, agg)) == repr(expected)
     try:
         expected = [reference_classify(rb, memberships, agg) for memberships in samples]
     except (EvaluationError, RuleConfigError) as exc:
@@ -927,22 +939,25 @@ class TestCheckedOnce:
             check_rules(rules, ladders)
 
         monkeypatch.setattr(rules_module, "_check_rules", counting)
-        monkeypatch.setattr(rules_module, "_checked", (None, None))
         rb = paper_preset.rulebase
-        samples = [fx.sample for fx in fixtures] * 5
-        for sample in samples:
-            classify_hrb(sample, rb, variables=variables)
-        # Vectors over the same ladders need no second check.
-        labeled = [(fuzzify_sample(sample, variables=variables), "A-4") for sample in samples]
-        score_rulebase(rb, labeled)
-        for memberships, _ in labeled:
-            classify(rb, memberships)
-        assert len(checks) == 1
+        plain = [fuzzify_sample(fx.sample, variables=variables) for fx in fixtures]
+        # A ladder no rule names makes another ladder set that passes.
+        cbr = make_partition("cbr", ["lo", "hi"], [0, 100], (0, 100))
+        extended = [{**memberships, "cbr": fuzzify(cbr, 50)} for memberships in plain]
+        ladders = [rules_module._convert(samples[0])[0] for samples in (plain, extended)]
+
+        score_rulebase(rb, [(memberships, "A-4") for memberships in plain * 5])
+        assert checks == ladders[:1]
+        checks.clear()
+        mixed = [m for pair in zip(extended, plain) for m in pair] * 5
+        score_rulebase(rb, [(memberships, "A-4") for memberships in mixed])
+        assert checks == ladders[::-1]
 
     def test_memo_holds_under_threads(self, variables, paper_preset, fixtures):
-        # Threads share the remembered pair.  Each of two (rule base, ladders)
-        # pairs passes and each mixed pair fails, so a torn or early memo
-        # update in one thread would let another thread's mixed pair through.
+        # Each of two (rule base, ladders) pairs passes and each mixed pair
+        # fails, so any check state shared between threads, such as a
+        # remembered pair, that let one thread's passed check stand for
+        # another's would let a mixed pair through.
         relabeled = {**variables, "pi": make_partition("pi", ["lo", "hi"], [0, 70], (0, 100))}
         relabeled_rules = RuleBase(
             (Rule("R1", (("ll", frozenset({"LM"})), ("pi", frozenset({"lo"}))), "C"),),
