@@ -16,6 +16,7 @@ import io
 import operator
 import os
 import sys
+from bisect import bisect_left
 from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import NamedTuple
@@ -204,9 +205,9 @@ _FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 class _JsonFragment(str):
-    """The JSON text of a value, as ``json.dumps(value, indent=2)`` writes it.
+    """The JSON text of a value, laid out for its place in the document.
 
-    ``_write_json`` puts it in place of that value, indented to its depth.
+    ``_write_json`` writes it verbatim, so it is indented for that place.
     """
 
 
@@ -217,8 +218,8 @@ def _json_text(payload) -> str:
     this writer gives the same text for the types the CLI builds: ``dict``
     with ``str`` keys, ``list``, ``str``, ``float``, ``int``, ``bool`` and
     ``None``, where a ``_JsonFragment`` stands for the value its text
-    writes.  Any other type, every other subclass included, raises
-    ``TypeError``.
+    writes, laid out for its place.  Any other type, every other subclass
+    included, raises ``TypeError``.
     """
     # Only JSON output imports the encoder's string escaper.
     from json.encoder import encode_basestring_ascii
@@ -232,6 +233,7 @@ def _json_text(payload) -> str:
 def _write_json(value, newline: str, chunks: list[str], prefixes: dict, encode) -> None:
     """Append the JSON text of ``value``, nested after ``newline``, to ``chunks``.
 
+    A ``_JsonFragment`` is appended as it is: its layout already nests it.
     ``encode`` writes a string as an ASCII JSON string literal.
     ``prefixes`` caches each member's ``newline + indent + key + ": "``
     prefix by indent, then key.
@@ -280,8 +282,7 @@ def _write_json(value, newline: str, chunks: list[str], prefixes: dict, encode) 
     elif value is None:
         append("null")
     elif kind is _JsonFragment:
-        # A string literal holds no raw line break: each one is layout.
-        append(value.replace("\n", newline))
+        append(value)
     else:
         raise TypeError(f"cannot write {kind.__name__} as JSON")
 
@@ -463,48 +464,44 @@ def _classify_records(ids, winners, ratings, a7, scored) -> list[dict]:
 class _Degrees(dict):
     """One property's rendered degrees by value, rendered on first use.
 
-    ``render`` turns a value's active pairs into its text.  The cache pays
-    when values repeat across rows; where none does, each value costs one
-    insert more than rendering it would.  A value becomes a key only once
-    ``active_descriptors`` has accepted it, so a hit needs no domain check.
-    Zero is never a key: 0.0 == -0.0, but a -0.0 value has a -0.0 degree,
-    which prints as such.
+    With ``encode``, a value's text is its JSON ``degrees`` object, laid
+    out where it sits in the document; without, a tuple of its CSV cells.
+    A value in segment j of the centers ``c`` (``c[j - 1] < x <= c[j]``, or
+    ``c[0] <= x`` for j == 1) activates labels j - 1 and j only, so its
+    text is segment j's ``head + number(falling) + mid + number(rising) +
+    tail``, with ``active_descriptors``' degrees rounded by ``round4``.
+    Beyond the end centers every degree is 0.  ``_property_columns`` has
+    checked every value against its domain.  Zero is never a key: 0.0 ==
+    -0.0, but a -0.0 value has a -0.0 degree, which prints as such.
     """
 
-    def __init__(self, var, render):
+    def __init__(self, var, encode=None):
         super().__init__()
-        self.var, self.render = var, render
+        # A value's text, cut around the numbers of its k labels, and
+        # ``fill``, which joins pieces with an inactive label's number.
+        if encode is None:
+            cut, self.number = [()] * (len(var.labels) + 1), lambda r: (degree_text(r),)
+            fill = lambda parts: ("0",) * (len(parts) - 1)
+        else:
+            # The object's members are 12 spaces in, its closing brace 10.
+            members = "\0,".join(f"\n            {encode(label)}: " for label in var.labels)
+            cut = ("{" + members + "\0\n          }").split("\0")
+            fill, self.number = "0.0".join, _float_repr
+        segments = [(fill(cut[:j]), cut[j], fill(cut[j + 1:])) for j in range(1, len(cut) - 1)]
+        self.centers, self.layouts = var.centers, [fill(cut), *segments]
 
-    def __missing__(self, value: float):
-        text = self.render(active_descriptors(self.var, value))
-        if value:
-            self[value] = text
+    def __missing__(self, x: float):
+        c, text = self.centers, self.layouts[0]
+        if c[0] <= x <= c[-1]:
+            j = bisect_left(c, x) or 1
+            left, right = c[j - 1], c[j]
+            w = right - left
+            head, mid, tail = self.layouts[j]
+            falling, rising = round4((right - x) / w), round4((x - left) / w)
+            text = head + self.number(falling) + mid + self.number(rising) + tail
+        if x:
+            self[x] = text
         return text
-
-
-def _degree_cells(labels):
-    """CSV: a value's ``degree_text`` cells in ladder order, "0" where inactive."""
-
-    def render(active):
-        cells = dict.fromkeys(labels, "0")
-        for label, degree in active:
-            cells[label] = degree_text(round4(degree))
-        return tuple(cells.values())
-
-    return render
-
-
-def _degrees_object(labels, encode):
-    """JSON: a value's ``degrees`` object, laid out as a row's member."""
-    prefixes = [f"\n      {encode(label)}: " for label in labels]
-
-    def render(active):
-        degrees = dict.fromkeys(labels, "0.0")
-        for label, degree in active:
-            degrees[label] = _float_repr(round4(degree))
-        return "{" + ",".join(map(str.__add__, prefixes, degrees.values())) + "\n    }"
-
-    return render
 
 
 def cmd_memberships(args) -> int:
@@ -515,30 +512,32 @@ def cmd_memberships(args) -> int:
     if args.variable and args.variable not in ladders:
         raise CliError(EXIT_INPUT, f"unknown variable {args.variable}")
     names = [args.variable] if args.variable else list(ladders)
+    encode = None
     if args.format == "json":
         # Only JSON output imports the encoder's string escaper.
         from json.encoder import encode_basestring_ascii as encode
-
-        render = {name: _degrees_object(ladders[name], encode) for name in names}
-    else:
-        render = {name: _degree_cells(ladders[name]) for name in names}
 
     # Every property with a ladder is checked against its domain, listed or
     # not; only the listed ones are rendered, each distinct value once.
     rows, columns = _property_columns(args, rows, problems, variables)
     ids = [row.id for row in rows]
     texts = {
-        name: list(map(_Degrees(variables[name], render[name]).__getitem__, columns[name]))
+        name: list(map(_Degrees(variables[name], encode).__getitem__, columns[name]))
         for name in names
     }
     if args.format == "json":
-        # Each table's rows array is a fragment laid out as a document of its
-        # own: a row object opens 2 spaces in, its members 4, its degrees 6.
-        heads = [f'\n  {{\n    "id": {encode(row_id)},\n    "degrees": ' for row_id in ids]
+        # Each table's rows array is laid out where it sits in the document:
+        # a row object opens 8 spaces in, its members 10.  The first row's
+        # head opens the array; each later one follows a comma.
+        heads = [
+            f',\n        {{\n          "id": {encode(id_)},\n          "degrees": ' for id_ in ids
+        ]
+        if heads:
+            heads[0] = "[" + heads[0][1:]
         tables = []
         for name in names:
-            objects = map(str.__add__, heads, texts[name])
-            array = "[" + "\n  },".join(objects) + "\n  }\n]" if heads else "[]"
+            objects = chain.from_iterable(zip(heads, texts[name], repeat("\n        }")))
+            array = "".join(chain(objects, ("\n      ]",))) if heads else "[]"
             tables.append(
                 {"variable": name, "labels": list(ladders[name]), "rows": _JsonFragment(array)}
             )

@@ -3,6 +3,8 @@ import io
 import re
 from pathlib import Path
 
+from soilfuzz import cli
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -19,3 +21,18 @@ def test_library_use_block_runs():
     lines = out.getvalue().splitlines()
     assert lines[:2] == ["A-4 fair to poor", "A-4"]
     assert 0.0 <= float(lines[2]) <= 1.0
+
+
+def test_memberships_json_example_is_real_output(tmp_path):
+    # The section's CSV input, the command it names, and that command's output.
+    text = README.read_text(encoding="utf-8")
+    section = text.split("### memberships output", 1)[1].split("\n### ", 1)[0]
+    csv_block = re.search(r"```csv\n(.*?)```", section, re.DOTALL).group(1)
+    command = re.search(r"`soilfuzz (memberships [^`]*) IN` prints", section).group(1)
+    json_block = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+    path = tmp_path / "in.csv"
+    path.write_text(csv_block, encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main([*command.split(), str(path)]) == 0
+    assert out.getvalue() == json_block

@@ -1,12 +1,13 @@
 import json
 import math
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
+from json.encoder import encode_basestring_ascii
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from soilfuzz import cli
+from soilfuzz import cli, fuzzify, load_variables, make_partition
 from soilfuzz.render import degree_text, fmt_degree, round4
 
 
@@ -142,8 +143,95 @@ class TestJsonText:
             cli._json_text(payload)
 
     def test_fragment_is_indented_to_its_place(self):
-        # Laid out as a document of its own, indented to where it is put.
+        # Laid out for where it is put, an item of a member's list, 4 spaces
+        # in, and written as it is.
         value = {"b": ["laid out", {"c": 1.5}]}
-        fragment = cli._JsonFragment(json.dumps(value, indent=2))
+        fragment = cli._JsonFragment(json.dumps(value, indent=2).replace("\n", "\n    "))
         payload = {"a": [fragment, "x"]}
         assert cli._json_text(payload) == json.dumps({"a": [value, "x"]}, indent=2) + "\n"
+
+    @settings(max_examples=300)
+    @given(PAYLOADS, st.lists(st.none() | TEXT, max_size=5))
+    @example([], [])
+    @example({"a": "line\nbreak"}, [None, "k"])
+    def test_fragment_at_any_depth(self, value, path):
+        # Each step of ``path`` nests the value one level deeper: as a key's
+        # value in a dict, or (None) as the first item of a list.
+        def nest(inner):
+            for key in reversed(path):
+                inner = [inner, "after"] if key is None else {key: inner}
+            return inner
+
+        indent = "\n" + "  " * len(path)
+        fragment = cli._JsonFragment(json.dumps(value, indent=2).replace("\n", indent))
+        assert cli._json_text(nest(fragment)) == json.dumps(nest(value), indent=2) + "\n"
+
+
+@st.composite
+def random_ladders(draw):
+    """A valid ladder of 2-8 labels with any text, inside a domain around its centers."""
+    k = draw(st.integers(2, 8))
+    centers = sorted(draw(st.lists(
+        st.integers(-1000, 1000).map(float) | st.floats(-1e3, 1e3), min_size=k, max_size=k,
+        unique=True,
+    )))
+    labels = draw(st.lists(
+        st.sampled_from(["VL", "\x00", 'q"\\', "né ✓", "\n"]) | st.text(min_size=1, max_size=3),
+        min_size=k, max_size=k, unique=True,
+    ))
+    lo = draw(st.sampled_from([centers[0]]) | st.floats(-2e3, centers[0]))
+    hi = draw(st.sampled_from([centers[-1]]) | st.floats(centers[-1], 2e3))
+    return make_partition("x", labels, centers, (lo, hi))
+
+
+def in_domain_points(var):
+    """Centers and the floats either side, domain bounds, ±0.0, holes and anything between.
+
+    Every point lies in the domain, which ``_property_columns`` checks first.
+    """
+    lo, hi, c = var.domain_min, var.domain_max, var.centers
+    near = [math.nextafter(x, side) for x in c for side in (-math.inf, math.inf)]
+    fixed = [x for x in (*c, *near, lo, hi, 0.0, -0.0) if lo <= x <= hi]
+    return (
+        st.sampled_from(fixed)
+        | st.floats(lo, c[0])
+        | st.floats(c[-1], hi)
+        | st.floats(lo, hi)
+    )
+
+
+SHIPPED = tuple(load_variables().values())
+
+
+def reference_degrees(var, x):
+    """``fuzzify``'s degrees of ``x``, rounded as the CLI prints them."""
+    return {label: round4(d) for label, d in fuzzify(var, x).entries.items()}
+
+
+class TestSegmentRenderer:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_fuzzify_reference(self, data):
+        var = data.draw(st.sampled_from(SHIPPED) | random_ladders())
+        values = data.draw(st.lists(in_domain_points(var), min_size=1, max_size=30))
+        json_degrees, csv_cells = cli._Degrees(var, encode_basestring_ascii), cli._Degrees(var)
+        for x in values:
+            degrees = reference_degrees(var, x)
+            # ``json.dumps`` prints each float with ``float.__repr__``; the
+            # object sits 10 spaces in, as a row's member.
+            want = json.dumps(degrees, indent=2).replace("\n", "\n" + " " * 10)
+            assert json_degrees[x] == want, x
+            assert csv_cells[x] == tuple(map(degree_text, degrees.values())), x
+
+    @pytest.mark.parametrize("name", ["p2mm", "pi"])
+    def test_holes_and_signed_zeros(self, name):
+        # p2mm's last center is 50 and pi's 70, in 0..100 domains.  A -0.0
+        # value has a -0.0 degree, so it must not be served 0.0's text.
+        var = load_variables()[name]
+        zeros = ("0",) * (len(var.labels) - 2)
+        cells = cli._Degrees(var)
+        assert (cells[0.0], cells[-0.0]) == (("1", "0", *zeros), ("1", "-0", *zeros))
+        past_end = math.nextafter(var.centers[-1], math.inf)
+        assert cells[past_end] == cells[100.0] == ("0", "0", *zeros)
+        text = cli._Degrees(var, encode_basestring_ascii)
+        assert '"L": 0.0,' in text[0.0] and '"L": -0.0,' in text[-0.0]
