@@ -3,7 +3,10 @@
 Reads samples from CSV (columns ``id,p2mm,p425,p075,ll,pl[,pi][,class]``;
 a missing pi is computed as ll - pl), classifies them against a preset or a
 rule file, dumps membership tables, or induces a rule base from labeled
-rows.  Output is byte-deterministic for identical inputs and flags.
+rows.  Output is byte-deterministic for identical inputs and flags.  A
+JSON document is written as text laid out as ``json.dumps(indent=2)`` lays
+it out: its few top-level fields through ``json.dumps``, its rows joined
+from columns of pre-rendered pieces.
 
 Exit codes: 0 success, 2 unreadable input, unwritable output or bad usage,
 3 invalid rule file, 4 row validation failures (including missing or
@@ -175,6 +178,16 @@ def _preset_dir() -> str | None:
     return os.environ.get("SOILFUZZ_PRESET_DIR") or None
 
 
+def _load_variables() -> dict:
+    """The linguistic variables of the preset directory (``SOILFUZZ_PRESET_DIR``)."""
+    directory = _preset_dir()
+    try:
+        return hrb.load_variables(directory)
+    except (OSError, UnicodeDecodeError) as exc:
+        where = directory or "the shipped presets"
+        raise CliError(EXIT_INPUT, f"cannot read hrb-variables.txt in {where}: {exc}") from None
+
+
 def _load_rulebase(args, variables) -> tuple[str, RuleBase]:
     """Resolve --rules FILE or --preset into (name, rule base)."""
     if getattr(args, "rules", None):
@@ -187,7 +200,7 @@ def _load_rulebase(args, variables) -> tuple[str, RuleBase]:
         return args.rules, rb
     try:
         preset = hrb.load_preset(args.preset, directory=_preset_dir(), variables=variables)
-    except (OSError, dsl.RuleParseError) as exc:
+    except (OSError, UnicodeDecodeError, dsl.RuleParseError) as exc:
         raise CliError(EXIT_RULES, f"cannot load preset {args.preset}: {exc}") from None
     return preset.kind, preset.rulebase
 
@@ -200,95 +213,49 @@ def _csv_text(rows) -> str:
 
 
 _float_repr = float.__repr__
-_int_repr = int.__repr__
-_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-class _JsonFragment(str):
-    """The JSON text of a value, laid out for its place in the document.
+def _json_head(head: dict, key: str, indent: str) -> str:
+    """The text of the JSON object ``{**head, key: ...}`` up to ``key``'s value.
 
-    ``_write_json`` writes it verbatim, so it is indented for that place.
+    The object is laid out ``indent`` in, as ``json.dumps(indent=2)`` lays
+    it out; ``key`` is its last member, so the text stops after its
+    ``": "``.  The caller writes the value and closes the object.
     """
+    # Only JSON output imports the encoder.
+    import json
+
+    # The text is cut at its end, where no id or label can reach.
+    text = json.dumps({**head, key: None}, indent=2)[: -len("null\n}")]
+    return text.replace("\n", "\n" + indent)
 
 
-def _json_text(payload) -> str:
-    """The JSON document of ``payload``: ``json.dumps(payload, indent=2) + "\\n"``.
+def _json_text(head: dict, key: str, value) -> str:
+    """The JSON document ``json.dumps({**head, key: v}, indent=2) + "\\n"``.
 
-    ``json.dumps`` runs its pure-Python encoder whenever ``indent`` is set;
-    this writer gives the same text for the types the CLI builds: ``dict``
-    with ``str`` keys, ``list``, ``str``, ``float``, ``int``, ``bool`` and
-    ``None``, where a ``_JsonFragment`` stands for the value its text
-    writes, laid out for its place.  Any other type, every other subclass
-    included, raises ``TypeError``.
+    ``value`` is the text of ``v`` as pieces, laid out where ``v`` sits:
+    its lines after the first are indented 2 spaces or more.  Only the
+    small ``head`` reaches ``json.dumps``; the document is joined once.
     """
-    # Only JSON output imports the encoder's string escaper.
-    from json.encoder import encode_basestring_ascii
-
-    chunks: list[str] = []
-    _write_json(payload, "\n", chunks, {}, encode_basestring_ascii)
-    chunks.append("\n")
-    return "".join(chunks)
+    return "".join(chain((_json_head(head, key, ""),), value, ("\n}\n",)))
 
 
-def _write_json(value, newline: str, chunks: list[str], prefixes: dict, encode) -> None:
-    """Append the JSON text of ``value``, nested after ``newline``, to ``chunks``.
+def _json_objects(indent: str, n: int, *members):
+    """The text of a JSON array of ``n`` objects, ``indent`` in, as pieces.
 
-    A ``_JsonFragment`` is appended as it is: its layout already nests it.
-    ``encode`` writes a string as an ASCII JSON string literal.
-    ``prefixes`` caches each member's ``newline + indent + key + ": "``
-    prefix by indent, then key.
+    The k-th object holds the k-th piece of each iterable in ``members``,
+    in order: each is one or more members, laid out ``indent + "  "`` in
+    and led by their newline and, but for the first, a comma.
     """
-    append = chunks.append
-    kind = type(value)
-    if kind is float:
-        text = _float_repr(value)
-        append(_FLOAT_WORDS.get(text, text))
-    elif kind is str:
-        append(encode(value))
-    elif kind is dict:
-        if not value:
-            append("{}")
-            return
-        inner = newline + "  "
-        keyed = prefixes.get(inner)
-        if keyed is None:
-            keyed = prefixes[inner] = {}
-        append("{")
-        for key, item in value.items():
-            prefix = keyed.get(key)
-            if prefix is None:
-                if type(key) is not str:
-                    raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
-                prefix = keyed[key] = f"{inner}{encode(key)}: "
-            append(prefix)
-            _write_json(item, inner, chunks, prefixes, encode)
-            append(",")
-        chunks[-1] = newline + "}"
-    elif kind is list:
-        if not value:
-            append("[]")
-            return
-        inner = newline + "  "
-        append("[")
-        for item in value:
-            append(inner)
-            _write_json(item, inner, chunks, prefixes, encode)
-            append(",")
-        chunks[-1] = newline + "]"
-    elif kind is bool:
-        append("true" if value else "false")
-    elif kind is int:
-        append(_int_repr(value))
-    elif value is None:
-        append("null")
-    elif kind is _JsonFragment:
-        append(value)
-    else:
-        raise TypeError(f"cannot write {kind.__name__} as JSON")
+    if not n:
+        return ("[]",)
+    opens = chain((f"[\n{indent}{{",), repeat(f",\n{indent}{{", n - 1))
+    objects = chain.from_iterable(zip(opens, *members, repeat(f"\n{indent}}}")))
+    return chain(objects, (f"\n{indent[2:]}]",))
 
 
 def cmd_classify(args) -> int:
-    variables = hrb.load_variables(_preset_dir())
+    variables = _load_variables()
     rows, problems, _ = _load_rows(args)
 
     if args.crisp:
@@ -328,7 +295,7 @@ def cmd_classify(args) -> int:
     # Free the rows too: the output needs only their ids and A-7 limits.
     del rows
     if args.format == "json":
-        _write_output(args, _json_text({**header, "results": _classify_records(*results)}))
+        _write_output(args, _json_text(header, "results", _classify_json(*results)))
     else:
         _write_output(args, _csv_text(_classify_table(*results)))
     return EXIT_OK
@@ -436,29 +403,44 @@ def _classify_table(ids, winners, ratings, a7, scored):
     return chain((header,), zip(ids, winners, ratings, ties, tied_with, *cells, a7_ll, a7_pi))
 
 
-def _classify_records(ids, winners, ratings, a7, scored) -> list[dict]:
-    """The JSON result objects of the results (see ``_classify_table``).
+def _classify_json(ids, winners, ratings, a7, scored):
+    """The ``results`` array of the results as JSON text, in pieces (see ``_classify_table``).
 
-    Every number is rounded here, each distinct score once.
+    Each row object is laid out where it sits in the document: 4 spaces
+    in, its members 6 and theirs 8.  Each distinct score is rounded once
+    and written by ``float.__repr__``, as ``json.dumps`` writes a float.
     """
-    records = [
-        {"id": id_, "winner": winner, "rating": rating}
-        for id_, winner, rating in zip(ids, winners, ratings)
+    # Only JSON output imports the encoder's string escaper.
+    from json.encoder import encode_basestring_ascii as encode
+
+    n = len(ids)
+    labels = {
+        pair: f',\n      "winner": {encode(pair[0])},\n      "rating": {encode(pair[1])}'
+        for pair in set(zip(winners, ratings))
+    }
+    members = [
+        repeat('\n      "id": '), map(encode, ids), map(labels.__getitem__, zip(winners, ratings))
     ]
     if scored is not None:
         classes, by_class, tied = scored
-        rounded = {score: round4(score) for score in set().union(*by_class)}
-        rows = zip(*[map(rounded.__getitem__, column) for column in by_class])
-        for i, (record, scores) in enumerate(zip(records, rows)):
-            names = tied.get(i, [])
-            record["tie"] = bool(names)
-            record["tied"] = names
-            record["scores"] = dict(zip(classes, scores))
-    for record in records:
-        record["a7"] = None
+        ties = [',\n      "tie": false,\n      "tied": []'] * n
+        for i, names in tied.items():
+            items = ",".join([f"\n        {encode(name)}" for name in names])
+            ties[i] = f',\n      "tie": true,\n      "tied": [{items}\n      ]'
+        text = {score: _float_repr(round4(score)) for score in set().union(*by_class)}
+        keys = [f",\n        {encode(cls)}: " for cls in classes]
+        keys[0] = ',\n      "scores": {' + keys[0][1:]
+        members.append(ties)
+        for key, column in zip(keys, by_class):
+            members += repeat(key), map(text.__getitem__, column)
+        members.append(repeat("\n      }"))
+    limits = [',\n      "a7": null'] * n
     for i, (ll, pi) in a7.items():
-        records[i]["a7"] = {"ll": round4(ll), "pi": round4(pi)}
-    return records
+        limits[i] = (
+            f',\n      "a7": {{\n        "ll": {_float_repr(round4(ll))},'
+            f'\n        "pi": {_float_repr(round4(pi))}\n      }}'
+        )
+    return _json_objects("    ", n, *members, limits)
 
 
 class _Degrees(dict):
@@ -505,7 +487,7 @@ class _Degrees(dict):
 
 
 def cmd_memberships(args) -> int:
-    variables = hrb.load_variables(_preset_dir())
+    variables = _load_variables()
     rows, problems, _ = _load_rows(args)
     # The HRB properties the variables file has a ladder for, in column order.
     ladders = hrb._ladders(variables)
@@ -526,23 +508,22 @@ def cmd_memberships(args) -> int:
         for name in names
     }
     if args.format == "json":
-        # Each table's rows array is laid out where it sits in the document:
-        # a row object opens 8 spaces in, its members 10.  The first row's
-        # head opens the array; each later one follows a comma.
-        heads = [
-            f',\n        {{\n          "id": {encode(id_)},\n          "degrees": ' for id_ in ids
-        ]
-        if heads:
-            heads[0] = "[" + heads[0][1:]
+        # A table object opens 4 spaces in; its rows open 8, their members 10.
+        ids = list(map(encode, ids))
         tables = []
         for name in names:
-            objects = chain.from_iterable(zip(heads, texts[name], repeat("\n        }")))
-            array = "".join(chain(objects, ("\n      ]",))) if heads else "[]"
-            tables.append(
-                {"variable": name, "labels": list(ladders[name]), "rows": _JsonFragment(array)}
+            head = {"variable": name, "labels": list(ladders[name])}
+            tables += ",\n    ", _json_head(head, "rows", "    ")
+            tables += _json_objects(
+                "        ", len(ids),
+                repeat('\n          "id": '), ids, repeat(',\n          "degrees": '), texts[name],
             )
-        payload = {"command": "memberships", "pi_source": args.pi_source, "tables": tables}
-        _write_output(args, _json_text(payload))
+            tables.append("\n    }")
+        if tables:
+            tables[0] = "[\n    "
+            tables.append("\n  ]")
+        head = {"command": "memberships", "pi_source": args.pi_source}
+        _write_output(args, _json_text(head, "tables", tables or ["[]"]))
     else:
         table = []
         for name in names:
@@ -553,7 +534,7 @@ def cmd_memberships(args) -> int:
 
 
 def cmd_rules(args) -> int:
-    variables = hrb.load_variables(_preset_dir())
+    variables = _load_variables()
     _, rb = _load_rulebase(args, variables)
     _write_output(args, dsl.serialize(rb, variables))
     return EXIT_OK
@@ -562,7 +543,7 @@ def cmd_rules(args) -> int:
 def cmd_induce(args) -> int:
     # Rules may name only the HRB properties, which are the sample's columns.
     variables = {
-        name: var for name, var in hrb.load_variables(_preset_dir()).items()
+        name: var for name, var in _load_variables().items()
         if name in hrb.VARIABLE_NAMES
     }
     rows, problems, has_class = _load_rows(args)

@@ -651,6 +651,37 @@ class TestPresetDirOverride:
         rows = csv_rows(out)
         assert all(r[1] == "A-3" for r in rows[1:])
 
+    COMMANDS = [
+        ["classify"],
+        ["memberships"],
+        ["rules"],
+        ["induce", "--seed", "1", "--iters", "2"],
+    ]
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
+    @pytest.mark.parametrize("broken", ["missing", "not-utf8"])
+    def test_unreadable_variables_file_exits_2(
+        self, labeled_csv, tmp_path, capsys, monkeypatch, command, broken
+    ):
+        if broken == "not-utf8":
+            (tmp_path / "hrb-variables.txt").write_bytes(b"p2mm; \xff; 0, 1; 0, 1\n")
+        monkeypatch.setenv("SOILFUZZ_PRESET_DIR", str(tmp_path))
+        args = command if command == ["rules"] else [*command, labeled_csv]
+        code, out, err = run(args, capsys)
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert err.startswith(f"soilfuzz: cannot read hrb-variables.txt in {tmp_path}: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [["classify"], ["rules"]], ids=lambda command: command[0])
+    def test_undecodable_preset_exits_3(self, labeled_csv, tmp_path, capsys, monkeypatch, command):
+        self.use_ladders(tmp_path, monkeypatch, lambda lines: lines)
+        (tmp_path / "hrb-paper.frules").write_bytes(b"RULE R1: p2mm IS {VL} => A-\xff\n")
+        args = command if command == ["rules"] else [*command, labeled_csv]
+        code, out, err = run(args, capsys)
+        assert (code, out) == (cli.EXIT_RULES, "")
+        assert err.startswith("soilfuzz: cannot load preset paper: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
+
     @staticmethod
     def use_ladders(tmp_path, monkeypatch, edit):
         """Point the presets at a variables file whose lines ``edit`` rewrites."""
@@ -1577,7 +1608,98 @@ def test_memberships_json_equals_the_plain_tree(csv_paths, variables, rows, vari
     ids = [row_id.strip() for row_id, _ in rows]
     samples = [sf.SoilSample(*values) for _, values in rows]
     payload = memberships_payload(ids, samples, variable, pi_source, variables)
-    assert stdout.getvalue() == cli._json_text(payload) == json.dumps(payload, indent=2) + "\n"
+    assert stdout.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+
+def classify_payload(ids, samples, mode, variables, rules_path):
+    """The ``classify --format json`` payload as a plain tree, from the library."""
+    from soilfuzz.render import round4
+
+    if "--crisp" in mode:
+        head = {"command": "classify", "mode": "crisp"}
+    else:
+        if "--rules" in mode:
+            name, rb = str(rules_path), sf.parse_rules(rules_path.read_text(), variables)
+        else:
+            name = mode[mode.index("--preset") + 1]
+            rb = sf.load_preset(name, variables=variables)
+        agg, pi_source = (mode[mode.index(flag) + 1] for flag in ("--agg", "--pi-source"))
+        head = {"command": "classify", "rules": name, "aggregator": agg, "pi_source": pi_source}
+    results = []
+    for row_id, sample in zip(ids, samples):
+        if "--crisp" in mode:
+            subgroup = sf.crisp_classify(sample)
+            record = {"id": row_id, "winner": subgroup, "rating": sf.hrb.SUBGRADE_RATINGS[subgroup]}
+        else:
+            res = sf.classify_hrb(sample, rb, sf.Aggregator(agg), pi_source, variables)
+            subgroup, report = res.subgroup, res.report
+            record = {
+                "id": row_id,
+                "winner": subgroup,
+                "rating": res.rating,
+                "tie": report.tie,
+                "tied": list(report.tied) if report.tie else [],
+                "scores": {cls: round4(score) for cls, score in report.scores.items()},
+            }
+        a7 = subgroup.startswith("A-7")
+        record["a7"] = {"ll": round4(sample.ll), "pi": round4(sample.pi)} if a7 else None
+        results.append(record)
+    return {**head, "results": results}
+
+
+# Every aggregator on both presets and on rules with classes of any rating;
+# ``min`` on ``paper`` ties many rows at all-zero scores.
+JSON_CLASSIFY_MODES = [["--crisp"]] + [
+    [*rules, "--agg", agg, "--pi-source", pi_source]
+    for rules in (["--preset", "paper"], ["--preset", "calibrated"], ["--rules", "RANK"])
+    for agg in ("min", "product", "mean")
+    for pi_source in ("pi", "pl")
+]
+# A-7 rows past every domain, which only --crisp classifies: round4 keeps
+# 1e300 whole and rounds the other on its Decimal route.
+HUGE_A7 = st.sampled_from([(100.0, 100.0, 90.0, 1e300, 10.0), (100.0, 90.0, 60.0, 9593418.50545, 0.0)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from(JSON_CLASSIFY_MODES))
+def test_classify_json_equals_the_plain_tree(csv_paths, variables, data, mode):
+    path = next(csv_paths)
+    rules = path.with_suffix(".frules")
+    rules.write_text(RANK_RULES)
+    mode = [str(rules) if arg == "RANK" else arg for arg in mode]
+    values = in_domain_properties() | HUGE_A7 if "--crisp" in mode else in_domain_properties()
+    rows = data.draw(st.lists(st.tuples(IDS, values), max_size=6))
+    with path.open("w", encoding="utf-8", newline="") as stream:
+        writer = csv.writer(stream)
+        writer.writerow(cli.REQUIRED_COLUMNS)
+        writer.writerows([row_id, *map(repr, values)] for row_id, values in rows)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(["classify", *mode, "--format", "json", str(path)]) == 0
+    ids = [row_id.strip() for row_id, _ in rows]
+    samples = [sf.SoilSample(*values) for _, values in rows]
+    payload = classify_payload(ids, samples, mode, variables, rules)
+    assert stdout.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("mode", [
+    ["classify", "--format", "json"],
+    ["classify", "--crisp", "--format", "json"],
+    ["memberships", "--format", "json"],
+])
+def test_json_output_is_the_text_json_text_returns(fixture_csv, tmp_path, monkeypatch, mode):
+    # The benchmark counts the bytes written where _json_text returns them.
+    texts = []
+    json_text = cli._json_text
+
+    def recorded(*args):
+        texts.append(json_text(*args))
+        return texts[-1]
+
+    monkeypatch.setattr(cli, "_json_text", recorded)
+    out = tmp_path / "out.json"
+    assert cli.main([*mode, fixture_csv, "-o", str(out)]) == 0
+    assert len(texts) == 1 and out.read_text(encoding="utf-8") == texts[0]
 
 
 def labeled_golden_corpus_csv():

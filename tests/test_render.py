@@ -117,54 +117,76 @@ PAYLOADS = st.recursive(
 )
 
 
+def laid_out(value, depth):
+    """``value``'s ``json.dumps`` text, laid out ``depth`` levels in."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+# The CLI's heads hold scalars and lists of labels.
+HEADS = st.dictionaries(TEXT, SCALARS | st.lists(TEXT, max_size=5), max_size=5)
+
+
 class TestJsonText:
     @settings(max_examples=300)
-    @given(PAYLOADS)
-    @example({})
-    @example([])
-    @example({"a": [], "b": {}, "c": [{}], "": [[]]})
-    def test_equals_json_dumps(self, payload):
-        assert cli._json_text(payload) == json.dumps(payload, indent=2) + "\n"
-
-    @pytest.mark.parametrize("payload", [
-        (1, 2),
-        {"a": (1,)},
-        {1: "non-str key"},
-        [{True: 1}],
-        {"a": {1.5}},
-        [b"bytes"],
-        [Decimal("1.5")],
-        [type("Text", (str,), {})("a str subclass")],
-        {"a": type("Number", (float,), {})(1.5)},
-    ])
-    def test_other_types_raise(self, payload):
-        # Of the subclasses, only the private pre-rendered fragment is let through.
-        with pytest.raises(TypeError):
-            cli._json_text(payload)
+    @given(HEADS, TEXT, PAYLOADS)
+    @example({}, "a", {})
+    @example({}, "a", [])
+    @example({"a": [], "b": {}, "c": [{}]}, "", [[]])
+    def test_equals_json_dumps(self, head, key, value):
+        head.pop(key, None)
+        want = json.dumps({**head, key: value}, indent=2) + "\n"
+        assert cli._json_text(head, key, [laid_out(value, 1)]) == want
 
     def test_fragment_is_indented_to_its_place(self):
         # Laid out for where it is put, an item of a member's list, 4 spaces
         # in, and written as it is.
         value = {"b": ["laid out", {"c": 1.5}]}
-        fragment = cli._JsonFragment(json.dumps(value, indent=2).replace("\n", "\n    "))
-        payload = {"a": [fragment, "x"]}
-        assert cli._json_text(payload) == json.dumps({"a": [value, "x"]}, indent=2) + "\n"
+        pieces = ["[\n    ", laid_out(value, 2), ',\n    "x"\n  ]']
+        assert cli._json_text({}, "a", pieces) == json.dumps({"a": [value, "x"]}, indent=2) + "\n"
 
     @settings(max_examples=300)
-    @given(PAYLOADS, st.lists(st.none() | TEXT, max_size=5))
-    @example([], [])
-    @example({"a": "line\nbreak"}, [None, "k"])
+    @given(PAYLOADS, st.lists(st.tuples(HEADS, TEXT), min_size=1, max_size=6))
+    @example([], [({}, "")])
+    @example({"a": "line\nbreak"}, [({"k": None}, "k"), ({"}": "null\n}"}, "x")])
     def test_fragment_at_any_depth(self, value, path):
-        # Each step of ``path`` nests the value one level deeper: as a key's
-        # value in a dict, or (None) as the first item of a list.
-        def nest(inner):
-            for key in reversed(path):
-                inner = [inner, "after"] if key is None else {key: inner}
-            return inner
+        # Each step of ``path`` nests the value one level deeper, as the last
+        # member ``key`` of ``{**head, key: ...}``; the first step is the
+        # document, the others are written by ``_json_head``.
+        for head, key in path:
+            head.pop(key, None)
+        tree, text = value, laid_out(value, len(path))
+        for depth in reversed(range(1, len(path))):
+            head, key = path[depth]
+            tree = {**head, key: tree}
+            indent = "  " * depth
+            text = cli._json_head(head, key, indent) + text + "\n" + indent + "}"
+        head, key = path[0]
+        want = json.dumps({**head, key: tree}, indent=2) + "\n"
+        assert cli._json_text(head, key, [text]) == want
 
-        indent = "\n" + "  " * len(path)
-        fragment = cli._JsonFragment(json.dumps(value, indent=2).replace("\n", indent))
-        assert cli._json_text(nest(fragment)) == json.dumps(nest(value), indent=2) + "\n"
+    @settings(max_examples=150)
+    @given(st.data(), st.integers(0, 4), st.integers(1, 3))
+    def test_objects_array_equals_json_dumps(self, data, n, width):
+        # Each object has ``width`` members, written as ``width`` columns of
+        # pieces, one piece per object.
+        # The CLI's rows hold scalars, lists of names and objects of numbers.
+        member = st.tuples(
+            TEXT, SCALARS | st.lists(TEXT, max_size=3) | st.dictionaries(TEXT, FLOATS, max_size=3)
+        )
+        objects = data.draw(st.lists(
+            st.lists(member, min_size=width, max_size=width, unique_by=lambda m: m[0]),
+            min_size=n, max_size=n,
+        ))
+        columns = [
+            [
+                ("," if j else "") + f"\n      {encode_basestring_ascii(key)}: " + laid_out(item, 3)
+                for key, item in (members[j] for members in objects)
+            ]
+            for j in range(width)
+        ]
+        pieces = cli._json_objects("    ", n, *columns)
+        want = json.dumps({"a": [dict(members) for members in objects]}, indent=2) + "\n"
+        assert cli._json_text({}, "a", pieces) == want
 
 
 @st.composite
