@@ -19,7 +19,6 @@ import io
 import operator
 import os
 import sys
-from bisect import bisect_left
 from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import NamedTuple
@@ -29,7 +28,7 @@ from .errors import FuzzificationError, SampleError, SoilFuzzError
 from .fuzzy import active_columns, active_descriptors
 # ``fmt_degree`` is unused here, but bench/tracing.py wraps it by this name.
 from .render import degree_text, fmt_degree, fmt_score, round4  # noqa: F401
-from .rules import Aggregator, RuleBase, _Batch, _evaluate, search_rules
+from .rules import Aggregator, RuleBase, _Batch, _evaluate, _rank, search_rules
 
 REQUIRED_COLUMNS = ("id", "p2mm", "p425", "p075", "ll", "pl")
 READ_COLUMNS = (*REQUIRED_COLUMNS, "pi", "class")
@@ -179,13 +178,19 @@ def _preset_dir() -> str | None:
 
 
 def _load_variables() -> dict:
-    """The linguistic variables of the preset directory (``SOILFUZZ_PRESET_DIR``)."""
+    """The HRB-property ladders of the preset directory (``SOILFUZZ_PRESET_DIR``).
+
+    Rules may name only the HRB properties, which are the sample's columns,
+    so a ladder under any other name is left out.  The rest keep their
+    file order.
+    """
     directory = _preset_dir()
     try:
-        return hrb.load_variables(directory)
+        variables = hrb.load_variables(directory)
     except (OSError, UnicodeDecodeError) as exc:
         where = directory or "the shipped presets"
         raise CliError(EXIT_INPUT, f"cannot read hrb-variables.txt in {where}: {exc}") from None
+    return {name: var for name, var in variables.items() if name in hrb.VARIABLE_NAMES}
 
 
 def _load_rulebase(args, variables) -> tuple[str, RuleBase]:
@@ -354,30 +359,6 @@ def _fuzzy_batch(args, rows, problems, variables) -> tuple[_Batch, list[SampleRo
     return batch, rows
 
 
-def _rank(classes, by_class) -> tuple[list[str], dict[int, list[str]]]:
-    """Each sample's winner, and the classes at the top score of each tied sample.
-
-    ``by_class`` holds each class's score column, in the order of
-    ``classes``; the winner is the first class in that order with the top
-    score.
-    """
-    n = len(by_class[0])
-    tops = list(map(max, *by_class)) if len(by_class) > 1 else by_class[0]
-    winners: list = [None] * n
-    tied = set()
-    # From the last class to the first, so the first class at the top is
-    # kept; a sample a later class has already taken is tied.
-    for cls, column in zip(reversed(classes), reversed(by_class)):
-        for i in compress(range(n), map(operator.eq, column, tops)):
-            if winners[i] is not None:
-                tied.add(i)
-            winners[i] = cls
-    return winners, {
-        i: [cls for cls, column in zip(classes, by_class) if column[i] == tops[i]]
-        for i in tied
-    }
-
-
 def _classify_table(ids, winners, ratings, a7, scored):
     """The CSV rows of the results: the column names, then one row each.
 
@@ -448,13 +429,13 @@ class _Degrees(dict):
 
     With ``encode``, a value's text is its JSON ``degrees`` object, laid
     out where it sits in the document; without, a tuple of its CSV cells.
-    A value in segment j of the centers ``c`` (``c[j - 1] < x <= c[j]``, or
-    ``c[0] <= x`` for j == 1) activates labels j - 1 and j only, so its
-    text is segment j's ``head + number(falling) + mid + number(rising) +
-    tail``, with ``active_descriptors``' degrees rounded by ``round4``.
-    Beyond the end centers every degree is 0.  ``_property_columns`` has
-    checked every value against its domain.  Zero is never a key: 0.0 ==
-    -0.0, but a -0.0 value has a -0.0 degree, which prints as such.
+    The text is a layout cut around the numbers of the value's two active
+    labels, keyed by the upper label (``head + number(lower) + mid +
+    number(upper) + tail``), with ``active_descriptors``' degrees rounded
+    by ``round4``, or the all-zero layout where no label is active.
+    ``_property_columns`` has checked every value against its domain.
+    Zero is never a key: 0.0 == -0.0, but a -0.0 value has a -0.0 degree,
+    which prints as such.
     """
 
     def __init__(self, var, encode=None):
@@ -469,18 +450,19 @@ class _Degrees(dict):
             members = "\0,".join(f"\n            {encode(label)}: " for label in var.labels)
             cut = ("{" + members + "\0\n          }").split("\0")
             fill, self.number = "0.0".join, _float_repr
-        segments = [(fill(cut[:j]), cut[j], fill(cut[j + 1:])) for j in range(1, len(cut) - 1)]
-        self.centers, self.layouts = var.centers, [fill(cut), *segments]
+        self.var, self.zero = var, fill(cut)
+        self.layouts = {
+            upper: (fill(cut[:j]), cut[j], fill(cut[j + 1:]))
+            for j, upper in enumerate(var.labels[1:], 1)
+        }
 
     def __missing__(self, x: float):
-        c, text = self.centers, self.layouts[0]
-        if c[0] <= x <= c[-1]:
-            j = bisect_left(c, x) or 1
-            left, right = c[j - 1], c[j]
-            w = right - left
-            head, mid, tail = self.layouts[j]
-            falling, rising = round4((right - x) / w), round4((x - left) / w)
-            text = head + self.number(falling) + mid + self.number(rising) + tail
+        text = self.zero
+        active = active_descriptors(self.var, x)
+        if active:
+            (_, falling), (upper, rising) = active
+            head, mid, tail = self.layouts[upper]
+            text = head + self.number(round4(falling)) + mid + self.number(round4(rising)) + tail
         if x:
             self[x] = text
         return text
@@ -541,11 +523,7 @@ def cmd_rules(args) -> int:
 
 
 def cmd_induce(args) -> int:
-    # Rules may name only the HRB properties, which are the sample's columns.
-    variables = {
-        name: var for name, var in _load_variables().items()
-        if name in hrb.VARIABLE_NAMES
-    }
+    variables = _load_variables()
     rows, problems, has_class = _load_rows(args)
     if not has_class:
         raise CliError(EXIT_ROWS, "missing class column: induce needs labeled rows")

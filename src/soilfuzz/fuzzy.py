@@ -15,6 +15,10 @@ ladder as a :class:`MembershipVector`, the reporting view.
 degrees, by the same formulas, indexed by label as the rule evaluator's
 batches hold them.
 
+This module alone holds the segment rule: which two labels are active at
+a value, their degrees, and that none is active past the end centers.
+Every other module takes degrees from these two functions.
+
 Variables and membership vectors are immutable; fuzzification is a pure
 function, so everything here is safe to share between threads.
 """

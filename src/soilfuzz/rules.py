@@ -11,19 +11,22 @@ Two private kernels score rules on fuzzified samples, given as active
 descriptors: the ``(label, degree)`` pairs of :mod:`soilfuzz.fuzzy`, at
 most two per value.  ``classify``, ``classify_hrb`` and ``rule_dof`` score
 one sample with ``_dof``, as does an induction proposal on each sample it
-can change (see ``_DofTable``).  The CLI, ``score_rulebase`` and the
-induction search score all their samples as one batch with ``_evaluate``,
-one rule column at a time, over an index by variable, then label: each
-active descriptor lists the samples where it is active and its degree
-there.  In both, an antecedent's match starts at 0 and takes the greatest
-degree of the active labels it allows.  A batch's rules that share an
-antecedent, as rules read off one decision tree do, share its match
-column.  A rule's DOF column combines its match columns whole, in C: the
-mean adds them left to right, in antecedent order, then divides by their
-count; the product multiplies them left to right; the minimum takes each
-sample's least.  ``_dof`` gives the same floats with ``_COMBINE``.  A
-class's score column takes the first maximum of its rules' columns;
-callers rank by column and transpose only where they need a sample's row.
+can change (see ``_DofTable``).  The CLI and ``_DofTable`` score all their
+samples as one batch with ``_evaluate``, one rule column at a time, over
+an index by variable, then label: each active descriptor lists the
+samples where it is active and its degree there.  In both, an
+antecedent's match starts at 0 and takes the greatest degree of the
+active labels it allows.  A batch's rules that share an antecedent, as
+rules read off one decision tree do, share its match column.  A rule's
+DOF column combines its match columns whole, in C: the mean adds them
+left to right, in antecedent order, then divides by their count; the
+product multiplies them left to right; the minimum takes each sample's
+least.  ``_dof`` gives the same floats with ``_COMBINE``.  A class's
+score column takes the first maximum of its rules' columns.
+
+``_rank`` is the one batch ranker.  It picks each sample's winner, the
+first class in class order with the top score, by column, for the CLI
+and for ``_DofTable``; ``score_rulebase`` reads the table's hit count.
 The CLI builds its index a property at a time with
 ``fuzzy.active_columns``, ``classify_hrb`` its pairs with
 ``fuzzy.active_descriptors``; the functions here convert membership
@@ -191,14 +194,6 @@ def _convert(memberships: Mapping[str, MembershipVector]) -> tuple[dict, dict]:
     return ladders, pairs
 
 
-def _vector_batch(samples: Iterable[Mapping[str, MembershipVector]]) -> _Batch:
-    """The batch of samples given as membership vectors."""
-    batch = _Batch()
-    for memberships in samples:
-        batch.add(*_convert(memberships))
-    return batch
-
-
 def _check_rules(rules: Iterable[Rule], ladders: Ladders) -> None:
     """Raise unless ``ladders`` have every variable and descriptor of ``rules``.
 
@@ -293,6 +288,30 @@ def _evaluate(
     return rb.class_order, columns, by_class
 
 
+def _rank(classes, by_class) -> tuple[list[str], dict[int, list[str]]]:
+    """Each sample's winner, and the classes at the top score of each tied sample.
+
+    ``by_class`` holds each class's score column, in the order of
+    ``classes``; the winner is the first class in that order with the top
+    score.
+    """
+    n = len(by_class[0])
+    tops = list(map(max, *by_class)) if len(by_class) > 1 else by_class[0]
+    winners: list = [None] * n
+    tied = set()
+    # From the last class to the first, so the first class at the top is
+    # kept; a sample a later class has already taken is tied.
+    for cls, column in zip(reversed(classes), reversed(by_class)):
+        for i in itertools.compress(range(n), map(operator.eq, column, tops)):
+            if winners[i] is not None:
+                tied.add(i)
+            winners[i] = cls
+    return winners, {
+        i: [cls for cls, column in zip(classes, by_class) if column[i] == tops[i]]
+        for i in tied
+    }
+
+
 def _dof(rule: Rule, pairs: Pairs, combine: Callable[[list[float]], float]) -> float:
     """Degree of fulfilment of a checked rule on one sample's active pairs.
 
@@ -372,12 +391,7 @@ def score_rulebase(
     """Fraction of labeled samples whose classify winner matches the label."""
     if not labeled:
         raise EvaluationError("no labeled samples to score")
-    batch = _vector_batch(memberships for memberships, _ in labeled)
-    classes, _, by_class = _evaluate(rb, batch, agg)
-    hits = sum(
-        classes[row.index(max(row))] == cls for row, (_, cls) in zip(zip(*by_class), labeled)
-    )
-    return hits / len(labeled)
+    return _DofTable(rb, labeled, agg).hits / len(labeled)
 
 
 class InductionResult(NamedTuple):
@@ -438,12 +452,11 @@ def _mutate(
 class _DofTable:
     """Every rule's DOF on every labeled sample, and every sample's class scores.
 
-    The table is scored once by the batch evaluator, so a class scores
-    ``max(0.0, its rules' DOFs)`` and a sample's winner is the first class
-    in class order with the top score, exactly as ``classify`` ranks.  It
-    keeps the batch's ``(variable, label)`` index, each sample's active
-    pairs, each sample's hit flag and the hit count, and checks a proposed
-    rule once against every distinct ladder set among the samples.
+    The table is scored once by ``_evaluate`` and ranked once by ``_rank``,
+    whose winners give each sample's hit flag and the hit count.  It keeps
+    the batch's ``(variable, label)`` index, each sample's active pairs and
+    its row of class scores, and checks a proposed rule once against every
+    distinct ladder set among the samples.
 
     A proposal that changes one rule can change its DOF only on the samples
     where a label it adds or drops is active (Ruspini ladders make at most
@@ -470,8 +483,8 @@ class _DofTable:
         self.rules = list(rb.rules)
         self.owner = [position[rule.consequent] for rule in rb.rules]
         self.rows = [list(row) for row in zip(*by_class)]
-        # ``max`` and ``index`` both take the first of equal scores.
-        self.hit = [row.index(max(row)) == true for row, true in zip(self.rows, self.truth)]
+        winners, _ = _rank(classes, by_class)
+        self.hit = [winner == cls for winner, (_, cls) in zip(winners, labeled)]
         self.hits = sum(self.hit)
 
     def _touched(self, old: Rule, new: Rule) -> set[int]:
@@ -506,6 +519,7 @@ class _DofTable:
             score = max(0.0, dof, *[column[s] for column in siblings])
             row = rows[s]
             kept, row[c] = row[c], score
+            # The first class at the top score, as ``_rank`` picks it.
             now = row.index(max(row)) == truth[s]
             row[c] = kept
             hits += now - hit[s]

@@ -704,6 +704,28 @@ class TestPresetDirOverride:
         code, out, _ = run(["induce", "--seed", "1", "--iters", "20", labeled_csv], capsys)
         assert code == 0 and "RULE" in out and "foo" not in out
 
+    def test_rule_on_a_ladder_that_is_not_a_column_exits_3(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Rules may name only the HRB properties, whatever rows the input holds.
+        self.use_ladders(tmp_path, monkeypatch, lambda lines: [*lines, "cbr; L, H; 0, 10; 0, 10"])
+        rules = tmp_path / "cbr.frules"
+        rules.write_text("# cbr is not a sample column\nRULE R1: cbr IS {L} => A-1-a\n")
+        in_domain = tmp_path / "in-domain.csv"
+        in_domain.write_text("id,p2mm,p425,p075,ll,pl\ns,100,100,30,32,21\n")
+        out_of_domain = tmp_path / "out-of-domain.csv"
+        out_of_domain.write_text("id,p2mm,p425,p075,ll,pl\ns,100,100,30,150,21\n")
+        for args in (
+            ["classify", "--rules", str(rules), str(in_domain)],
+            ["classify", "--skip-bad-rows", "--rules", str(rules), str(out_of_domain)],
+            ["rules", "--rules", str(rules)],
+        ):
+            code, out, err = run(args, capsys)
+            assert (code, out) == (cli.EXIT_RULES, ""), args
+            assert err == (
+                f"{rules}:2:10: unknown variable cbr\nsoilfuzz: invalid rule file {rules}\n"
+            )
+
     def test_missing_ladder_is_neither_checked_nor_fuzzified(
         self, tmp_path, capsys, monkeypatch
     ):

@@ -598,9 +598,10 @@ def test_search_checks_proposals_against_sample_ladders():
 def test_search_scores_once_in_full(variables, monkeypatch, iterations):
     # The benchmark tracer reads the initial score from the first
     # ``score_rulebase`` call, looked up through the module.  ``_evaluate``
-    # scores the whole rule base on a batch of samples: once inside
-    # ``score_rulebase`` and once to fill the DOF table; proposals never
-    # need it, so the count does not grow with the iterations.
+    # scores the whole rule base on a batch of samples: once for the DOF
+    # table whose hit count ``score_rulebase`` reads and once for the
+    # search's own table; proposals never need it, so the count does not
+    # grow with the iterations.
     calls = {"score_rulebase": 0, "_evaluate": 0}
 
     def counting(name, fn):
@@ -844,7 +845,7 @@ def test_batch_scoring_equals_reference(variables, data, agg, pi_source):
             score_rulebase(rb, labeled, agg)
         return
 
-    batch = rules_module._vector_batch(samples)
+    batch = rules_module._DofTable(rb, labeled, agg).batch
     classes, columns, by_class = rules_module._evaluate(rb, batch, agg)
     rows = list(zip(*by_class))
     for s, report in enumerate(expected):
@@ -855,6 +856,25 @@ def test_batch_scoring_equals_reference(variables, data, agg, pi_source):
         top = max(rows[s])
         assert tuple(c for c, score in zip(classes, rows[s]) if score == top) == report.tied
     assert score_rulebase(rb, labeled, agg) == reference_score_rulebase(rb, labeled, agg)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_rank_picks_the_first_class_at_the_top(data):
+    # Scores from a set of three make ties common.
+    classes = data.draw(st.permutations(CLASSES))[: data.draw(st.integers(1, 11))]
+    n = data.draw(st.integers(0, 40))
+    scores = st.lists(st.sampled_from([0.0, 0.25, 1.0]), min_size=n, max_size=n)
+    by_class = [data.draw(scores) for _ in classes]
+    winners, tied = rules_module._rank(classes, by_class)
+    expected_tied = {}
+    for i, row in enumerate(zip(*by_class)):
+        at_top = [cls for cls, score in zip(classes, row) if score == max(row)]
+        assert winners[i] == at_top[0]
+        if len(at_top) > 1:
+            expected_tied[i] = at_top
+    assert len(winners) == n
+    assert tied == expected_tied
 
 
 def memberships_over(variables, sample):
