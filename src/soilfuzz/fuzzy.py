@@ -24,9 +24,7 @@ function, so everything here is safe to share between threads.
 """
 
 from bisect import bisect_left
-from itertools import repeat
-from math import inf, nextafter
-from operator import sub, truediv
+from math import isfinite
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import FuzzificationError, PartitionError
@@ -75,8 +73,9 @@ def make_partition(
         domain: (min, max) bounds of admissible input values.
 
     Raises:
-        PartitionError: on a length mismatch, non-increasing centers,
-            centers outside the domain, or bad labels.
+        PartitionError: on a length mismatch, non-finite or non-increasing
+            centers, a NaN domain bound, centers outside the domain, or bad
+            labels.
     """
     labels = tuple(str(lab) for lab in labels)
     centers = tuple(float(c) for c in centers)
@@ -92,6 +91,12 @@ def make_partition(
         raise PartitionError(f"{name}: empty descriptor label")
     if len(set(labels)) != len(labels):
         raise PartitionError(f"{name}: duplicate descriptor labels")
+    # Every comparison with NaN is false, so the checks below would pass it.
+    # An infinite bound is an unbounded domain; an infinite center is not.
+    if not all(map(isfinite, centers)):
+        raise PartitionError(f"{name}: centers must be finite")
+    if domain_min != domain_min or domain_max != domain_max:
+        raise PartitionError(f"{name}: domain bounds must not be NaN")
     if any(b <= a for a, b in zip(centers, centers[1:])):
         raise PartitionError(f"{name}: centers must be strictly increasing")
     if centers[0] < domain_min or centers[-1] > domain_max:
@@ -134,9 +139,8 @@ def active_columns(
 
     A label maps to the positions of the values where it is active, in
     order, and its degree at each; a label active on no value is left out.
-    The degrees are the floats ``active_descriptors`` gives: the values are
-    grouped by the pair of centers that bracket them, and each group's
-    degrees are computed with the same formulas, a map at a time.
+    One pass over the values, with the segment test and degree formulas
+    of ``active_descriptors``, so the degrees are its floats.
     ``positions``, if given, must equal ``range(len(values))``: its ints are
     the ones the result holds, so columns of one batch can share them.
 
@@ -148,42 +152,22 @@ def active_columns(
     if values and not (lo <= min(values) and max(values) <= hi and total == total):
         for x in values:
             active_descriptors(var, x)
-    # Each value's segment j, where c[j - 1] < x <= c[j] (c[0] <= x for
-    # j == 1), as ``active_descriptors`` finds it, or 0 below c[0] and
-    # ``top`` beyond c[-1], where no descriptor is active.  A value below
-    # c[0] is at most the float just below it.
-    top = len(c)
-    segment = list(map(bisect_left, repeat((nextafter(c[0], -inf), *c[1:])), values))
-    # The positions grouped by segment, in order within each.
     if positions is None:
         positions = range(len(values))
-    order = sorted(positions, key=segment.__getitem__)
-    segment = list(map(segment.__getitem__, order))
-    columns = {}
-    start, below = bisect_left(segment, 1), ([], [])
-    for j in range(1, top + 1):
-        # Label j - 1 is active where it is segment j - 1's upper label and
-        # where it is segment j's lower one.
-        if j < top:
-            end = bisect_left(segment, j + 1, start)
-            at, start = order[start:end], end
-            xs = list(map(values.__getitem__, at))
+    columns = [([], []) for _ in labels]
+    for p, x in zip(positions, values):
+        if c[0] <= x <= c[-1]:
+            # x == c[0] falls in the first interval.
+            j = bisect_left(c, x) or 1
             left, right = c[j - 1], c[j]
             w = right - left
-            falling = list(map(truediv, map(sub, repeat(right), xs), repeat(w)))
-            rising = list(map(truediv, map(sub, xs, repeat(left)), repeat(w)))
-        else:
-            at = falling = rising = []
-        active, degrees = below[0] + at, below[1] + falling
-        if below[0] and at:
-            # Two runs in order: merge them back into position order.
-            merged = sorted(range(len(active)), key=active.__getitem__)
-            active.sort()
-            degrees = list(map(degrees.__getitem__, merged))
-        if active:
-            columns[labels[j - 1]] = (active, degrees)
-        below = at, rising
-    return columns
+            at, degrees = columns[j - 1]
+            at.append(p)
+            degrees.append((right - x) / w)
+            at, degrees = columns[j]
+            at.append(p)
+            degrees.append((x - left) / w)
+    return {label: column for label, column in zip(labels, columns) if column[0]}
 
 
 def fuzzify(var: LinguisticVariable, x: float) -> MembershipVector:

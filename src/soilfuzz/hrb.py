@@ -128,6 +128,8 @@ def parse_variables(text: str) -> dict[str, LinguisticVariable]:
         if len(parts) != 4:
             raise PartitionError(f"variables file line {lineno}: expected 4 fields")
         name = parts[0]
+        if name in out:
+            raise PartitionError(f"variables file line {lineno}: duplicate variable {name}")
         labels = [lab.strip() for lab in parts[1].split(",")]
         try:
             centers = [float(c) for c in parts[2].split(",")]

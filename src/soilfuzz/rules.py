@@ -25,7 +25,7 @@ least.  ``_dof`` gives the same floats with ``_COMBINE``.  A class's
 score column takes the first maximum of its rules' columns.
 
 ``_rank`` is the one batch ranker.  It picks each sample's winner, the
-first class in class order with the top score, by column, for the CLI
+first class in class order with the top score, row by row, for the CLI
 and for ``_DofTable``; ``score_rulebase`` reads the table's hit count.
 The CLI builds its index a property at a time with
 ``fuzzy.active_columns``, ``classify_hrb`` its pairs with
@@ -293,23 +293,16 @@ def _rank(classes, by_class) -> tuple[list[str], dict[int, list[str]]]:
 
     ``by_class`` holds each class's score column, in the order of
     ``classes``; the winner is the first class in that order with the top
-    score.
+    score.  The samples are ranked row by row.
     """
-    n = len(by_class[0])
-    tops = list(map(max, *by_class)) if len(by_class) > 1 else by_class[0]
-    winners: list = [None] * n
-    tied = set()
-    # From the last class to the first, so the first class at the top is
-    # kept; a sample a later class has already taken is tied.
-    for cls, column in zip(reversed(classes), reversed(by_class)):
-        for i in itertools.compress(range(n), map(operator.eq, column, tops)):
-            if winners[i] is not None:
-                tied.add(i)
-            winners[i] = cls
-    return winners, {
-        i: [cls for cls, column in zip(classes, by_class) if column[i] == tops[i]]
-        for i in tied
-    }
+    winners = []
+    tied = {}
+    for i, row in enumerate(zip(*by_class)):
+        top = max(row)
+        winners.append(classes[row.index(top)])
+        if row.count(top) > 1:
+            tied[i] = [cls for cls, score in zip(classes, row) if score == top]
+    return winners, tied
 
 
 def _dof(rule: Rule, pairs: Pairs, combine: Callable[[list[float]], float]) -> float:

@@ -726,6 +726,33 @@ class TestPresetDirOverride:
                 f"{rules}:2:10: unknown variable cbr\nsoilfuzz: invalid rule file {rules}\n"
             )
 
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda command: command[0])
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (
+                lambda lines: [*lines, "p2mm; A, B; 0, 100; 0, 100"],
+                "variables file line 9: duplicate variable p2mm",
+            ),
+            (
+                lambda lines: [
+                    "pi; VL, L, LM, M, MH, H, VH; 0, 5, nan, 25, 40, 55, 70; 0, 100"
+                    if ln.startswith("pi;") else ln
+                    for ln in lines
+                ],
+                "pi: centers must be finite",
+            ),
+        ],
+        ids=["duplicate", "nan-center"],
+    )
+    def test_bad_ladder_exits_2(
+        self, labeled_csv, tmp_path, capsys, monkeypatch, command, edit, error
+    ):
+        self.use_ladders(tmp_path, monkeypatch, edit)
+        args = command if command == ["rules"] else [*command, labeled_csv]
+        code, out, err = run(args, capsys)
+        assert (code, out, err) == (cli.EXIT_INPUT, "", f"soilfuzz: {error}\n")
+
     def test_missing_ladder_is_neither_checked_nor_fuzzified(
         self, tmp_path, capsys, monkeypatch
     ):

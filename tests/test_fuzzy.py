@@ -42,6 +42,23 @@ class TestMakePartition:
         with pytest.raises(PartitionError, match="duplicate"):
             make_partition("x", ["A", "A"], [0, 10], (0, 100))
 
+    # Every comparison with NaN is false, so no ordering check catches it.
+    @pytest.mark.parametrize("center", [math.nan, math.inf, -math.inf])
+    def test_non_finite_center(self, center):
+        with pytest.raises(PartitionError, match="centers must be finite"):
+            make_partition("x", ["A", "B", "C"], [0, center, 25], (0, 100))
+
+    @pytest.mark.parametrize("domain", [(math.nan, 100), (0, math.nan)])
+    def test_nan_domain_bound(self, domain):
+        with pytest.raises(PartitionError, match="domain bounds must not be NaN"):
+            make_partition("x", ["A", "B"], [0, 10], domain)
+
+    def test_unbounded_domain(self):
+        var = make_partition("x", ["A", "B"], [0, 10], (-math.inf, math.inf))
+        assert (var.domain_min, var.domain_max) == (-math.inf, math.inf)
+        assert fuzzify(var, 1e300).nonzero() == {}
+        assert active_columns(var, [-1e300, 5.0, 1e300]) == {"A": ([1], [0.5]), "B": ([1], [0.5])}
+
 
 class TestFuzzify:
     def test_between_top_centers(self):
@@ -163,6 +180,11 @@ def test_two_neighbour_fuzzify_matches_triangles(variables):
             assert [math.copysign(1, d) for d in got] == [
                 math.copysign(1, d) for d in want
             ], x
+        # The same points through the batch fuzzifier in one call, shuffled
+        # so that positions are not in value order.
+        inside = [x for x in xs if lo <= x <= hi]
+        random.Random(19).shuffle(inside)
+        assert hexed(active_columns(var, inside)) == hexed(by_label(var, inside))
 
 
 # The shipped ladders, one whose first center is above its domain's lower

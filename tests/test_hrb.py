@@ -378,6 +378,16 @@ class TestPresetFiles:
         counts = {name: len(var.labels) for name, var in variables.items()}
         assert counts == {"p2mm": 5, "p425": 7, "p075": 11, "ll": 9, "pi": 7}
 
+    def test_duplicate_variable_line(self):
+        from importlib import resources
+
+        text = resources.files("soilfuzz").joinpath("presets", "hrb-variables.txt").read_text()
+        lines = [*text.splitlines(), "p2mm; A, B; 0, 100; 0, 100"]
+        with pytest.raises(
+            sf.PartitionError, match=f"^variables file line {len(lines)}: duplicate variable p2mm$"
+        ):
+            sf.hrb.parse_variables("\n".join(lines))
+
     def test_presets_have_eleven_rules(self, paper_preset, calibrated_preset):
         for preset in (paper_preset, calibrated_preset):
             assert len(preset.rulebase.rules) == 11
