@@ -8,9 +8,9 @@ JSON document is written as text laid out as ``json.dumps(indent=2)`` lays
 it out: its few top-level fields through ``json.dumps``, its rows joined
 from columns of pre-rendered pieces.
 
-Exit codes: 0 success, 2 unreadable input, unwritable output or bad usage,
-3 invalid rule file, 4 row validation failures (including missing or
-repeated columns).
+Exit codes: 0 success, 2 unreadable input, unwritable output (stdout
+included) or bad usage, 3 invalid rule file, 4 row validation failures
+(including missing or repeated columns).
 """
 
 import argparse
@@ -153,8 +153,27 @@ def _write_output(args, text: str) -> None:
     else:
         try:
             sys.stdout.write(text)
+            sys.stdout.flush()
         except UnicodeEncodeError as exc:
             raise CliError(EXIT_INPUT, f"cannot write <stdout>: {exc}") from None
+        except OSError as exc:
+            _discard_stdout()
+            raise CliError(EXIT_INPUT, f"cannot write <stdout>: {exc}") from None
+
+
+def _discard_stdout() -> None:
+    """Point file descriptor 1 at the null device.
+
+    What a failed write left buffered would fail again in the flush at
+    exit, as an "Exception ignored" traceback; the null device takes it.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):  # io.UnsupportedOperation is an OSError
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def _load_rows(args) -> tuple[list[SampleRow], list[tuple[int, str]], bool]:
@@ -473,9 +492,9 @@ def cmd_memberships(args) -> int:
     rows, problems, _ = _load_rows(args)
     # The HRB properties the variables file has a ladder for, in column order.
     ladders = hrb._ladders(variables)
-    if args.variable and args.variable not in ladders:
+    if args.variable is not None and args.variable not in ladders:
         raise CliError(EXIT_INPUT, f"unknown variable {args.variable}")
-    names = [args.variable] if args.variable else list(ladders)
+    names = list(ladders) if args.variable is None else [args.variable]
     encode = None
     if args.format == "json":
         # Only JSON output imports the encoder's string escaper.

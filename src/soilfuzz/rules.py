@@ -10,8 +10,8 @@ by the rule base's class order.
 Two private kernels score rules on fuzzified samples, given as active
 descriptors: the ``(label, degree)`` pairs of :mod:`soilfuzz.fuzzy`, at
 most two per value.  ``classify``, ``classify_hrb`` and ``rule_dof`` score
-one sample with ``_dof``, as does an induction proposal on each sample it
-can change (see ``_DofTable``).  The CLI and ``_DofTable`` score all their
+one sample with ``_dof``, as does ``_DofTable.offer`` on each sample an
+induction toggle can change.  The CLI and ``_DofTable`` score all their
 samples as one batch with ``_evaluate``, one rule column at a time, over
 an index by variable, then label: each active descriptor lists the
 samples where it is active and its degree there.  In both, an
@@ -237,7 +237,7 @@ def _dof_columns(rules: Iterable[Rule], batch: _Batch, agg: Aggregator) -> list[
     that share an antecedent share its match column, built once.  The DOF
     column combines the match columns with ``_COMBINE_COLUMNS``.  A single
     match column is the DOF column (m / 1, 1 * m and min((m,)) are all m),
-    copied, since ``_DofTable.accept`` changes DOF columns in place.
+    copied, since ``_DofTable.offer`` changes DOF columns in place.
     """
     n, index = batch.size, batch.index
     combine = _COMBINE_COLUMNS[agg]
@@ -308,8 +308,8 @@ def _rank(classes, by_class) -> tuple[list[str], dict[int, list[str]]]:
 def _dof(rule: Rule, pairs: Pairs, combine: Callable[[list[float]], float]) -> float:
     """Degree of fulfilment of a checked rule on one sample's active pairs.
 
-    The kernel of every single-sample call, and of ``_DofTable.propose``:
-    indexing the few samples a proposal touches costs more than scoring
+    The kernel of every single-sample call, and of ``_DofTable.offer``:
+    indexing the few samples a toggle touches costs more than scoring
     them.  The floats equal ``_dof_columns``'s.
     """
     matches = []
@@ -420,13 +420,11 @@ def _random_rulebase(
 
 def _mutate(
     rng: random.Random,
-    rb: RuleBase,
+    rules: Sequence[Rule],
     variables: Mapping[str, LinguisticVariable],
-) -> tuple[RuleBase, int | None]:
-    # Toggle one descriptor in one antecedent set of one rule, and report the
-    # index of the changed rule.  A toggle that would empty the set is
-    # dropped: the proposal is ``rb`` itself and the index is None.
-    rules = list(rb.rules)
+) -> tuple[int, Rule] | None:
+    # Toggle one descriptor in one antecedent set of one rule: the rule's index
+    # and the toggled rule, or None for a toggle that would empty the set.
     ri = rng.randrange(len(rules))
     rule = rules[ri]
     ai = rng.randrange(len(rule.antecedents))
@@ -435,25 +433,24 @@ def _mutate(
     lab = labels[rng.randrange(len(labels))]
     toggled = allowed - {lab} if lab in allowed else allowed | {lab}
     if not toggled:
-        return rb, None
+        return None
     antecedents = list(rule.antecedents)
     antecedents[ai] = (var, toggled)
-    rules[ri] = Rule(rule.id, tuple(antecedents), rule.consequent)
-    return RuleBase(tuple(rules), rb.class_order), ri
+    return ri, Rule(rule.id, tuple(antecedents), rule.consequent)
 
 
 class _DofTable:
-    """Every rule's DOF on every labeled sample, and every sample's class scores.
+    """A rule system's DOFs, class scores and hits on its labeled samples; the search's state.
 
     The table is scored once by ``_evaluate`` and ranked once by ``_rank``,
-    whose winners give each sample's hit flag and the hit count.  It keeps
-    the batch's ``(variable, label)`` index, each sample's active pairs and
-    its row of class scores, and checks a proposed rule once against every
-    distinct ladder set among the samples.
+    whose winners give each sample's hit flag.  It keeps the batch's
+    ``(variable, label)`` index, each sample's active pairs and its row of
+    class scores, and checks an offered rule once against every distinct
+    ladder set among the samples.
 
-    A proposal that changes one rule can change its DOF only on the samples
+    A rule that replaces another can change its DOF only on the samples
     where a label it adds or drops is active (Ruspini ladders make at most
-    two labels of a value active).  A proposal scores the new rule on just
+    two labels of a value active).  ``offer`` scores the new rule on just
     those touched samples, one by one with ``_dof``, and re-ranks only them:
     its cost is proportional to them, not to every sample.
     """
@@ -495,8 +492,8 @@ class _DofTable:
                     touched.update(entry[0])
         return touched
 
-    def propose(self, ri: int, rule: Rule) -> tuple[int, tuple]:
-        """Hits with rule ``ri`` replaced by ``rule``, and the change to accept."""
+    def offer(self, ri: int, rule: Rule) -> bool:
+        """Replace rule ``ri`` by ``rule``, changing nothing if hits would fall; say if it did."""
         for ladders in self.batch.ladders:
             _check_rules((rule,), ladders)
         c = self.owner[ri]
@@ -517,17 +514,15 @@ class _DofTable:
             row[c] = kept
             hits += now - hit[s]
             changed.append((s, dof, score, now))
-        return hits, (ri, rule, changed, hits)
-
-    def accept(self, change: tuple) -> None:
-        ri, rule, changed, self.hits = change
-        self.rules[ri] = rule
-        column, c = self.dofs[ri], self.owner[ri]
-        rows, hit = self.rows, self.hit
+        if hits < self.hits:
+            return False
+        self.rules[ri], self.hits = rule, hits
+        column = self.dofs[ri]
         for s, dof, score, now in changed:
             column[s] = dof
             rows[s][c] = score
             hit[s] = now
+        return True
 
 
 def search_rules(
@@ -547,15 +542,14 @@ def search_rules(
     best system seen is returned together with the best-so-far score after
     every iteration; the whole run is reproducible from ``seed``.
 
-    Proposals are scored incrementally: the search keeps every rule's DOF on
-    every sample and each sample's hit.  Toggling one descriptor of one rule
-    can change that rule's DOF only where the descriptor is active, which
-    on a Ruspini ladder is at most two adjacent descriptors per value, so a
-    proposal recomputes the changed rule's DOF and re-ranks only those
-    samples; its cost is proportional to them, not to every sample.  The
-    result is identical to re-scoring every proposal with
-    ``score_rulebase``; a toggle that would empty a descriptor set is kept
-    with the current score and not re-scored.
+    The current system is a ``_DofTable``, with every rule's DOF on every
+    sample and each sample's hit, and each toggle is offered to it.  Toggling
+    one descriptor of one rule can change that rule's DOF only where the
+    descriptor is active, at most two adjacent descriptors per value on a
+    Ruspini ladder, so ``offer`` re-scores and re-ranks only those samples.
+    A ``RuleBase`` is built only when the best score rises.  The result is
+    identical to re-scoring every proposal with ``score_rulebase``; a toggle
+    that would empty a descriptor set is dropped and not scored.
 
     Args:
         labeled: (membership vectors, true class) training pairs.
@@ -586,20 +580,15 @@ def search_rules(
             )
 
     rng = random.Random(seed)
-    current = _random_rulebase(rng, variables, classes, rules_per_class)
-    current_score = score_rulebase(current, labeled, agg)
-    table = _DofTable(current, labeled, agg)
-    best, best_score = current, current_score
+    best = _random_rulebase(rng, variables, classes, rules_per_class)
+    best_score = score_rulebase(best, labeled, agg)
+    table = _DofTable(best, labeled, agg)
     trace = []
     for _ in range(iterations):
-        proposal, ri = _mutate(rng, current, variables)
-        if ri is not None:
-            hits, change = table.propose(ri, proposal.rules[ri])
-            proposal_score = hits / len(labeled)
-            if proposal_score >= current_score:
-                table.accept(change)
-                current, current_score = proposal, proposal_score
-                if current_score > best_score:
-                    best, best_score = current, current_score
+        toggle = _mutate(rng, table.rules, variables)
+        if toggle is not None and table.offer(*toggle):
+            score = table.hits / len(labeled)
+            if score > best_score:
+                best, best_score = best._replace(rules=tuple(table.rules)), score
         trace.append(best_score)
     return InductionResult(best, best_score, tuple(trace))

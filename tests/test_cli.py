@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import itertools
@@ -409,6 +410,56 @@ class TestClassifyCommand:
         )
         assert stdout.buffer.getvalue() == b""
 
+    def test_failed_stdout_flush_is_an_output_error(self, fixture_csv, capsys, monkeypatch):
+        # Output that fits the buffer fails only when it is flushed.  This
+        # stdout has no file descriptor to point at the null device.
+        full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        class Full(io.RawIOBase):
+            failing = True
+
+            def writable(self):
+                return True
+
+            def write(self, data):
+                if self.failing:
+                    raise full
+                return len(data)
+
+        raw = Full()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(io.BufferedWriter(raw)))
+        code = cli.main(["classify", fixture_csv])
+        raw.failing = False  # so the wrapper's flush when it is collected succeeds
+        assert code == cli.EXIT_INPUT
+        assert capsys.readouterr().err == f"soilfuzz: cannot write <stdout>: {full}\n"
+
+    @pytest.mark.parametrize("copies", [1, 300], ids=["fits-the-buffer", "over-64KiB"])
+    def test_closed_stdout_pipe_is_one_line_of_stderr(self, tmp_path, capsys, copies):
+        # Into a pipe nobody reads, from a buffered stdout: output that fits
+        # the buffer fails at the flush, more than a pipe holds (64 KiB) at
+        # the write.  The flush at exit must stay silent after either.
+        path = tmp_path / "rows.csv"
+        header, *rows = FIXTURE_CSV.splitlines(keepends=True)
+        path.write_text(header + "".join(rows) * copies)
+        code, out, _ = run(["classify", str(path)], capsys)
+        assert code == 0 and (len(out.encode()) > 64 * 1024) == (copies > 1)
+        package = str(Path(cli.__file__).resolve().parents[1])
+        path_list = [package, os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path_list))}
+        env.pop("PYTHONUNBUFFERED", None)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "soilfuzz.cli", "classify", str(path)],
+                stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert done.returncode == cli.EXIT_INPUT
+        assert done.stderr.startswith("soilfuzz: cannot write <stdout>: ")
+        assert done.stderr.count("\n") == 1
+
     def test_invalid_rule_file(self, fixture_csv, tmp_path, capsys):
         bad = tmp_path / "bad.frules"
         bad.write_text("RULE R1: p2mm IS {} => A-3\n")
@@ -594,6 +645,12 @@ class TestMembershipsCommand:
         headers = [r for r in rows if r[0] == "variable"]
         assert len(headers) == 5
         assert len(rows) == 5 * 7  # five blocks of header + six rows
+
+    @pytest.mark.parametrize("name", ["foo", ""])
+    def test_unknown_variable_exits_2(self, fixture_csv, capsys, name):
+        # An empty name is a name like any other, not "every variable".
+        code, out, err = run(["memberships", "--variable", name, fixture_csv], capsys)
+        assert (code, out, err) == (cli.EXIT_INPUT, "", f"soilfuzz: unknown variable {name}\n")
 
     def test_single_value_at_center(self, tmp_path, capsys):
         path = tmp_path / "one.csv"

@@ -508,7 +508,13 @@ def full_rescoring_search(
     best, best_score = current, current_score
     trace = []
     for _ in range(iterations):
-        proposal, _ = rules_module._mutate(rng, current, variables)
+        toggle = rules_module._mutate(rng, current.rules, variables)
+        proposal = current
+        if toggle is not None:
+            ri, rule = toggle
+            proposal = current._replace(
+                rules=(*current.rules[:ri], rule, *current.rules[ri + 1:])
+            )
         proposal_score = reference_score_rulebase(proposal, labeled, agg)
         if proposal_score >= current_score:
             current, current_score = proposal, proposal_score
@@ -622,7 +628,7 @@ def test_search_scores_once_in_full(variables, monkeypatch, iterations):
 
 def test_proposals_rescore_only_where_a_toggled_label_is_active(variables, monkeypatch):
     # Toggling label ``lab`` of variable ``var`` in a rule can change that
-    # rule's DOF only on the samples where ``lab`` is active, so a proposal
+    # rule's DOF only on the samples where ``lab`` is active, so an offer
     # calls ``_dof`` once per such sample and never on the others.
     rng = random.Random(5)
     labeled = []
@@ -636,29 +642,30 @@ def test_proposals_rescore_only_where_a_toggled_label_is_active(variables, monke
     toggles = []
     mutate = rules_module._mutate
 
-    def recording_mutate(rng, rb, variables):
-        proposal, ri = mutate(rng, rb, variables)
-        if ri is not None:
-            toggles.append((rb.rules[ri], proposal.rules[ri]))
-        return proposal, ri
+    def recording_mutate(rng, rules, variables):
+        toggle = mutate(rng, rules, variables)
+        if toggle is not None:
+            ri, rule = toggle
+            toggles.append((rules[ri], rule))
+        return toggle
 
-    counts = {"proposing": False, "calls": 0}
-    dof, propose = rules_module._dof, rules_module._DofTable.propose
+    counts = {"offering": False, "calls": 0}
+    dof, offer = rules_module._dof, rules_module._DofTable.offer
 
     def counting_dof(*args):
-        counts["calls"] += counts["proposing"]
+        counts["calls"] += counts["offering"]
         return dof(*args)
 
-    def counting_propose(*args):
-        counts["proposing"] = True
+    def counting_offer(*args):
+        counts["offering"] = True
         try:
-            return propose(*args)
+            return offer(*args)
         finally:
-            counts["proposing"] = False
+            counts["offering"] = False
 
     monkeypatch.setattr(rules_module, "_mutate", recording_mutate)
     monkeypatch.setattr(rules_module, "_dof", counting_dof)
-    monkeypatch.setattr(rules_module._DofTable, "propose", counting_propose)
+    monkeypatch.setattr(rules_module._DofTable, "offer", counting_offer)
     search_rules(labeled, variables, rules_per_class=2, iterations=300, seed=4)
 
     def touched(old, new):
@@ -680,7 +687,7 @@ def test_proposals_rescore_only_where_a_toggled_label_is_active(variables, monke
 @pytest.mark.parametrize("seed", [1, 2])
 def test_search_keeps_shared_antecedents_apart(variables, monkeypatch, agg, seed):
     # R1, R2 and R4 have one antecedent, the same one, so the evaluator builds
-    # one match column for all three; ``_DofTable.accept`` changes a DOF
+    # one match column for all three; ``_DofTable.offer`` changes a DOF
     # column in place, so each rule must hold a copy.  Every accepted system's
     # score must be the one ``score_rulebase`` gives it from scratch.
     shared = ("p075", frozenset({"L", "LM", "M"}))
@@ -702,13 +709,15 @@ def test_search_keeps_shared_antecedents_apart(variables, monkeypatch, agg, seed
         labeled.append((fuzzify_sample(sample, variables=variables), "A" if p075 < 22 else "B"))
 
     accepted = []
-    accept = rules_module._DofTable.accept
+    offer = rules_module._DofTable.offer
 
-    def recording_accept(table, change):
-        accept(table, change)
-        accepted.append((RuleBase(tuple(table.rules), start.class_order), table.hits))
+    def recording_offer(table, ri, rule):
+        taken = offer(table, ri, rule)
+        if taken:
+            accepted.append((RuleBase(tuple(table.rules), start.class_order), table.hits))
+        return taken
 
-    monkeypatch.setattr(rules_module._DofTable, "accept", recording_accept)
+    monkeypatch.setattr(rules_module._DofTable, "offer", recording_offer)
     result = search_rules(
         labeled, {"p075": variables["p075"]}, rules_per_class=2, iterations=300,
         seed=seed, agg=agg, classes=["A", "B"],
@@ -717,6 +726,47 @@ def test_search_keeps_shared_antecedents_apart(variables, monkeypatch, agg, seed
     for rb, hits in accepted:
         assert hits / len(labeled) == score_rulebase(rb, labeled, agg)
     assert result.score == score_rulebase(result.rulebase, labeled, agg)
+
+
+def table_fields(table):
+    """Every field of a ``_DofTable``, with its batch's fields, as text.
+
+    ``repr`` copies them and pins the sign of zero; two tables compared by
+    it must hold the same ``Rule`` objects, whose sets print in the order
+    they were built.
+    """
+    return repr(dict(vars(table), batch=vars(table.batch)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.data(),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(list(Aggregator)),
+    st.integers(1, 3),
+)
+def test_offer_declines_untouched_and_accepts_as_a_fresh_table(
+    variables, data, seed, agg, rules_per_class
+):
+    # A declined offer leaves every field of the table as it was; an accepted
+    # one leaves the table equal to one built from scratch on its new rules.
+    labeled = data.draw(labeled_sets(variables))
+    present = list(dict.fromkeys(cls for _, cls in labeled))
+    # An explicit class order may leave some labels out; those never score.
+    classes = data.draw(st.permutations(present).map(lambda p: p[: len(p) // 2 + 1]))
+    rng = random.Random(seed)
+    rb = rules_module._random_rulebase(rng, variables, classes, rules_per_class)
+    table = rules_module._DofTable(rb, labeled, agg)
+    for _ in range(100):
+        toggle = rules_module._mutate(rng, table.rules, variables)
+        if toggle is None:
+            continue
+        before = table_fields(table)
+        if table.offer(*toggle):
+            fresh = rules_module._DofTable(rb._replace(rules=tuple(table.rules)), labeled, agg)
+            assert table_fields(table) == table_fields(fresh)
+        else:
+            assert table_fields(table) == before
 
 
 def ladder_values(var):
@@ -1080,9 +1130,10 @@ class TestMeansAddLeftToRight:
         labeled = [(memberships, "X")] * 3
         table = rules_module._DofTable(self.rulebase(), labeled, agg)
         assert table.dofs[0] == [self.EXPECTED[agg]] * 3
-        # Start X at p075 IS {A}, whose match is 0.9, and propose {B}.
+        # Start X at p075 IS {A}, whose match is 0.9, and offer {B}: X still
+        # wins under the mean and Y under the product, so the hits hold.
         table = rules_module._DofTable(self.rulebase(frozenset({"A"})), labeled, agg)
-        hits, (_, _, changed, _) = table.propose(0, self.rulebase().rules[0])
-        assert [dof for _, dof, _, _ in changed] == [self.EXPECTED[agg]] * 3
+        assert table.offer(0, self.rulebase().rules[0])
+        assert table.dofs[0] == [self.EXPECTED[agg]] * 3
         if agg is Aggregator.MEAN:
-            assert hits == 3
+            assert table.hits == 3
