@@ -3,10 +3,10 @@
 Reads samples from CSV (columns ``id,p2mm,p425,p075,ll,pl[,pi][,class]``;
 a missing pi is computed as ll - pl), classifies them against a preset or a
 rule file, dumps membership tables, or induces a rule base from labeled
-rows.  Output is byte-deterministic for identical inputs and flags.  A
-JSON document is written as text laid out as ``json.dumps(indent=2)`` lays
-it out: its few top-level fields through ``json.dumps``, its rows joined
-from columns of pre-rendered pieces.
+rows.  Output is byte-deterministic for identical inputs and flags.  Each
+document is text joined once from columns of pre-rendered pieces: CSV rows
+end in LF, a cell quoted only if it holds a comma, ``"``, CR or LF; JSON is
+laid out as ``json.dumps(indent=2)`` lays it out.
 
 Exit codes: 0 success, 2 unreadable input, unwritable output (stdout
 included) or bad usage, 3 invalid rule file, 4 row validation failures
@@ -229,11 +229,16 @@ def _load_rulebase(args, variables) -> tuple[str, RuleBase]:
     return preset.kind, preset.rulebase
 
 
-def _csv_text(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue()
+def _csv_cell(text: str) -> str:
+    """``text`` as a CSV cell: quoted, each ``"`` doubled, if it holds ``,``, ``"``, CR or LF."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_text(lines) -> str:
+    """The CSV document of ``lines``, each a row's cells joined by commas; rows end in LF."""
+    return "\n".join(chain(lines, ("",)))
 
 
 _float_repr = float.__repr__
@@ -309,19 +314,13 @@ def cmd_classify(args) -> int:
         if winners[i] == "A-7":
             winners[i] = hrb.a7_split(sample.ll, sample.pi)
         a7[i] = sample.ll, sample.pi
-    results = (
-        [row.id for row in rows],
-        winners,
-        list(map(hrb.SUBGRADE_RATINGS.get, winners, repeat(""))),
-        a7,
-        scored,
-    )
+    results = [row.id for row in rows], winners, a7, scored
     # Free the rows too: the output needs only their ids and A-7 limits.
     del rows
     if args.format == "json":
         _write_output(args, _json_text(header, "results", _classify_json(*results)))
     else:
-        _write_output(args, _csv_text(_classify_table(*results)))
+        _write_output(args, _csv_text(_classify_csv(*results)))
     return EXIT_OK
 
 
@@ -378,33 +377,44 @@ def _fuzzy_batch(args, rows, problems, variables) -> tuple[_Batch, list[SampleRo
     return batch, rows
 
 
-def _classify_table(ids, winners, ratings, a7, scored):
-    """The CSV rows of the results: the column names, then one row each.
+class _ScoreTexts(dict):
+    """Each score's text, made by ``render`` on first use (no score is -0.0, 0.0's key)."""
+
+    def __init__(self, render):
+        self.render = render
+
+    def __missing__(self, key):
+        text = self[key] = self.render(key)
+        return text
+
+
+def _classify_csv(ids, winners, a7, scored):
+    """The CSV rows of the results as text: the column names, then one row each.
 
     ``scored`` is None for a crisp run, and otherwise the classes, their
     score columns and the tied samples' top classes (see ``_rank``).
     """
-    n = len(ids)
-    a7_ll, a7_pi = [""] * n, [""] * n
+    n, ratings = len(ids), hrb.SUBGRADE_RATINGS
+    labels = {w: f"{_csv_cell(w)},{_csv_cell(ratings.get(w, ''))}" for w in set(winners)}
+    columns = [map(_csv_cell, ids), map(labels.__getitem__, winners)]
+    header = ["id", "winner", "rating"]
+    if scored is not None:
+        classes, by_class, tied = scored
+        ties = ["false,"] * n
+        for i, names in tied.items():
+            ties[i] = "true," + _csv_cell("|".join(names))
+        text = _ScoreTexts(fmt_score)
+        header += "tie", "tied_with", *classes
+        columns += [ties, *[map(text.__getitem__, column) for column in by_class]]
+    limits = [","] * n
     for i, (ll, pi) in a7.items():
-        a7_ll[i], a7_pi[i] = degree_text(round4(ll)), degree_text(round4(pi))
-    if scored is None:
-        header = ("id", "winner", "rating", "a7_ll", "a7_pi")
-        return chain((header,), zip(ids, winners, ratings, a7_ll, a7_pi))
-    classes, by_class, tied = scored
-    header = ("id", "winner", "rating", "tie", "tied_with", *classes, "a7_ll", "a7_pi")
-    ties, tied_with = ["false"] * n, [""] * n
-    for i, names in tied.items():
-        ties[i], tied_with[i] = "true", "|".join(names)
-    # Each distinct score is formatted once.  Scores are never -0.0, which
-    # would share 0.0's key.
-    text = {score: fmt_score(score) for score in set().union(*by_class)}
-    cells = [map(text.__getitem__, column) for column in by_class]
-    return chain((header,), zip(ids, winners, ratings, ties, tied_with, *cells, a7_ll, a7_pi))
+        limits[i] = f"{degree_text(round4(ll))},{degree_text(round4(pi))}"
+    header = ",".join(map(_csv_cell, [*header, "a7_ll", "a7_pi"]))
+    return chain((header,), map(",".join, zip(*columns, limits)))
 
 
-def _classify_json(ids, winners, ratings, a7, scored):
-    """The ``results`` array of the results as JSON text, in pieces (see ``_classify_table``).
+def _classify_json(ids, winners, a7, scored):
+    """The ``results`` array of the results as JSON text, in pieces (see ``_classify_csv``).
 
     Each row object is laid out where it sits in the document: 4 spaces
     in, its members 6 and theirs 8.  Each distinct score is rounded once
@@ -413,21 +423,19 @@ def _classify_json(ids, winners, ratings, a7, scored):
     # Only JSON output imports the encoder's string escaper.
     from json.encoder import encode_basestring_ascii as encode
 
-    n = len(ids)
+    n, ratings = len(ids), hrb.SUBGRADE_RATINGS
     labels = {
-        pair: f',\n      "winner": {encode(pair[0])},\n      "rating": {encode(pair[1])}'
-        for pair in set(zip(winners, ratings))
+        w: f',\n      "winner": {encode(w)},\n      "rating": {encode(ratings.get(w, ""))}'
+        for w in set(winners)
     }
-    members = [
-        repeat('\n      "id": '), map(encode, ids), map(labels.__getitem__, zip(winners, ratings))
-    ]
+    members = [repeat('\n      "id": '), map(encode, ids), map(labels.__getitem__, winners)]
     if scored is not None:
         classes, by_class, tied = scored
         ties = [',\n      "tie": false,\n      "tied": []'] * n
         for i, names in tied.items():
             items = ",".join([f"\n        {encode(name)}" for name in names])
             ties[i] = f',\n      "tie": true,\n      "tied": [{items}\n      ]'
-        text = {score: _float_repr(round4(score)) for score in set().union(*by_class)}
+        text = _ScoreTexts(lambda score: _float_repr(round4(score)))
         keys = [f",\n        {encode(cls)}: " for cls in classes]
         keys[0] = ',\n      "scores": {' + keys[0][1:]
         members.append(ties)
@@ -447,7 +455,7 @@ class _Degrees(dict):
     """One property's rendered degrees by value, rendered on first use.
 
     With ``encode``, a value's text is its JSON ``degrees`` object, laid
-    out where it sits in the document; without, a tuple of its CSV cells.
+    out where it sits in the document; without, its CSV cells, joined.
     The text is a layout cut around the numbers of the value's two active
     labels, keyed by the upper label (``head + number(lower) + mid +
     number(upper) + tail``), with ``active_descriptors``' degrees rounded
@@ -458,12 +466,10 @@ class _Degrees(dict):
     """
 
     def __init__(self, var, encode=None):
-        super().__init__()
         # A value's text, cut around the numbers of its k labels, and
         # ``fill``, which joins pieces with an inactive label's number.
         if encode is None:
-            cut, self.number = [()] * (len(var.labels) + 1), lambda r: (degree_text(r),)
-            fill = lambda parts: ("0",) * (len(parts) - 1)
+            cut, fill, self.number = ["", *[","] * (len(var.labels) - 1), ""], "0".join, degree_text
         else:
             # The object's members are 12 spaces in, its closing brace 10.
             members = "\0,".join(f"\n            {encode(label)}: " for label in var.labels)
@@ -526,11 +532,12 @@ def cmd_memberships(args) -> int:
         head = {"command": "memberships", "pi_source": args.pi_source}
         _write_output(args, _json_text(head, "tables", tables or ["[]"]))
     else:
-        table = []
+        ids = list(map(_csv_cell, ids))
+        lines = []
         for name in names:
-            table.append(["variable", "id", *ladders[name]])
-            table += [[name, row_id, *cells] for row_id, cells in zip(ids, texts[name])]
-        _write_output(args, _csv_text(table))
+            lines.append(",".join(map(_csv_cell, ["variable", "id", *ladders[name]])))
+            lines += map(",".join, zip(repeat(_csv_cell(name)), ids, texts[name]))
+        _write_output(args, _csv_text(lines))
     return EXIT_OK
 
 

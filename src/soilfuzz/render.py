@@ -37,7 +37,11 @@ def round4(x: float) -> float:
 
 
 def fmt_score(x: float) -> str:
-    """Fixed 4-decimal rendering for report scores."""
+    """Fixed 4-decimal rendering for report scores, ``f"{round4(x):.4f}"``."""
+    # float(text) == round(x, 4) below 1e6, so off round4's ties this is its text.
+    text = f"{x:.4f}"
+    if -_FAST_BOUND < x < _FAST_BOUND and abs(abs(x - float(text)) - 5e-5) > _TIE_TOL:
+        return text
     return f"{round4(x):.4f}"
 
 

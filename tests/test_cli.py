@@ -1591,15 +1591,25 @@ def test_cli_starts_without_unused_modules():
 
 
 # Shapes the golden corpus lacks: no data rows at all (empty JSON lists), an
-# id that JSON must escape (non-ASCII, quote, backslash, tab), and -0 next to
-# 0 in the same columns, a row repeated and an out-of-domain row (signed-zeros,
-# run with --skip-bad-rows): a -0 value has -0 degrees, which print as such.
+# id that JSON must escape (non-ASCII, quote, backslash, tab), ids that CSV
+# must quote (a comma, a quote, a line feed) next to one of only spaces, read
+# as the empty id, and -0 next to 0 in the same columns, a row repeated and an
+# out-of-domain row (signed-zeros, run with --skip-bad-rows): a -0 value has
+# -0 degrees, which print as such.
 EDGE_CSV = {
     "header-only": "id,p2mm,p425,p075,ll,pl\n",
     "escaped-id": (
         "id,p2mm,p425,p075,ll,pl\n"
         '"n\u00e9 ""q"" back\\slash\ttab \u2713",100,80,40,25,17\n'
         "plain,38,30,11,23,19\n"
+    ),
+    "quoted-id": (
+        "id,p2mm,p425,p075,ll,pl\n"
+        '"comma, inside",100,80,40,25,17\n'
+        '"say ""hi""",38,30,11,23,19\n'
+        '"two\nlines",100,100,92,65,25\n'
+        "   ,100,76,7,19,16\n"
+        "\u00fcn\u00ef \u2713,100,100,78,34,10\n"
     ),
     "signed-zeros": (
         "id,p2mm,p425,p075,ll,pl,pi\n"
@@ -1613,6 +1623,33 @@ EDGE_CSV = {
 }
 
 EDGE_SHA256 = {
+    ("header-only", "classify"): (
+        "5527376a0fef4b16895a592945f62521fe94f496a867dc1ad158d64b6b7dc500"
+    ),
+    ("header-only", "classify", "--crisp"): (
+        "c721293300756b1b560e13418c33a9bb6173df5e88e2cfd6284799c891a90e09"
+    ),
+    ("header-only", "memberships"): (
+        "3d276aa1efb0f3c230d5babe53653d3febe1ba0aab7377dc09d0512912859bc3"
+    ),
+    ("escaped-id", "classify"): (
+        "750247eb077084909b1c28765f5e2c678b82172b39bfeef13bb55fd9f1daabc1"
+    ),
+    ("escaped-id", "classify", "--crisp"): (
+        "1fd3963017f996c65972264e9392cd452d35c744506de270e3a6f49816b17968"
+    ),
+    ("escaped-id", "memberships"): (
+        "984b03325878bd78a5cd2b0d8e39013011dfdfab57904bc5feeaefe6cf69b93b"
+    ),
+    ("quoted-id", "classify"): (
+        "15977077e0bc903120939caacecf542cfe40b8597538f2fd6a4a14f27bd866bc"
+    ),
+    ("quoted-id", "classify", "--crisp"): (
+        "1c9028241cc480a7072e60228a1f7e6e673511bde246d1ba8781e85b72af3b92"
+    ),
+    ("quoted-id", "memberships"): (
+        "46cf22877c4b88dc41f96a259e128d8b96dfb217132da3d16f12f949e5e7d958"
+    ),
     ("header-only", "classify", "--format", "json"): (
         "44a369d9019f03734e2f9337a42d91f205a5b1bb96214f39cab69b23d0b15f12"
     ),
@@ -1804,6 +1841,27 @@ def test_json_output_is_the_text_json_text_returns(fixture_csv, tmp_path, monkey
 
     monkeypatch.setattr(cli, "_json_text", recorded)
     out = tmp_path / "out.json"
+    assert cli.main([*mode, fixture_csv, "-o", str(out)]) == 0
+    assert len(texts) == 1 and out.read_text(encoding="utf-8") == texts[0]
+
+
+@pytest.mark.parametrize("mode", [
+    ["classify"],
+    ["classify", "--crisp"],
+    ["memberships"],
+    ["memberships", "--variable", "ll"],
+])
+def test_csv_output_is_the_text_csv_text_returns(fixture_csv, tmp_path, monkeypatch, mode):
+    # The benchmark counts the bytes written where _csv_text returns them.
+    texts = []
+    csv_text = cli._csv_text
+
+    def recorded(*args):
+        texts.append(csv_text(*args))
+        return texts[-1]
+
+    monkeypatch.setattr(cli, "_csv_text", recorded)
+    out = tmp_path / "out.csv"
     assert cli.main([*mode, fixture_csv, "-o", str(out)]) == 0
     assert len(texts) == 1 and out.read_text(encoding="utf-8") == texts[0]
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
@@ -8,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from soilfuzz import cli, fuzzify, load_variables, make_partition
-from soilfuzz.render import degree_text, fmt_degree, round4
+from soilfuzz.render import degree_text, fmt_degree, fmt_score, round4
 
 
 def reference_round4(x: float) -> float:
@@ -103,6 +105,51 @@ class TestRound4:
         assert degree_text(round4(0.00005)) == "0.0001"
 
 
+def reference_fmt_score(x: float) -> str:
+    """The text :func:`fmt_score` must equal: :func:`round4`'s result to 4 places."""
+    return f"{round4(x):.4f}"
+
+
+def nudged(x: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+# 5-decimal points k / 20 000 (half points for odd k) up to 1e13 away from
+# 0, each moved by up to 3 ulps; past 1e6 the fast path's tie test fails.
+NEAR_HALF_POINTS = st.builds(
+    lambda k, ulps: nudged(k / 20_000, ulps),
+    st.integers(-40_000, 40_000) | st.integers(-(2 * 10**17), 2 * 10**17),
+    st.integers(-3, 3),
+)
+SCORES = (
+    st.floats()
+    | NEAR_HALF_POINTS
+    | st.floats(1e6, 2.0**53)
+    | st.floats(-(2.0**53), -1e6)
+    | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e6, -1e6])
+)
+
+
+class TestFmtScore:
+    @settings(max_examples=3000)
+    @given(SCORES)
+    @example(0.03125)  # an exact binary half point: "{:.4f}" would give 0.0312
+    @example(0.00015)  # repr's half point, just below it in binary
+    @example(999999.99995)
+    @example(9593418.50545)
+    @example(33554431.99995)
+    def test_equals_the_rounded_text(self, x):
+        assert fmt_score(x) == reference_fmt_score(x)
+
+    def test_every_half_point_in_unit_interval(self):
+        mismatches = [
+            x for x in half_point_neighbourhoods(0, 1) if fmt_score(x) != reference_fmt_score(x)
+        ]
+        assert mismatches == []
+
+
 FLOATS = st.floats() | st.sampled_from(
     [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308, 1e16, 1e-7]
 )
@@ -189,6 +236,29 @@ class TestJsonText:
         assert cli._json_text({}, "a", pieces) == want
 
 
+# Text as ids hold it, and the cells a CSV writer must quote.  No CR, which
+# reading with universal newlines turns into LF, and no NUL, which the CSV
+# reader and writer of Python 3.10 reject.
+CELLS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00\r")) | (
+    st.sampled_from(["", ",", '"', "\n", ' say "hi",\nthen ', "né ✓", "\U0001f600"])
+)
+
+
+class TestCsvText:
+    @settings(max_examples=500)
+    @given(st.lists(st.lists(CELLS, min_size=2, max_size=5), max_size=5))
+    def test_equals_csv_writer(self, rows):
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(rows)
+        lines = [",".join(map(cli._csv_cell, row)) for row in rows]
+        assert cli._csv_text(lines) == out.getvalue()
+
+    def test_a_cell_with_a_carriage_return_is_quoted(self):
+        # csv.writer(lineterminator="\n") quotes a bare CR only from Python
+        # 3.13 on; this writer always does.
+        assert cli._csv_cell("a\rb") == '"a\rb"'
+
+
 @st.composite
 def random_ladders(draw):
     """A valid ladder of 2-8 labels with any text, inside a domain around its centers."""
@@ -243,17 +313,17 @@ class TestSegmentRenderer:
             # object sits 10 spaces in, as a row's member.
             want = json.dumps(degrees, indent=2).replace("\n", "\n" + " " * 10)
             assert json_degrees[x] == want, x
-            assert csv_cells[x] == tuple(map(degree_text, degrees.values())), x
+            assert csv_cells[x] == ",".join(map(degree_text, degrees.values())), x
 
     @pytest.mark.parametrize("name", ["p2mm", "pi"])
     def test_holes_and_signed_zeros(self, name):
         # p2mm's last center is 50 and pi's 70, in 0..100 domains.  A -0.0
         # value has a -0.0 degree, so it must not be served 0.0's text.
         var = load_variables()[name]
-        zeros = ("0",) * (len(var.labels) - 2)
+        zeros = ",0" * (len(var.labels) - 2)
         cells = cli._Degrees(var)
-        assert (cells[0.0], cells[-0.0]) == (("1", "0", *zeros), ("1", "-0", *zeros))
+        assert (cells[0.0], cells[-0.0]) == ("1,0" + zeros, "1,-0" + zeros)
         past_end = math.nextafter(var.centers[-1], math.inf)
-        assert cells[past_end] == cells[100.0] == ("0", "0", *zeros)
+        assert cells[past_end] == cells[100.0] == "0,0" + zeros
         text = cli._Degrees(var, encode_basestring_ascii)
         assert '"L": 0.0,' in text[0.0] and '"L": -0.0,' in text[-0.0]
