@@ -1,12 +1,14 @@
 """Batch command-line front end.
 
 Reads samples from CSV (columns ``id,p2mm,p425,p075,ll,pl[,pi][,class]``;
-a missing pi is computed as ll - pl), classifies them against a preset or a
-rule file, dumps membership tables, or induces a rule base from labeled
-rows.  Output is byte-deterministic for identical inputs and flags.  Each
-document is text joined once from columns of pre-rendered pieces: CSV rows
-end in LF, a cell quoted only if it holds a comma, ``"``, CR or LF; JSON is
-laid out as ``json.dumps(indent=2)`` lays it out.
+a missing pi is computed as ll - pl) into columns, classifies them against
+a preset or a rule file, dumps membership tables, or induces a rule base
+from labeled rows.  Each property column is converted and checked as a
+whole; only a row that a check flags is read again on its own, to state
+its diagnostics.  Output is byte-deterministic for identical inputs and
+flags.  Each document is text joined once from columns of pre-rendered
+pieces: CSV rows end in LF, a cell quoted only if it holds a comma, ``"``,
+CR or LF; JSON is laid out as ``json.dumps(indent=2)`` lays it out.
 
 Exit codes: 0 success, 2 unreadable input, unwritable output (stdout
 included) or bad usage, 3 invalid rule file, 4 row validation failures
@@ -16,12 +18,12 @@ included) or bad usage, 3 invalid rule file, 4 row validation failures
 import argparse
 import csv
 import io
+import math
 import operator
 import os
 import sys
-from itertools import chain, compress, repeat
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
-from typing import NamedTuple
 
 from . import dsl, hrb
 from .errors import FuzzificationError, SampleError, SoilFuzzError
@@ -32,6 +34,11 @@ from .rules import Aggregator, RuleBase, _Batch, _evaluate, _rank, search_rules
 
 REQUIRED_COLUMNS = ("id", "p2mm", "p425", "p075", "ll", "pl")
 READ_COLUMNS = (*REQUIRED_COLUMNS, "pi", "class")
+FIELDS = hrb.SoilSample._fields
+
+# The reader converts this many rows at a time, so that it holds only one
+# small chunk's cells as text; each chunk reuses the memory the last freed.
+CHUNK_ROWS = 128
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -45,25 +52,22 @@ class CliError(Exception):
         self.code = code
 
 
-class SampleRow(NamedTuple):
-    row: int
-    id: str
-    sample: hrb.SoilSample
-    label: str | None
-
-
 def read_samples(
     stream, name: str = "<stream>"
-) -> tuple[list[SampleRow], list[tuple[int, str]], bool]:
-    """Parse a sample CSV into rows, per-row diagnostics, and a class flag.
+) -> tuple[list[int], dict[str, list], list[tuple[int, str]], bool]:
+    """Parse a sample CSV into its good rows, per-row diagnostics, and a class flag.
 
-    Each diagnostic is a ``(row, message)`` pair with the 1-based data row
-    number (blank lines are not rows); a short row's missing cells, and a
-    missing ``pi`` or ``class`` column, read as empty.  A missing required
-    column, or a column that is read but named twice, fails the whole file,
-    and so does text the CSV reader rejects, such as a cell longer than
-    ``csv.field_size_limit()``, reported with ``name`` and its line.
-    Column names are read with surrounding spaces stripped.
+    The good rows are their 1-based data row numbers (blank lines are not
+    rows) and a table of columns: ``id``, ``class`` (None for an empty
+    cell), and one float column per ``SoilSample`` field, where ``pi`` is
+    ``ll - pl`` on a row whose ``pi`` cell is empty.  Each diagnostic is a
+    ``(row, message)`` pair.  A short row's missing cells, and a missing
+    ``pi`` or ``class`` column, read as empty; cells past the header are
+    ignored.  A missing required column, or a column that is read but
+    named twice, fails the whole file, and so does text the CSV reader
+    rejects, such as a cell longer than ``csv.field_size_limit()``,
+    reported with ``name`` and its line.  Column names are read with
+    surrounding spaces stripped.
     """
     reader = csv.reader(stream)
     try:
@@ -74,8 +78,12 @@ def read_samples(
         ) from None
 
 
-def _read_records(reader) -> tuple[list[SampleRow], list[tuple[int, str]], bool]:
-    """Read the header, then every non-blank line as one numbered row."""
+def _read_records(reader) -> tuple[list[int], dict[str, list], list[tuple[int, str]], bool]:
+    """Read the header, then every non-blank line as one numbered row.
+
+    The rows are read ``CHUNK_ROWS`` at a time (see ``_read_chunk``), so
+    that the cells of only one chunk are held at once.
+    """
     fields = [f.strip() for f in next(reader, [])]
     missing = [col for col in REQUIRED_COLUMNS if col not in fields]
     if missing:
@@ -84,57 +92,138 @@ def _read_records(reader) -> tuple[list[SampleRow], list[tuple[int, str]], bool]
     if repeated:
         raise CliError(EXIT_ROWS, f"duplicate column(s): {', '.join(repeated)}")
     has_class = "class" in fields
+    at = {col: fields.index(col) if col in fields else len(fields) for col in READ_COLUMNS}
 
-    # Each read column's position.  A row is cut or padded with empty cells
-    # to the header's width, then given one more empty cell, which is where
-    # a column the header lacks is read.
-    width = len(fields)
-    at = {col: fields.index(col) if col in fields else width for col in READ_COLUMNS}
-    numeric = [(col, at[col]) for col in ("p2mm", "p425", "p075", "ll", "pl", "pi")]
-    pad = [""] * width
-    # A row's numeric cells; without a pi column, pi is left to its default.
-    cells = operator.itemgetter(*[i for _, i in numeric if i < width])
-
-    rows: list[SampleRow] = []
+    rows: list[int] = []
+    table: dict[str, list] = {col: [] for col in (*FIELDS, "id", "class")}
     problems: list[tuple[int, str]] = []
-    n = 0
-    for record in reader:
-        if not record:
+    records, n = filter(None, reader), 0
+    while chunk := list(islice(records, CHUNK_ROWS)):
+        kept, columns = _read_chunk(chunk, n, len(fields), at, problems)
+        n += len(chunk)
+        rows += kept
+        for col, column in columns.items():
+            table[col] += column
+    return rows, table, problems, has_class
+
+
+def _read_chunk(records, start, width, at, problems) -> tuple[list[int], dict[str, list]]:
+    """Rows ``start + 1`` on: the numbers and table of those without diagnostics.
+
+    Each numeric column is converted, and checked as ``SoilSample``
+    checks a row, as a whole.  Only a row that a check flags is read
+    again on its own, by ``_read_row``, which puts its diagnostics in
+    ``problems``.
+    """
+    n = len(records)
+    if set(map(len, records)) - {width}:
+        # A row is cut or padded with empty cells to the header's width.
+        pad = [""] * width
+        records = [(record + pad)[:width] for record in records]
+    # The cells by column, and one more column of empty cells, which is
+    # where a column the header lacks is read.
+    cells = [*zip(*records)]
+    cells.append(("",) * n)
+
+    flagged = set()
+    table = {col: _floats(cells[at[col]], flagged) for col in FIELDS[:-1]}
+    # ``pi`` is ``ll - pl`` where its cell is empty or its column missing.
+    pi = list(map(operator.sub, table["ll"], table["pl"]))
+    if at["pi"] < width:
+        pi = _floats(cells[at["pi"]], flagged, pi)
+    table["pi"] = pi
+    # ``SoilSample``'s checks, on the columns; where they fail, row by row.
+    # A sum is finite only if every term is, though it may overflow.
+    p2mm, p425, p075, *_ = columns = [table[col] for col in FIELDS]
+    le, isfinite = operator.le, math.isfinite
+    if not (
+        all(map(isfinite, map(sum, columns))) and min(pi) >= 0.0
+        and 0.0 <= min(p075) and max(p2mm) <= 100.0
+        and all(map(le, p075, p425)) and all(map(le, p425, p2mm))
+    ):
+        flagged.update(
+            i for i, row in enumerate(zip(*columns))
+            if not (all(map(isfinite, row)) and 0.0 <= row[2] <= row[1] <= row[0] <= 100.0
+                    and row[5] >= 0.0)
+        )
+
+    bad = set()
+    for i in sorted(flagged):
+        sample = _read_row(start + i + 1, [column[i] for column in cells], at, problems)
+        if sample is None:
+            bad.add(i)
+        else:
+            for col, x in zip(FIELDS, sample):
+                table[col][i] = x
+    table["id"] = list(map(str.strip, cells[at["id"]]))
+    table["class"] = (
+        [label or None for label in map(str.strip, cells[at["class"]])]
+        if at["class"] < width else [None] * n
+    )
+    return _drop(list(range(start + 1, start + n + 1)), table, bad)
+
+
+def _floats(cells, flagged: set, blank: list[float] | None = None) -> list[float]:
+    """Each cell as ``float`` reads it.
+
+    A cell it cannot read is ``blank``'s value at its index if ``blank`` is
+    given and the cell is empty once stripped; otherwise it is NaN, and its
+    index goes into ``flagged``.
+    """
+    try:
+        return list(map(float, cells))
+    except ValueError:
+        column = []
+        for i, cell in enumerate(cells):
+            try:
+                column.append(float(cell))
+            except ValueError:
+                if blank is None or cell.strip():
+                    column.append(math.nan)
+                    flagged.add(i)
+                else:
+                    column.append(blank[i])
+        return column
+
+
+def _read_row(n: int, record: list[str], at: dict, problems: list) -> hrb.SoilSample | None:
+    """Row ``n``'s sample from its stripped cells, or None once its diagnostics are in ``problems``.
+
+    ``float`` skips only spaces that ``strip`` removes too, so a cell it
+    reads as it is gives the same value here.
+    """
+    values = []
+    for col in FIELDS:
+        cell = record[at[col]].strip()
+        if cell == "" and col == "pi":
+            values.append(None)
             continue
-        n += 1
-        if len(record) != width:
-            record = (record + pad)[:width]
-        record.append("")
         try:
-            # ``float`` skips only spaces that ``strip`` removes too.
-            values = list(map(float, cells(record)))
+            values.append(float(cell))
         except ValueError:
-            # Cell by cell, stripped, to name each empty or non-numeric one.
-            values, bad = [], False
-            for col, i in numeric:
-                cell = record[i].strip()
-                if cell == "":
-                    if col == "pi":
-                        values.append(None)
-                        continue
-                    problems.append((n, f"empty {col}"))
-                    bad = True
-                    continue
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    problems.append((n, f"non-numeric {col}: {cell!r}"))
-                    bad = True
-            if bad:
-                continue
-        try:
-            sample = hrb.SoilSample(*values)
-        except SampleError as exc:
-            problems.append((n, str(exc)))
-            continue
-        label = record[at["class"]].strip() or None
-        rows.append(SampleRow(n, record[at["id"]].strip(), sample, label))
-    return rows, problems, has_class
+            problems.append((n, f"empty {col}" if cell == "" else f"non-numeric {col}: {cell!r}"))
+    if len(values) < len(FIELDS):
+        return None
+    try:
+        return hrb.SoilSample(*values)
+    except SampleError as exc:
+        problems.append((n, str(exc)))
+        return None
+
+
+def _drop(rows: list[int], table: dict, bad) -> tuple[list[int], dict]:
+    """``rows`` and ``table`` without the rows at the indexes in ``bad``."""
+    if not bad:
+        return rows, table
+    keep = [i not in bad for i in range(len(rows))]
+    return list(compress(rows, keep)), {
+        col: list(compress(column, keep)) for col, column in table.items()
+    }
+
+
+def _samples(table: dict):
+    """Each row of ``table`` as a record of ``SoilSample``'s fields, unchecked: the reader checked them."""
+    return map(hrb._SoilSampleFields, *[table[col] for col in FIELDS])
 
 
 def _read_text(path: str) -> str:
@@ -176,8 +265,8 @@ def _discard_stdout() -> None:
     os.close(devnull)
 
 
-def _load_rows(args) -> tuple[list[SampleRow], list[tuple[int, str]], bool]:
-    """The input's rows, its CSV diagnostics (not yet reported), a class flag."""
+def _load_rows(args) -> tuple[list[int], dict[str, list], list[tuple[int, str]], bool]:
+    """The input's rows and their table, its CSV diagnostics (not yet reported), a class flag."""
     return read_samples(io.StringIO(_read_text(args.input)), args.input)
 
 
@@ -196,6 +285,10 @@ def _preset_dir() -> str | None:
     return os.environ.get("SOILFUZZ_PRESET_DIR") or None
 
 
+def _variables_file() -> str:
+    return f"hrb-variables.txt in {_preset_dir() or 'the shipped presets'}"
+
+
 def _load_variables() -> dict:
     """The HRB-property ladders of the preset directory (``SOILFUZZ_PRESET_DIR``).
 
@@ -203,12 +296,10 @@ def _load_variables() -> dict:
     so a ladder under any other name is left out.  The rest keep their
     file order.
     """
-    directory = _preset_dir()
     try:
-        variables = hrb.load_variables(directory)
+        variables = hrb.load_variables(_preset_dir())
     except (OSError, UnicodeDecodeError) as exc:
-        where = directory or "the shipped presets"
-        raise CliError(EXIT_INPUT, f"cannot read hrb-variables.txt in {where}: {exc}") from None
+        raise CliError(EXIT_INPUT, f"cannot read {_variables_file()}: {exc}") from None
     return {name: var for name, var in variables.items() if name in hrb.VARIABLE_NAMES}
 
 
@@ -285,12 +376,12 @@ def _json_objects(indent: str, n: int, *members):
 
 def cmd_classify(args) -> int:
     variables = _load_variables()
-    rows, problems, _ = _load_rows(args)
+    rows, table, problems, _ = _load_rows(args)
 
     if args.crisp:
         header = {"command": "classify", "mode": "crisp"}
         _report_problems(args, problems)
-        winners = [hrb.crisp_classify(row.sample) for row in rows]
+        winners = list(map(hrb.crisp_classify, _samples(table)))
         scored = None
     else:
         name, rb = _load_rulebase(args, variables)
@@ -300,7 +391,7 @@ def cmd_classify(args) -> int:
             "aggregator": args.agg,
             "pi_source": args.pi_source,
         }
-        batch, rows = _fuzzy_batch(args, rows, problems, variables)
+        batch, table = _fuzzy_batch(args, rows, table, problems, variables)
         classes, columns, by_class = _evaluate(rb, batch, Aggregator(args.agg))
         # Free the index and the DOF columns before the output is built.
         del batch, columns
@@ -308,15 +399,14 @@ def cmd_classify(args) -> int:
         scored = classes, by_class, tied
 
     # The limits of each A-7 subgroup's rows; a fuzzy A-7 is split here.
-    a7 = {}
-    for i in compress(range(len(rows)), map(str.startswith, winners, repeat("A-7"))):
-        sample = rows[i].sample
+    a7, ll, pi = {}, table["ll"], table["pi"]
+    for i in compress(range(len(winners)), map(str.startswith, winners, repeat("A-7"))):
         if winners[i] == "A-7":
-            winners[i] = hrb.a7_split(sample.ll, sample.pi)
-        a7[i] = sample.ll, sample.pi
-    results = [row.id for row in rows], winners, a7, scored
+            winners[i] = hrb.a7_split(ll[i], pi[i])
+        a7[i] = ll[i], pi[i]
+    results = table["id"], winners, a7, scored
     # Free the rows too: the output needs only their ids and A-7 limits.
-    del rows
+    del rows, table, ll, pi
     if args.format == "json":
         _write_output(args, _json_text(header, "results", _classify_json(*results)))
     else:
@@ -324,24 +414,20 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def _property_columns(args, rows, problems, variables) -> tuple[list[SampleRow], dict]:
-    """The rows whose values all lie in their domains, and those values by property.
+def _property_columns(args, rows, table, problems, variables) -> tuple[dict, dict]:
+    """The table of the rows whose values all lie in their domains, and those values by property.
 
     The columns hold, for each HRB property that ``variables`` has a ladder
-    for, in ``VARIABLE_NAMES`` order, the value fuzzified for it (``pl`` for
-    ``pi`` under ``--pi-source pl``) on each kept row.  A row with a value
-    outside its variable's domain is a diagnostic, with
-    ``active_descriptors``' message for its first such value, reported with
-    the CSV diagnostics in ``problems`` (see ``_report_problems``).
+    for, in ``VARIABLE_NAMES`` order, the table's column of the value
+    fuzzified for it (``pl`` for ``pi`` under ``--pi-source pl``).  A row
+    with a value outside its variable's domain is a diagnostic, with
+    ``active_descriptors``' message for its first such value, reported
+    with the CSV diagnostics in ``problems`` (see ``_report_problems``).
     """
-    fields = hrb.SoilSample._fields
-    samples = [row.sample for row in rows]
-    columns, bad = {}, {}
-    for name in hrb.VARIABLE_NAMES:
-        if name not in variables:
-            continue
-        k, var = fields.index(args.pi_source if name == "pi" else name), variables[name]
-        column = columns[name] = list(map(operator.itemgetter(k), samples))
+    source = {name: args.pi_source if name == "pi" else name for name in hrb._ladders(variables)}
+    bad = {}
+    for name, col in source.items():
+        var, column = variables[name], table[col]
         if column and not var.domain_min <= min(column) <= max(column) <= var.domain_max:
             for i, x in enumerate(column):
                 if i not in bad:
@@ -349,32 +435,28 @@ def _property_columns(args, rows, problems, variables) -> tuple[list[SampleRow],
                         active_descriptors(var, x)
                     except FuzzificationError as exc:
                         bad[i] = str(exc)
-    _report_problems(args, [*problems, *((rows[i].row, message) for i, message in bad.items())])
-    if bad:
-        keep = [i not in bad for i in range(len(rows))]
-        rows = list(compress(rows, keep))
-        columns = {name: list(compress(column, keep)) for name, column in columns.items()}
-    return rows, columns
+    _report_problems(args, [*problems, *((rows[i], message) for i, message in bad.items())])
+    _, table = _drop(rows, table, bad)
+    return table, {name: table[col] for name, col in source.items()}
 
 
-def _fuzzy_batch(args, rows, problems, variables) -> tuple[_Batch, list[SampleRow]]:
-    """The batch of the rows that fuzzify, and those rows (see ``_property_columns``).
+def _fuzzy_batch(args, rows, table, problems, variables) -> tuple[_Batch, dict]:
+    """The batch of the rows that fuzzify, and their table (see ``_property_columns``).
 
     The batch equals one built by ``_Batch.add(hrb._ladders(variables),
-    hrb._active_pairs(row.sample, args.pi_source, variables))`` row by row
+    hrb._active_pairs(sample, args.pi_source, variables))`` row by row
     over those rows.  Each property is fuzzified as one column.
     """
-    rows, columns = _property_columns(args, rows, problems, variables)
+    table, columns = _property_columns(args, rows, table, problems, variables)
     batch = _Batch()
-    if rows:
-        batch.size = len(rows)
+    if table["id"]:
+        batch.size = len(table["id"])
         batch.ladders.append(hrb._ladders(variables))
         # Every property's index holds the same ints, as ``_Batch.add`` makes it.
-        positions = list(range(len(rows)))
-        for name in list(columns):
-            # Each property's values are freed once its index is built.
-            batch.index[name] = active_columns(variables[name], columns.pop(name), positions)
-    return batch, rows
+        positions = list(range(batch.size))
+        for name, column in columns.items():
+            batch.index[name] = active_columns(variables[name], column, positions)
+    return batch, table
 
 
 class _ScoreTexts(dict):
@@ -495,9 +577,14 @@ class _Degrees(dict):
 
 def cmd_memberships(args) -> int:
     variables = _load_variables()
-    rows, problems, _ = _load_rows(args)
+    rows, table, problems, _ = _load_rows(args)
     # The HRB properties the variables file has a ladder for, in column order.
     ladders = hrb._ladders(variables)
+    if not ladders:
+        raise CliError(
+            EXIT_INPUT,
+            f"{_variables_file()} has no ladder for any of {', '.join(hrb.VARIABLE_NAMES)}",
+        )
     if args.variable is not None and args.variable not in ladders:
         raise CliError(EXIT_INPUT, f"unknown variable {args.variable}")
     names = list(ladders) if args.variable is None else [args.variable]
@@ -508,8 +595,8 @@ def cmd_memberships(args) -> int:
 
     # Every property with a ladder is checked against its domain, listed or
     # not; only the listed ones are rendered, each distinct value once.
-    rows, columns = _property_columns(args, rows, problems, variables)
-    ids = [row.id for row in rows]
+    table, columns = _property_columns(args, rows, table, problems, variables)
+    ids = table["id"]
     texts = {
         name: list(map(_Degrees(variables[name], encode).__getitem__, columns[name]))
         for name in names
@@ -550,22 +637,23 @@ def cmd_rules(args) -> int:
 
 def cmd_induce(args) -> int:
     variables = _load_variables()
-    rows, problems, has_class = _load_rows(args)
+    rows, table, problems, has_class = _load_rows(args)
     if not has_class:
         raise CliError(EXIT_ROWS, "missing class column: induce needs labeled rows")
     # A class the rule file could not name back is a bad row.
     unwritable = {
-        row.row: f"class {row.label!r} cannot be written to a rule file"
-        for row in rows if row.label is not None and not dsl._is_word(row.label)
+        i: f"class {label!r} cannot be written to a rule file"
+        for i, label in enumerate(table["class"]) if label is not None and not dsl._is_word(label)
     }
+    unlabeled = [n for n, label in zip(rows, table["class"]) if label is None]
     kept, _ = _property_columns(
-        args, [row for row in rows if row.row not in unwritable],
-        [*problems, *unwritable.items()], variables,
+        args, *_drop(rows, table, unwritable),
+        [*problems, *((rows[i], message) for i, message in unwritable.items())], variables,
     )
     labeled = [
-        (hrb.fuzzify_sample(row.sample, args.pi_source, variables), row.label) for row in kept
+        (hrb.fuzzify_sample(sample, args.pi_source, variables), label)
+        for sample, label in zip(_samples(kept), kept["class"])
     ]
-    unlabeled = [row.row for row in rows if row.label is None]
     if unlabeled:
         raise CliError(
             EXIT_ROWS,

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import types
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -64,19 +65,34 @@ def csv_rows(text):
     return list(csv.reader(io.StringIO(text)))
 
 
+def as_samples(table):
+    """The rows of a table ``read_samples`` returns, as tuples of ``SoilSample``'s fields."""
+    return list(cli._samples(table))
+
+
+def sample_table(ids, samples, labels):
+    """The table ``read_samples`` returns for rows of these ids, samples and labels."""
+    fields = sf.SoilSample._fields
+    return {
+        **{field: [sample[k] for sample in samples] for k, field in enumerate(fields)},
+        "id": ids,
+        "class": labels,
+    }
+
+
 class TestReadSamples:
     def test_reference_table(self):
-        rows, problems, has_class = cli.read_samples(io.StringIO(FIXTURE_CSV))
+        rows, table, problems, has_class = cli.read_samples(io.StringIO(FIXTURE_CSV))
         assert not problems and not has_class
         assert len(rows) == 6
-        assert rows[3].sample.pi == 3.0  # ll - pl
-        assert rows[0].id == "1"
+        assert table["pi"][3] == 3.0  # ll - pl
+        assert table["id"][0] == "1"
 
     def test_explicit_pi_column(self):
         text = "id,p2mm,p425,p075,ll,pl,pi\na,100,50,10,30,20,5\n"
-        rows, problems, _ = cli.read_samples(io.StringIO(text))
+        _, table, problems, _ = cli.read_samples(io.StringIO(text))
         assert not problems
-        assert rows[0].sample.pi == 5.0
+        assert table["pi"][0] == 5.0
 
     def test_row_diagnostics(self):
         text = (
@@ -85,8 +101,8 @@ class TestReadSamples:
             "b,100,50,10,thirty,20\n"  # non-numeric
             "c,100,50,10,30,20\n"
         )
-        rows, problems, _ = cli.read_samples(io.StringIO(text))
-        assert len(rows) == 1 and rows[0].id == "c"
+        rows, table, problems, _ = cli.read_samples(io.StringIO(text))
+        assert len(rows) == 1 and table["id"][0] == "c"
         assert [n for n, _ in problems] == [1, 2]
         assert "sieve" in problems[0][1]
         assert problems[1][1] == "non-numeric ll: 'thirty'"
@@ -96,10 +112,10 @@ class TestReadSamples:
             "id, p2mm, p425, p075, ll, pl, pi, class\n"
             "a, 100, 50, 10, 30, 20, 5, A-2-4\n"
         )
-        rows, problems, has_class = cli.read_samples(io.StringIO(text))
+        _, table, problems, has_class = cli.read_samples(io.StringIO(text))
         assert not problems and has_class
-        assert rows[0].id == "a" and rows[0].label == "A-2-4"
-        assert rows[0].sample == sf.SoilSample(100, 50, 10, ll=30, pl=20, pi=5)
+        assert table["id"][0] == "a" and table["class"][0] == "A-2-4"
+        assert as_samples(table)[0] == sf.SoilSample(100, 50, 10, ll=30, pl=20, pi=5)
 
     def test_missing_column(self):
         with pytest.raises(cli.CliError) as exc:
@@ -134,13 +150,13 @@ class TestReadSamples:
 
     def test_unread_columns_may_repeat(self):
         text = "id,p2mm,p425,p075,ll,pl,note,note,,\na,100,50,10,30,20,x,y,,\n"
-        rows, problems, _ = cli.read_samples(io.StringIO(text))
-        assert not problems and rows[0].sample.ll == 30.0
+        _, table, problems, _ = cli.read_samples(io.StringIO(text))
+        assert not problems and table["ll"][0] == 30.0
 
     def test_blank_lines_are_not_rows(self):
         text = "id,p2mm,p425,p075,ll,pl\n\na,100,50,10,30,20\n\n\nb,100,50,10,thirty,20\n"
-        rows, problems, _ = cli.read_samples(io.StringIO(text))
-        assert [(row.row, row.id) for row in rows] == [(1, "a")]
+        rows, table, problems, _ = cli.read_samples(io.StringIO(text))
+        assert list(zip(rows, table["id"])) == [(1, "a")]
         assert problems == [(2, "non-numeric ll: 'thirty'")]
 
     def test_short_and_long_rows(self):
@@ -152,9 +168,9 @@ class TestReadSamples:
             "b,100,50,10,30\n"
             "c\n"
         )
-        rows, problems, has_class = cli.read_samples(io.StringIO(text))
+        _, table, problems, has_class = cli.read_samples(io.StringIO(text))
         assert not has_class
-        assert [(row.id, row.sample.pi, row.label) for row in rows] == [("a", 10.0, None)]
+        assert list(zip(table["id"], table["pi"], table["class"])) == [("a", 10.0, None)]
         assert problems == [
             (2, "empty pl"),
             (3, "empty p2mm"), (3, "empty p425"), (3, "empty p075"), (3, "empty ll"),
@@ -168,15 +184,15 @@ class TestReadSamples:
         with pytest.raises(ValueError):
             float("\x1c100\x1d")
         text = f"id,p2mm,p425,p075,ll,pl\na,{padded},30,20\nb,100,50,10,30,\x1f20\x1c\n"
-        rows, problems, _ = cli.read_samples(io.StringIO(text))
+        _, table, problems, _ = cli.read_samples(io.StringIO(text))
         assert not problems
-        assert [row.sample for row in rows] == [sf.SoilSample(100, 50, 10, 30, 20)] * 2
+        assert as_samples(table) == [sf.SoilSample(100, 50, 10, 30, 20)] * 2
 
     def test_underscores(self):
         text = "id,p2mm,p425,p075,ll,pl\na,1_00,5_0,1_0,3_0,2_0\nb,1_00,5_0,1_0,3_0,\x1c2_0\n"
-        rows, problems, _ = cli.read_samples(io.StringIO(text))
+        _, table, problems, _ = cli.read_samples(io.StringIO(text))
         assert not problems
-        assert [row.sample for row in rows] == [sf.SoilSample(100, 50, 10, 30, 20)] * 2
+        assert as_samples(table) == [sf.SoilSample(100, 50, 10, 30, 20)] * 2
 
     @pytest.mark.parametrize("word", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("field", ["p2mm", "p425", "p075", "ll", "pl", "pi"])
@@ -188,26 +204,26 @@ class TestReadSamples:
         cells[columns.index(field)] = word
         slow = [*cells[:-1], "\x1c" + cells[-1]]
         text = f"id,{','.join(columns)}\na,{','.join(cells)}\nb,{','.join(slow)}\n"
-        rows, problems, _ = cli.read_samples(io.StringIO(text))
+        rows, _, problems, _ = cli.read_samples(io.StringIO(text))
         assert rows == []
         assert problems == [(n, f"non-finite {field} {float(word)}") for n in (1, 2)]
 
     def test_six_value_sum_may_overflow(self):
         # pi = ll - pl = 1.7e308, and the six values sum past the float range.
         text = "id,p2mm,p425,p075,ll,pl\na,100,50,10,1.7e308,0\n"
-        rows, problems, _ = cli.read_samples(io.StringIO(text))
+        _, table, problems, _ = cli.read_samples(io.StringIO(text))
         assert not problems
-        assert rows[0].sample == sf.SoilSample(100, 50, 10, 1.7e308, 0)
-        assert rows[0].sample.pi == 1.7e308
+        assert as_samples(table)[0] == sf.SoilSample(100, 50, 10, 1.7e308, 0)
+        assert table["pi"][0] == 1.7e308
 
     def test_short_rows_with_and_without_a_pi_column(self):
         text = "id,p2mm,p425,p075,ll,pl,pi\na,100,50,10,30,20\nb,100,50,10\n"
-        rows, problems, _ = cli.read_samples(io.StringIO(text))
-        assert [(row.id, row.sample.pi) for row in rows] == [("a", 10.0)]
+        _, table, problems, _ = cli.read_samples(io.StringIO(text))
+        assert list(zip(table["id"], table["pi"])) == [("a", 10.0)]
         assert problems == [(2, "empty ll"), (2, "empty pl")]
         text = "id,p2mm,p425,p075,ll,pl\na,100,50,10,30,20\nb,100,50,10,30\n"
-        rows, problems, _ = cli.read_samples(io.StringIO(text))
-        assert [(row.id, row.sample.pi) for row in rows] == [("a", 10.0)]
+        _, table, problems, _ = cli.read_samples(io.StringIO(text))
+        assert list(zip(table["id"], table["pi"])) == [("a", 10.0)]
         assert problems == [(2, "empty pl")]
 
     def test_csv_error_names_its_line(self):
@@ -274,18 +290,26 @@ def test_rows_read_as_dict_reader_reads_them(header, lines):
         with pytest.raises(cli.CliError, match="duplicate column"):
             cli.read_samples(io.StringIO(text))
         return
-    rows, problems, has_class = cli.read_samples(io.StringIO(text))
+    rows, table, problems, has_class = cli.read_samples(io.StringIO(text))
     assert has_class == ("class" in fields)
-    view_rows, view_problems, _ = cli.read_samples(io.StringIO(dict_reader_view(text)))
-    assert (rows, problems) == (view_rows, view_problems)
+    view_rows, view_table, view_problems, _ = cli.read_samples(io.StringIO(dict_reader_view(text)))
+    assert (rows, table, problems) == (view_rows, view_table, view_problems)
     # ``repr`` also tells -0.0 from 0.0.
-    assert repr((rows, problems)) == repr(cell_by_cell(dict_reader_view(text)))
+    assert signed(rows, table, problems) == signed(*cell_by_cell(dict_reader_view(text)))
+
+
+def signed(rows, table, problems):
+    """The text of what ``read_samples`` read, columns in name order: it tells -0.0 from 0.0."""
+    return repr((rows, sorted(table.items()), problems))
 
 
 def cell_by_cell(text):
-    """What ``read_samples`` reads, stripping and converting every cell on its own."""
+    """What ``read_samples`` reads, stripping and converting every cell on its own.
+
+    Returns the row numbers, the table and the diagnostics.
+    """
     reader = csv.DictReader(io.StringIO(text))
-    rows, problems = [], []
+    rows, ids, samples, labels, problems = [], [], [], [], []
     for n, record in enumerate(reader, start=1):
         values, bad = [], False
         for col in ("p2mm", "p425", "p075", "ll", "pl", "pi"):
@@ -308,8 +332,133 @@ def cell_by_cell(text):
         except sf.SampleError as exc:
             problems.append((n, str(exc)))
             continue
-        rows.append(cli.SampleRow(n, record["id"].strip(), sample, record["class"].strip() or None))
-    return rows, problems
+        rows.append(n)
+        ids.append(record["id"].strip())
+        samples.append(sample)
+        labels.append(record["class"].strip() or None)
+    return rows, sample_table(ids, samples, labels), problems
+
+
+def good_cells(rng, has_pi, huge=False):
+    """The numeric cells of a good row: some spaced, some -0, and with ``huge``,
+    some whose six values sum past the float range."""
+    p075, p425, p2mm = sorted(round(rng.uniform(0, 100), rng.choice([0, 1, 3])) for _ in range(3))
+    ll = rng.choice([round(rng.uniform(0, 100), 1), 1.7e308 if huge else 50.0])
+    pl = rng.choice([0.0, round(rng.uniform(0, min(ll, 100)), 1)])
+    cells = [str(x) for x in (p2mm, p425, p075, ll, pl)]
+    if p075 == 0 and rng.random() < 0.5:
+        cells[2] = "-0"
+    if rng.random() < 0.1:
+        cells[0] = f" {cells[0]} "
+    if has_pi:
+        # An empty pi cell is ll - pl.
+        cells.append(rng.choice(["", str(ll - pl)]))
+    return cells
+
+
+def bad_cells(rng, has_pi, kind):
+    """The numeric cells of a row that ``read_samples`` reports, as ``kind`` makes it bad."""
+    cells = good_cells(rng, has_pi)
+    k = rng.randrange(len(cells))
+    if kind == "empty":
+        cells[rng.randrange(5)] = ""
+    elif kind == "non-numeric":
+        cells[k] = rng.choice(["x", "1.5.", "--1", "0x10"])
+    elif kind == "non-finite":
+        cells[k] = rng.choice(["nan", "inf", "-inf", "1e400"])
+    elif kind == "pi-overflows":
+        cells[3:] = ["1.7e308", "-1.7e308", ""][: len(cells) - 3]
+    elif kind == "sieve" and rng.random() < 0.5:
+        cells[:2] = ["10", "20"]
+    elif kind == "sieve":
+        cells[rng.randrange(3)] = rng.choice(["-1", "100.5", "-0.001"])
+    elif kind == "negative-pi":
+        if has_pi and rng.random() < 0.5:
+            cells[5] = "-2"
+        else:
+            cells[3:5] = ["10", "20.5"]
+            cells[5:] = [""] * (len(cells) - 5)
+    elif kind == "short":
+        cells = cells[: rng.randrange(5)]
+    return cells
+
+
+BAD_KINDS = ["empty", "non-numeric", "non-finite", "pi-overflows", "sieve", "negative-pi", "short"]
+
+
+def assert_only_bad_rows_are_reread(has_pi, bad, seed, huge=False):
+    """Read a file of a few hundred rows with ``bad`` rows (index: kind) among good ones.
+
+    The bad rows fail the column checks, and only they are read again on
+    their own: each gets today's diagnostics, in row order.  Good rows
+    include long rows, spaced cells, -0, empty pi cells and, with ``huge``,
+    six-value sums past the float range; blank lines are scattered among
+    the rows.
+    """
+    rng = random.Random(seed)
+    n = rng.randrange(300, 400)
+    lines = ["id,p2mm,p425,p075,ll,pl" + (",pi" if has_pi else "")]
+    for i in range(n):
+        lines += [""] * (rng.random() < 0.05)
+        kind = bad.get(i)
+        cells = bad_cells(rng, has_pi, kind) if kind else good_cells(rng, has_pi, huge)
+        long = ["extra", "1"] if rng.random() < 0.05 and len(cells) >= 5 + has_pi else []
+        lines.append(",".join([f"r{i}", *cells, *long]))
+    text = "\n".join(lines) + "\n"
+
+    with mock.patch.object(cli, "_read_row", wraps=cli._read_row) as read_row:
+        rows, table, problems, _ = cli.read_samples(io.StringIO(text))
+    reread = [call.args[0] for call in read_row.call_args_list]
+    assert reread == sorted(i + 1 for i in bad)
+    assert sorted({n for n, _ in problems}) == reread
+    assert len(rows) == n - len(bad)
+    assert signed(rows, table, problems) == signed(*cell_by_cell(dict_reader_view(text)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.booleans(),
+    st.dictionaries(st.integers(0, 299), st.sampled_from(BAD_KINDS), min_size=1, max_size=15),
+    st.integers(0, 2**32),
+    st.booleans(),
+)
+def test_bulk_checks_flag_exactly_the_bad_rows(has_pi, bad, seed, huge):
+    assert_only_bad_rows_are_reread(has_pi, bad, seed, huge)
+
+
+@pytest.mark.parametrize("kind", BAD_KINDS)
+@pytest.mark.parametrize("has_pi", [False, True], ids=["no-pi", "pi"])
+def test_each_check_alone_flags_its_row(kind, has_pi):
+    # One bad row: no other row fails a check and sets off the row-by-row pass.
+    for seed in range(20):
+        assert_only_bad_rows_are_reread(has_pi, {150: kind}, seed)
+
+
+def test_clean_file_builds_no_soil_sample(tmp_path, capsys, monkeypatch):
+    # A clean file is read, checked and classified as columns; only a row
+    # that a column check flags becomes a ``SoilSample``.
+    built = []
+    new = sf.SoilSample.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        sample = new(cls, *args, **kwargs)
+        built.append(sample)
+        return sample
+
+    monkeypatch.setattr(sf.SoilSample, "__new__", counting_new)
+    text = golden_corpus_csv()
+    rows, _, problems, _ = cli.read_samples(io.StringIO(text))
+    assert (len(rows), problems) == (300, [])
+    path = tmp_path / "clean.csv"
+    path.write_text(text)
+    for mode in (["classify"], ["classify", "--format", "json"], ["classify", "--crisp"]):
+        code, out, _ = run([*mode, str(path)], capsys)
+        assert code == 0 and out
+    assert built == []
+    # The counter does see a flagged row: one cell ``float`` reads only stripped.
+    padded = text.replace("\nG007,", "\nG007,\x1c", 1)
+    rows, _, problems, _ = cli.read_samples(io.StringIO(padded))
+    assert (len(rows), problems, len(built)) == (300, [], 1)
 
 
 class TestClassifyCommand:
@@ -651,6 +800,19 @@ class TestMembershipsCommand:
         # An empty name is a name like any other, not "every variable".
         code, out, err = run(["memberships", "--variable", name, fixture_csv], capsys)
         assert (code, out, err) == (cli.EXIT_INPUT, "", f"soilfuzz: unknown variable {name}\n")
+
+    @pytest.mark.parametrize("fmt", [[], ["--format", "json"]], ids=["csv", "json"])
+    @pytest.mark.parametrize("ladders", ["", "foo; A, B; 0, 10; 0, 100\n"], ids=["empty", "foo"])
+    def test_no_property_ladder_exits_2(self, fixture_csv, tmp_path, capsys, monkeypatch, fmt, ladders):
+        # A variables file without one HRB-property ladder is an error, not an empty table.
+        (tmp_path / "hrb-variables.txt").write_text(ladders)
+        monkeypatch.setenv("SOILFUZZ_PRESET_DIR", str(tmp_path))
+        code, out, err = run(["memberships", *fmt, fixture_csv], capsys)
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert err == (
+            f"soilfuzz: hrb-variables.txt in {tmp_path} has no ladder for any of "
+            "p2mm, p425, p075, ll, pi\n"
+        )
 
     def test_single_value_at_center(self, tmp_path, capsys):
         path = tmp_path / "one.csv"
@@ -1106,7 +1268,7 @@ def test_fuzzy_batch_equals_rows_added_one_by_one(variables, data, pi_source):
     # Some rows have ll, pi or pl outside its domain: ll is checked after
     # three sieves that fuzzify, and pi or pl last.
     point = {name: ladder_points(var) for name, var in variables.items()}
-    rows = []
+    rows, samples = [], []
     for n in range(1, data.draw(st.integers(0, 8)) + 1):
         p075, p425, p2mm = sorted(data.draw(point[name]) for name in ("p075", "p425", "p2mm"))
         ll, pi, pl = data.draw(point["ll"]), data.draw(point["pi"]), data.draw(point["pi"])
@@ -1117,22 +1279,26 @@ def test_fuzzy_batch_equals_rows_added_one_by_one(variables, data, pi_source):
             pi = data.draw(OUTSIDE)
         elif outside == "pl":
             pl = data.draw(OUTSIDE | st.floats(-1e6, 0, exclude_max=True))
-        sample = sf.SoilSample(p2mm, p425, p075, ll=ll, pl=pl, pi=pi)
-        rows.append(cli.SampleRow(n, f"r{n}", sample, None))
+        rows.append(n)
+        samples.append(sf.SoilSample(p2mm, p425, p075, ll=ll, pl=pl, pi=pi))
+    ids = [f"r{n}" for n in rows]
+    table = sample_table(ids, samples, [None] * len(rows))
     args = types.SimpleNamespace(pi_source=pi_source, skip_bad_rows=True, input="in.csv")
     with contextlib.redirect_stderr(io.StringIO()):
-        batch, good = cli._fuzzy_batch(args, rows, [], variables)
+        batch, good = cli._fuzzy_batch(args, rows, table, [], variables)
 
     expected, kept = sf.rules._Batch(), []
     ladders = sf.hrb._ladders(variables)
-    for row in rows:
+    for row_id, sample in zip(ids, samples):
         try:
-            pairs = sf.hrb._active_pairs(row.sample, pi_source, variables)
+            pairs = sf.hrb._active_pairs(sample, pi_source, variables)
         except sf.FuzzificationError:
             continue
         expected.add(ladders, pairs)
-        kept.append(row)
-    assert good == kept
+        kept.append((row_id, sample))
+    assert good == sample_table(
+        [row_id for row_id, _ in kept], [sample for _, sample in kept], [None] * len(kept)
+    )
     assert (batch.size, batch.ladders, batch.index) == (
         expected.size, expected.ladders, expected.index
     )
@@ -1567,9 +1733,9 @@ class TestGoldenBytes:
                 assert code == 0
         assert built == []
         # The counter does see the reporting view: 300 rows x 5 variables.
-        rows, _, _ = cli.read_samples(io.StringIO(golden_corpus_csv()))
-        for row in rows:
-            sf.fuzzify_sample(row.sample)
+        _, table, _, _ = cli.read_samples(io.StringIO(golden_corpus_csv()))
+        for sample in cli._samples(table):
+            sf.fuzzify_sample(sample)
         assert len(built) == 1500
 
 
@@ -1619,6 +1785,32 @@ EDGE_CSV = {
         "ll-out,100,80,40,120,30,90\n"
         "same-b,100,80,40,25,17,8\n"
         "minus-zero-again,-0,-0,-0,25,-0,-0\n"
+    ),
+    # Bad rows among good ones (run with --skip-bad-rows): empty, non-numeric
+    # and non-finite cells, a six-value sum past the float range, sieve order,
+    # negative pi, a short row, and blank lines; good rows with an empty pi
+    # cell, cells past the header, and cells ``float`` reads only stripped.
+    "bad-rows": (
+        "id,p2mm,p425,p075,ll,pl,pi\n"
+        "good-a,100,80,40,25,17,8\n"
+        "empty-ll,100,80,40,,17,8\n"
+        "\n"
+        "word,100,80,x,25,17,8\n"
+        "empty-pi,100,76,7,19,16,\n"
+        "nan-pl,100,80,40,25,nan,8\n"
+        "inf-p2mm,inf,80,40,25,17,8\n"
+        "sum-overflows,100,50,10,1.7e308,0,\n"
+        "sieve,50,80,40,30,20,10\n"
+        "negative-pi,100,80,40,25,30,\n"
+        "negative-pi-cell,100,80,40,25,17,-1\n"
+        "short,100,80,40\n"
+        "long,38,30,11,23,19,4,extra,cells\n"
+        "\n"
+        "\n"
+        "padded, 100 ,\x1c80, 40,25,17,\x1f8\n"
+        "good-b,100,100,92,65,25,40\n"
+        "ll-out,100,80,40,120,30,90\n"
+        "good-c,38,30,11,23,19,4\n"
     ),
 }
 
@@ -1672,10 +1864,35 @@ EDGE_SHA256 = {
      "--skip-bad-rows"): (
         "ef846a6df8d7e3f07577da884122e0fc8f57ff72f2468340562327f170702d58"
     ),
+    ("bad-rows", "classify", "--skip-bad-rows"): (
+        "79231dc682c8d94663809831dfdff6cc9b2187e2ac3690be27092ef6b8717891"
+    ),
+    ("bad-rows", "classify", "--format", "json", "--skip-bad-rows"): (
+        "ee0ff9990b1cdf1d4a946e538e9b0aa5b6b648d05101ed9b30f4fe003ede2c6b"
+    ),
+    ("bad-rows", "memberships", "--skip-bad-rows"): (
+        "d8e32c62348c295d79fe90a8967c206765a67ee8a073ad73c27a7f92ecbb7afd"
+    ),
 }
 
 # Standard error of the edge cases that print diagnostics.
-EDGE_STDERR = {"signed-zeros": "row 4: ll: value 120.0 outside domain [0.0, 100.0]\n"}
+EDGE_STDERR = {
+    "signed-zeros": "row 4: ll: value 120.0 outside domain [0.0, 100.0]\n",
+    "bad-rows": (
+        "row 2: empty ll\n"
+        "row 3: non-numeric p075: 'x'\n"
+        "row 5: non-finite pl nan\n"
+        "row 6: non-finite p2mm inf\n"
+        "row 7: ll: value 1.7e+308 outside domain [0.0, 100.0]\n"
+        "row 8: sieve fractions must satisfy 0 <= p075 <= p425 <= p2mm <= 100 "
+        "(got p2mm=50.0, p425=80.0, p075=40.0)\n"
+        "row 9: negative plasticity index -5.0\n"
+        "row 10: negative plasticity index -1.0\n"
+        "row 11: empty ll\n"
+        "row 11: empty pl\n"
+        "row 15: ll: value 120.0 outside domain [0.0, 100.0]\n"
+    ),
+}
 
 
 @pytest.mark.parametrize("case", list(EDGE_SHA256), ids=" ".join)
