@@ -3,12 +3,13 @@
 Reads samples from CSV (columns ``id,p2mm,p425,p075,ll,pl[,pi][,class]``;
 a missing pi is computed as ll - pl) into columns, classifies them against
 a preset or a rule file, dumps membership tables, or induces a rule base
-from labeled rows.  Each property column is converted and checked as a
-whole; only a row that a check flags is read again on its own, to state
-its diagnostics.  Output is byte-deterministic for identical inputs and
-flags.  Each document is text joined once from columns of pre-rendered
-pieces: CSV rows end in LF, a cell quoted only if it holds a comma, ``"``,
-CR or LF; JSON is laid out as ``json.dumps(indent=2)`` lays it out.
+from labeled rows.  The rows are read in chunks, each property column of
+a chunk converted and checked as a whole; a chunk that fails a check is
+read again row by row, to state each bad row's diagnostics.  Output is
+byte-deterministic for identical inputs and flags.  Each document is text
+joined once from columns of pre-rendered pieces: CSV rows end in LF, a
+cell quoted only if it holds a comma, ``"``, CR or LF; JSON is laid out as
+``json.dumps(indent=2)`` lays it out.
 
 Exit codes: 0 success, 2 unreadable input, unwritable output (stdout
 included) or bad usage, 3 invalid rule file, 4 row validation failures
@@ -111,9 +112,9 @@ def _read_chunk(records, start, width, at, problems) -> tuple[list[int], dict[st
     """Rows ``start + 1`` on: the numbers and table of those without diagnostics.
 
     Each numeric column is converted, and checked as ``SoilSample``
-    checks a row, as a whole.  Only a row that a check flags is read
-    again on its own, by ``_read_row``, which puts its diagnostics in
-    ``problems``.
+    checks a row, as a whole.  If a cell does not convert or a check
+    fails, the whole chunk is read again row by row, by ``_read_row``,
+    which puts each bad row's diagnostics in ``problems``.
     """
     n = len(records)
     if set(map(len, records)) - {width}:
@@ -125,36 +126,33 @@ def _read_chunk(records, start, width, at, problems) -> tuple[list[int], dict[st
     cells = [*zip(*records)]
     cells.append(("",) * n)
 
-    flagged = set()
-    table = {col: _floats(cells[at[col]], flagged) for col in FIELDS[:-1]}
-    # ``pi`` is ``ll - pl`` where its cell is empty or its column missing.
-    pi = list(map(operator.sub, table["ll"], table["pl"]))
-    if at["pi"] < width:
-        pi = _floats(cells[at["pi"]], flagged, pi)
-    table["pi"] = pi
-    # ``SoilSample``'s checks, on the columns; where they fail, row by row.
-    # A sum is finite only if every term is, though it may overflow.
-    p2mm, p425, p075, *_ = columns = [table[col] for col in FIELDS]
-    le, isfinite = operator.le, math.isfinite
-    if not (
-        all(map(isfinite, map(sum, columns))) and min(pi) >= 0.0
-        and 0.0 <= min(p075) and max(p2mm) <= 100.0
-        and all(map(le, p075, p425)) and all(map(le, p425, p2mm))
-    ):
-        flagged.update(
-            i for i, row in enumerate(zip(*columns))
-            if not (all(map(isfinite, row)) and 0.0 <= row[2] <= row[1] <= row[0] <= 100.0
-                    and row[5] >= 0.0)
+    try:
+        table = {col: list(map(float, cells[at[col]])) for col in FIELDS[:-1]}
+        # ``pi`` is ``ll - pl`` where its cell is empty or its column missing.
+        ll_pl, pi_cells = map(operator.sub, table["ll"], table["pl"]), cells[at["pi"]]
+        try:
+            table["pi"] = list(map(float, pi_cells)) if at["pi"] < width else list(ll_pl)
+        except ValueError:
+            table["pi"] = [float(cell) if cell.strip() else x for cell, x in zip(pi_cells, ll_pl)]
+    except ValueError:
+        checked = False
+    else:
+        # ``SoilSample``'s checks.  A sum is finite only if every term is,
+        # though it may overflow.
+        p2mm, p425, p075, _, _, pi = columns = [table[col] for col in FIELDS]
+        le = operator.le
+        checked = (
+            all(map(math.isfinite, map(sum, columns))) and min(pi) >= 0.0
+            and 0.0 <= min(p075) and max(p2mm) <= 100.0
+            and all(map(le, p075, p425)) and all(map(le, p425, p2mm))
         )
-
-    bad = set()
-    for i in sorted(flagged):
-        sample = _read_row(start + i + 1, [column[i] for column in cells], at, problems)
-        if sample is None:
-            bad.add(i)
-        else:
-            for col, x in zip(FIELDS, sample):
-                table[col][i] = x
+    bad = ()
+    if not checked:
+        samples = [_read_row(start + i, row, at, problems) for i, row in enumerate(zip(*cells), 1)]
+        bad = {i for i, sample in enumerate(samples) if sample is None}
+        # A bad row's place holds Nones until ``_drop`` removes it.
+        dropped = (None,) * len(FIELDS)
+        table = dict(zip(FIELDS, zip(*[sample or dropped for sample in samples])))
     table["id"] = list(map(str.strip, cells[at["id"]]))
     table["class"] = (
         [label or None for label in map(str.strip, cells[at["class"]])]
@@ -163,30 +161,7 @@ def _read_chunk(records, start, width, at, problems) -> tuple[list[int], dict[st
     return _drop(list(range(start + 1, start + n + 1)), table, bad)
 
 
-def _floats(cells, flagged: set, blank: list[float] | None = None) -> list[float]:
-    """Each cell as ``float`` reads it.
-
-    A cell it cannot read is ``blank``'s value at its index if ``blank`` is
-    given and the cell is empty once stripped; otherwise it is NaN, and its
-    index goes into ``flagged``.
-    """
-    try:
-        return list(map(float, cells))
-    except ValueError:
-        column = []
-        for i, cell in enumerate(cells):
-            try:
-                column.append(float(cell))
-            except ValueError:
-                if blank is None or cell.strip():
-                    column.append(math.nan)
-                    flagged.add(i)
-                else:
-                    column.append(blank[i])
-        return column
-
-
-def _read_row(n: int, record: list[str], at: dict, problems: list) -> hrb.SoilSample | None:
+def _read_row(n: int, record: tuple[str, ...], at: dict, problems: list) -> hrb.SoilSample | None:
     """Row ``n``'s sample from its stripped cells, or None once its diagnostics are in ``problems``.
 
     ``float`` skips only spaces that ``strip`` removes too, so a cell it
@@ -287,6 +262,17 @@ def _preset_dir() -> str | None:
 
 def _variables_file() -> str:
     return f"hrb-variables.txt in {_preset_dir() or 'the shipped presets'}"
+
+
+def _property_ladders(variables) -> dict[str, tuple[str, ...]]:
+    """The ladders of the HRB properties ``variables`` has; exit 2 if there is none."""
+    ladders = hrb._ladders(variables)
+    if not ladders:
+        raise CliError(
+            EXIT_INPUT,
+            f"{_variables_file()} has no ladder for any of {', '.join(hrb.VARIABLE_NAMES)}",
+        )
+    return ladders
 
 
 def _load_variables() -> dict:
@@ -579,12 +565,7 @@ def cmd_memberships(args) -> int:
     variables = _load_variables()
     rows, table, problems, _ = _load_rows(args)
     # The HRB properties the variables file has a ladder for, in column order.
-    ladders = hrb._ladders(variables)
-    if not ladders:
-        raise CliError(
-            EXIT_INPUT,
-            f"{_variables_file()} has no ladder for any of {', '.join(hrb.VARIABLE_NAMES)}",
-        )
+    ladders = _property_ladders(variables)
     if args.variable is not None and args.variable not in ladders:
         raise CliError(EXIT_INPUT, f"unknown variable {args.variable}")
     names = list(ladders) if args.variable is None else [args.variable]
@@ -638,6 +619,7 @@ def cmd_rules(args) -> int:
 def cmd_induce(args) -> int:
     variables = _load_variables()
     rows, table, problems, has_class = _load_rows(args)
+    _property_ladders(variables)
     if not has_class:
         raise CliError(EXIT_ROWS, "missing class column: induce needs labeled rows")
     # A class the rule file could not name back is a bad row.

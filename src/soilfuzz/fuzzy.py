@@ -11,9 +11,9 @@ not belong to the top descriptor at all.
 against the domain and returns only the active descriptors, as at most two
 ``(label, degree)`` pairs.  :func:`fuzzify` spreads them over the whole
 ladder as a :class:`MembershipVector`, the reporting view.
-:func:`active_columns` is its batch form over a column of values: the same
-degrees, by the same formulas, indexed by label as the rule evaluator's
-batches hold them.
+:func:`active_columns` is its batch form over a column of values already
+checked against the domain: the same degrees, by the same formulas,
+indexed by label as the rule evaluator's batches hold them.
 
 This module alone holds the segment rule: which two labels are active at
 a value, their degrees, and that none is active past the end centers.
@@ -143,15 +143,10 @@ def active_columns(
     of ``active_descriptors``, so the degrees are its floats.
     ``positions``, if given, must equal ``range(len(values))``: its ints are
     the ones the result holds, so columns of one batch can share them.
-
-    Raises:
-        FuzzificationError: for the first value outside the domain or NaN.
+    Every value must lie in the variable's domain, and none may be NaN:
+    unlike ``active_descriptors``, this function does not check.
     """
-    name, labels, c, lo, hi = var
-    total = sum(values)  # NaN if a value is
-    if values and not (lo <= min(values) and max(values) <= hi and total == total):
-        for x in values:
-            active_descriptors(var, x)
+    labels, c = var.labels, var.centers
     if positions is None:
         positions = range(len(values))
     columns = [([], []) for _ in labels]

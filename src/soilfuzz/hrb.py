@@ -63,23 +63,14 @@ class SoilSample(_SoilSampleFields):
     ):
         if pi is None:
             pi = float(ll) - float(pl)
-        try:
-            p2mm, p425, p075, ll, pl, pi = (
-                float(p2mm), float(p425), float(p075), float(ll), float(pl), float(pi)
-            )
-            # A sum is finite only if every term is, though it may overflow.
-            checked = math.isfinite(p2mm + p425 + p075 + ll + pl + pi)
-        except (TypeError, ValueError, OverflowError):
-            checked = False
-        if not checked:
-            # Field by field, so the first field that fails is the one named.
-            values = []
-            for name, value in zip(cls._fields, (p2mm, p425, p075, ll, pl, pi)):
-                value = float(value)
-                if not math.isfinite(value):
-                    raise SampleError(f"non-finite {name} {value}")
-                values.append(value)
-            p2mm, p425, p075, ll, pl, pi = values
+        # Field by field, so the first field that fails is the one named.
+        values = []
+        for name, value in zip(cls._fields, (p2mm, p425, p075, ll, pl, pi)):
+            value = float(value)
+            if not math.isfinite(value):
+                raise SampleError(f"non-finite {name} {value}")
+            values.append(value)
+        p2mm, p425, p075, ll, pl, pi = values
         if not 0.0 <= p075 <= p425 <= p2mm <= 100.0:
             raise SampleError(
                 "sieve fractions must satisfy 0 <= p075 <= p425 <= p2mm <= 100 "

@@ -386,17 +386,19 @@ def bad_cells(rng, has_pi, kind):
 BAD_KINDS = ["empty", "non-numeric", "non-finite", "pi-overflows", "sieve", "negative-pi", "short"]
 
 
-def assert_only_bad_rows_are_reread(has_pi, bad, seed, huge=False):
-    """Read a file of a few hundred rows with ``bad`` rows (index: kind) among good ones.
+def assert_only_bad_rows_are_reread(has_pi, bad, seed, huge=False, n=None):
+    """Read a file of ``n`` rows, a few hundred if not given, with ``bad`` rows (index: kind) among good ones.
 
-    The bad rows fail the column checks, and only they are read again on
-    their own: each gets today's diagnostics, in row order.  Good rows
-    include long rows, spaced cells, -0, empty pi cells and, with ``huge``,
-    six-value sums past the float range; blank lines are scattered among
-    the rows.
+    A chunk that holds a bad row fails the column checks, and only such
+    chunks are read again, row by row, whole: each bad row gets today's
+    diagnostics, in row order.  Good rows include long rows, spaced cells,
+    -0, empty pi cells and, with ``huge``, six-value sums past the float
+    range, which may send a chunk without a bad row through the row-by-row
+    read too; blank lines are scattered among the rows.
     """
     rng = random.Random(seed)
-    n = rng.randrange(300, 400)
+    if n is None:
+        n = rng.randrange(300, 400)
     lines = ["id,p2mm,p425,p075,ll,pl" + (",pi" if has_pi else "")]
     for i in range(n):
         lines += [""] * (rng.random() < 0.05)
@@ -409,8 +411,14 @@ def assert_only_bad_rows_are_reread(has_pi, bad, seed, huge=False):
     with mock.patch.object(cli, "_read_row", wraps=cli._read_row) as read_row:
         rows, table, problems, _ = cli.read_samples(io.StringIO(text))
     reread = [call.args[0] for call in read_row.call_args_list]
-    assert reread == sorted(i + 1 for i in bad)
-    assert sorted({n for n, _ in problems}) == reread
+    size = cli.CHUNK_ROWS
+    chunks = sorted({(row - 1) // size for row in reread})
+    assert reread == [
+        row for chunk in chunks for row in range(chunk * size + 1, min(chunk * size + size, n) + 1)
+    ]
+    bad_chunks = {i // size for i in bad}
+    assert bad_chunks <= set(chunks) if huge else bad_chunks == set(chunks)
+    assert sorted({row for row, _ in problems}) == sorted(i + 1 for i in bad)
     assert len(rows) == n - len(bad)
     assert signed(rows, table, problems) == signed(*cell_by_cell(dict_reader_view(text)))
 
@@ -434,9 +442,39 @@ def test_each_check_alone_flags_its_row(kind, has_pi):
         assert_only_bad_rows_are_reread(has_pi, {150: kind}, seed)
 
 
+# (rows, bad row): first or last in a chunk, or alone in a one-row final chunk.
+BOUNDARIES = {
+    "first": (cli.CHUNK_ROWS, 0),
+    "last": (cli.CHUNK_ROWS, cli.CHUNK_ROWS - 1),
+    "first-of-two": (cli.CHUNK_ROWS + 1, 0),
+    "last-of-first": (cli.CHUNK_ROWS + 1, cli.CHUNK_ROWS - 1),
+    "alone-in-last": (cli.CHUNK_ROWS + 1, cli.CHUNK_ROWS),
+}
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+@pytest.mark.parametrize("kind", BAD_KINDS)
+def test_bad_row_at_a_chunk_boundary(kind, boundary):
+    n, index = BOUNDARIES[boundary]
+    for seed in range(4):
+        assert_only_bad_rows_are_reread(seed % 2 == 1, {index: kind}, seed, n=n)
+
+
+def test_blank_pi_cells_stay_on_the_bulk_path():
+    # An empty pi cell among numeric ones is ll - pl, read with its column.
+    text = "id,p2mm,p425,p075,ll,pl,pi\n" + "".join(
+        f"r{i},100,50,10,30,{i % 20},{['', ' ', '5'][i % 3]}\n" for i in range(300)
+    )
+    with mock.patch.object(cli, "_read_row", wraps=cli._read_row) as read_row:
+        rows, table, problems, _ = cli.read_samples(io.StringIO(text))
+    assert read_row.call_count == 0
+    assert table["pi"][:4] == [30.0, 29.0, 5.0, 27.0]
+    assert signed(rows, table, problems) == signed(*cell_by_cell(dict_reader_view(text)))
+
+
 def test_clean_file_builds_no_soil_sample(tmp_path, capsys, monkeypatch):
-    # A clean file is read, checked and classified as columns; only a row
-    # that a column check flags becomes a ``SoilSample``.
+    # A clean file is read, checked and classified as columns; only the
+    # rows of a chunk that a column check fails become ``SoilSample``s.
     built = []
     new = sf.SoilSample.__new__
 
@@ -455,10 +493,11 @@ def test_clean_file_builds_no_soil_sample(tmp_path, capsys, monkeypatch):
         code, out, _ = run([*mode, str(path)], capsys)
         assert code == 0 and out
     assert built == []
-    # The counter does see a flagged row: one cell ``float`` reads only stripped.
+    # The counter does see a failed chunk: one cell ``float`` reads only
+    # stripped sends each row of its chunk through ``SoilSample``.
     padded = text.replace("\nG007,", "\nG007,\x1c", 1)
     rows, _, problems, _ = cli.read_samples(io.StringIO(padded))
-    assert (len(rows), problems, len(built)) == (300, [], 1)
+    assert (len(rows), problems, len(built)) == (300, [], cli.CHUNK_ROWS)
 
 
 class TestClassifyCommand:
@@ -808,6 +847,20 @@ class TestMembershipsCommand:
         (tmp_path / "hrb-variables.txt").write_text(ladders)
         monkeypatch.setenv("SOILFUZZ_PRESET_DIR", str(tmp_path))
         code, out, err = run(["memberships", *fmt, fixture_csv], capsys)
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert err == (
+            f"soilfuzz: hrb-variables.txt in {tmp_path} has no ladder for any of "
+            "p2mm, p425, p075, ll, pi\n"
+        )
+
+    @pytest.mark.parametrize("ladders", ["", "foo; A, B; 0, 10; 0, 100\n"], ids=["empty", "foo"])
+    def test_induce_without_a_property_ladder_exits_2(
+        self, labeled_csv, tmp_path, capsys, monkeypatch, ladders
+    ):
+        # induce makes memberships' check before it builds a rule.
+        (tmp_path / "hrb-variables.txt").write_text(ladders)
+        monkeypatch.setenv("SOILFUZZ_PRESET_DIR", str(tmp_path))
+        code, out, err = run(["induce", "--seed", "1", "--iters", "3", labeled_csv], capsys)
         assert (code, out) == (cli.EXIT_INPUT, "")
         assert err == (
             f"soilfuzz: hrb-variables.txt in {tmp_path} has no ladder for any of "

@@ -1,6 +1,5 @@
 import math
 import random
-import re
 
 import pytest
 from hypothesis import given, settings
@@ -237,23 +236,3 @@ def test_active_columns_equal_active_descriptors(data):
     assert hexed(shared) == hexed(got)
     held = {id(p) for at, _ in shared.values() for p in at}
     assert held <= {id(p) for p in positions}
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_active_columns_reject_the_first_value_active_descriptors_rejects(data):
-    var = data.draw(st.sampled_from(LADDERS))
-    lo, hi = var.domain_min, var.domain_max
-    outside = (
-        st.floats(hi, 1e9, exclude_min=True)
-        | st.floats(-1e9, lo, exclude_max=True)
-        | st.sampled_from([math.nan, math.inf, -math.inf])
-    )
-    values = data.draw(st.lists(ladder_points(var), max_size=10))
-    for _ in range(data.draw(st.integers(1, 3))):
-        values.insert(data.draw(st.integers(0, len(values))), data.draw(outside))
-    first = next(x for x in values if not lo <= x <= hi)
-    with pytest.raises(FuzzificationError) as expected:
-        active_descriptors(var, first)
-    with pytest.raises(FuzzificationError, match=re.escape(str(expected.value))):
-        active_columns(var, values)
