@@ -7,22 +7,22 @@ its per-variable matches with a configurable aggregator.  A class scores the
 best DOF among its rules, and classes are ranked score-first with ties broken
 by the rule base's class order.
 
-Two private kernels score rules on fuzzified samples, given as active
-descriptors: the ``(label, degree)`` pairs of :mod:`soilfuzz.fuzzy`, at
-most two per value.  ``classify``, ``classify_hrb`` and ``rule_dof`` score
-one sample with ``_dof``, as does ``_DofTable.offer`` on each sample an
-induction toggle can change.  The CLI and ``_DofTable`` score all their
-samples as one batch with ``_evaluate``, one rule column at a time, over
-an index by variable, then label: each active descriptor lists the
-samples where it is active and its degree there.  In both, an
+One kernel, ``_dof_columns``, computes every DOF.  It scores a batch of
+fuzzified samples, given as active descriptors: the ``(label, degree)``
+pairs of :mod:`soilfuzz.fuzzy`.  A ``_Batch`` indexes them by variable,
+then label: each active descriptor lists the samples where it is active
+and its degree there.  The kernel builds one rule column at a time: an
 antecedent's match starts at 0 and takes the greatest degree of the
 active labels it allows.  A batch's rules that share an antecedent, as
 rules read off one decision tree do, share its match column.  A rule's
 DOF column combines its match columns whole, in C: the mean adds them
 left to right, in antecedent order, then divides by their count; the
 product multiplies them left to right; the minimum takes each sample's
-least.  ``_dof`` gives the same floats with ``_COMBINE``.  A class's
-score column takes the first maximum of its rules' columns.
+least.  ``_evaluate`` scores a rule base with it, and a class's score
+column takes the first maximum of its rules' columns.  The CLI scores
+all its samples as one batch, ``classify``, ``classify_hrb`` and
+``rule_dof`` score a batch of one, and ``_DofTable.offer`` scores an
+induction toggle's new rule on the whole training batch.
 
 ``_rank`` is the one batch ranker.  It picks each sample's winner, the
 first class in class order with the top score, row by row, for the CLI
@@ -48,7 +48,6 @@ searches need distinct seeds.
 
 import enum
 import itertools
-import math
 import operator
 import random
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -63,18 +62,6 @@ class Aggregator(enum.Enum):
     MIN = "min"
     PRODUCT = "product"
     MEAN = "mean"
-
-
-def _mean(matches: Sequence[float]) -> float:
-    total = 0.0
-    for match in matches:
-        total += match
-    return total / len(matches)
-
-
-# Each aggregator's combining function of one sample's matches, in
-# antecedent order.  ``_mean`` adds and ``math.prod`` multiplies left to right.
-_COMBINE = {Aggregator.MIN: min, Aggregator.PRODUCT: math.prod, Aggregator.MEAN: _mean}
 
 
 class _RuleFields(NamedTuple):
@@ -219,7 +206,7 @@ def _fold(op: Callable[[float, float], float], columns: list[list[float]]) -> It
 
 
 # Each aggregator's DOF column from a rule's two or more match columns, in
-# antecedent order: each sample's DOF equals ``_COMBINE`` of its matches.
+# antecedent order.
 _COMBINE_COLUMNS = {
     Aggregator.MIN: lambda matches: list(map(min, *matches)),
     Aggregator.PRODUCT: lambda matches: list(_fold(operator.mul, matches)),
@@ -237,7 +224,7 @@ def _dof_columns(rules: Iterable[Rule], batch: _Batch, agg: Aggregator) -> list[
     that share an antecedent share its match column, built once.  The DOF
     column combines the match columns with ``_COMBINE_COLUMNS``.  A single
     match column is the DOF column (m / 1, 1 * m and min((m,)) are all m),
-    copied, since ``_DofTable.offer`` changes DOF columns in place.
+    shared with every rule that has it alone: no caller writes into a column.
     """
     n, index = batch.size, batch.index
     combine = _COMBINE_COLUMNS[agg]
@@ -258,7 +245,7 @@ def _dof_columns(rules: Iterable[Rule], batch: _Batch, agg: Aggregator) -> list[
                             if degree > match[s]:
                                 match[s] = degree
             matches.append(match)
-        columns.append(combine(matches) if len(matches) > 1 else matches[0][:])
+        columns.append(combine(matches) if len(matches) > 1 else matches[0])
     return columns
 
 
@@ -305,37 +292,15 @@ def _rank(classes, by_class) -> tuple[list[str], dict[int, list[str]]]:
     return winners, tied
 
 
-def _dof(rule: Rule, pairs: Pairs, combine: Callable[[list[float]], float]) -> float:
-    """Degree of fulfilment of a checked rule on one sample's active pairs.
-
-    The kernel of every single-sample call, and of ``_DofTable.offer``:
-    indexing the few samples a toggle touches costs more than scoring
-    them.  The floats equal ``_dof_columns``'s.
-    """
-    matches = []
-    for var, allowed in rule.antecedents:
-        match = 0.0
-        for lab, degree in pairs[var]:
-            if degree > match and lab in allowed:
-                match = degree
-        matches.append(match)
-    return combine(matches)
-
-
 def _report(
     rb: RuleBase, ladders: Ladders, pairs: Pairs, agg: Aggregator
 ) -> ClassificationReport:
-    """Check ``rb`` against one sample's ladders, then score it on the sample's pairs.
-
-    A class scores the first maximum of 0 and its rules' DOFs.
-    """
-    _check_rules(rb.rules, ladders)
-    combine = _COMBINE[agg]
-    per_rule, scores = {}, dict.fromkeys(rb.class_order, 0.0)
-    for rule in rb.rules:
-        dof = per_rule[rule.id] = _dof(rule, pairs, combine)
-        if dof > scores[rule.consequent]:
-            scores[rule.consequent] = dof
+    """Score ``rb`` on one sample's ladders and active pairs, as a batch of one."""
+    batch = _Batch()
+    batch.add(ladders, pairs)
+    classes, columns, by_class = _evaluate(rb, batch, agg)
+    per_rule = {rule.id: column[0] for rule, column in zip(rb.rules, columns)}
+    scores = {cls: column[0] for cls, column in zip(classes, by_class)}
     # The classes at the top score, in class order: the first one wins.
     top = max(scores.values())
     tied = tuple(cls for cls, score in scores.items() if score == top)
@@ -359,7 +324,9 @@ def rule_dof(
     """Degree of fulfilment of one rule against a fuzzified sample."""
     ladders, pairs = _convert(memberships)
     _check_rules((rule,), ladders)
-    return _dof(rule, pairs, _COMBINE[agg])
+    batch = _Batch()
+    batch.add(ladders, pairs)
+    return _dof_columns((rule,), batch, agg)[0][0]
 
 
 def classify(
@@ -444,15 +411,13 @@ class _DofTable:
 
     The table is scored once by ``_evaluate`` and ranked once by ``_rank``,
     whose winners give each sample's hit flag.  It keeps the batch's
-    ``(variable, label)`` index, each sample's active pairs and its row of
-    class scores, and checks an offered rule once against every distinct
-    ladder set among the samples.
+    ``(variable, label)`` index and each sample's row of class scores, and
+    checks an offered rule once against every distinct ladder set among
+    the samples.
 
-    A rule that replaces another can change its DOF only on the samples
-    where a label it adds or drops is active (Ruspini ladders make at most
-    two labels of a value active).  ``offer`` scores the new rule on just
-    those touched samples, one by one with ``_dof``, and re-ranks only them:
-    its cost is proportional to them, not to every sample.
+    ``offer`` builds the new rule's DOF column on the whole batch with
+    ``_dof_columns`` and re-ranks only the samples where it differs from
+    the old rule's column.
     """
 
     def __init__(
@@ -461,13 +426,10 @@ class _DofTable:
         labeled: Sequence[tuple[Mapping[str, MembershipVector], str]],
         agg: Aggregator,
     ):
-        self.batch, self.samples = _Batch(), []
+        self.batch, self.agg = _Batch(), agg
         for memberships, _ in labeled:
-            ladders, pairs = _convert(memberships)
-            self.batch.add(ladders, pairs)
-            self.samples.append(pairs)
+            self.batch.add(*_convert(memberships))
         classes, self.dofs, by_class = _evaluate(rb, self.batch, agg)
-        self.combine = _COMBINE[agg]
         position = {cls: i for i, cls in enumerate(classes)}
         self.truth = [position.get(cls) for _, cls in labeled]
         self.rules = list(rb.rules)
@@ -477,49 +439,31 @@ class _DofTable:
         self.hit = [winner == cls for winner, (_, cls) in zip(winners, labeled)]
         self.hits = sum(self.hit)
 
-    def _touched(self, old: Rule, new: Rule) -> set[int]:
-        """The samples where a label in one rule's set but not the other's is active.
-
-        The rules name the same variables in the same order.
-        """
-        touched: set[int] = set()
-        index = self.batch.index
-        for (var, was), (_, now) in zip(old.antecedents, new.antecedents):
-            entries = index.get(var, {})
-            for lab in was ^ now:
-                entry = entries.get(lab)
-                if entry is not None:
-                    touched.update(entry[0])
-        return touched
-
     def offer(self, ri: int, rule: Rule) -> bool:
         """Replace rule ``ri`` by ``rule``, changing nothing if hits would fall; say if it did."""
         for ladders in self.batch.ladders:
             _check_rules((rule,), ladders)
+        (column,) = _dof_columns((rule,), self.batch, self.agg)
         c = self.owner[ri]
         siblings = [
             self.dofs[r] for r, owner in enumerate(self.owner) if owner == c and r != ri
         ]
-        samples, rows, truth, hit = self.samples, self.rows, self.truth, self.hit
-        combine = self.combine
+        rows, truth, hit = self.rows, self.truth, self.hit
         hits = self.hits
         changed = []
-        for s in self._touched(self.rules[ri], rule):
-            dof = _dof(rule, samples[s], combine)
-            score = max(0.0, dof, *[column[s] for column in siblings])
+        for s in itertools.compress(itertools.count(), map(operator.ne, column, self.dofs[ri])):
+            score = max(0.0, column[s], *[dofs[s] for dofs in siblings])
             row = rows[s]
             kept, row[c] = row[c], score
             # The first class at the top score, as ``_rank`` picks it.
             now = row.index(max(row)) == truth[s]
             row[c] = kept
             hits += now - hit[s]
-            changed.append((s, dof, score, now))
+            changed.append((s, score, now))
         if hits < self.hits:
             return False
-        self.rules[ri], self.hits = rule, hits
-        column = self.dofs[ri]
-        for s, dof, score, now in changed:
-            column[s] = dof
+        self.rules[ri], self.dofs[ri], self.hits = rule, column, hits
+        for s, score, now in changed:
             rows[s][c] = score
             hit[s] = now
         return True
@@ -543,20 +487,20 @@ def search_rules(
     every iteration; the whole run is reproducible from ``seed``.
 
     The current system is a ``_DofTable``, with every rule's DOF on every
-    sample and each sample's hit, and each toggle is offered to it.  Toggling
-    one descriptor of one rule can change that rule's DOF only where the
-    descriptor is active, at most two adjacent descriptors per value on a
-    Ruspini ladder, so ``offer`` re-scores and re-ranks only those samples.
-    A ``RuleBase`` is built only when the best score rises.  The result is
-    identical to re-scoring every proposal with ``score_rulebase``; a toggle
-    that would empty a descriptor set is dropped and not scored.
+    sample and each sample's hit, and each toggle is offered to it: ``offer``
+    builds the toggled rule's DOF column and re-ranks only the samples where
+    it changed.  A ``RuleBase`` is built only when the best score rises.
+    The result is identical to re-scoring every proposal with
+    ``score_rulebase``; a toggle that would empty a descriptor set is
+    dropped and not scored.
 
     Args:
         labeled: (membership vectors, true class) training pairs.
         variables: the variables rules may mention, in antecedent order.
         rules_per_class: how many rules the system holds per class.
         iterations: number of mutation proposals (0 keeps the initial system).
-        seed: RNG seed; identical inputs and seed give identical output.
+        seed: RNG seed, not negative (``random.Random`` seeds with ``abs``, so
+            -n would repeat n); identical inputs and seed give identical output.
         agg: DOF aggregator used during scoring.
         classes: optional explicit class list; defaults to the labels'
             first-appearance order.  Every class must have a labeled sample.
@@ -565,6 +509,8 @@ def search_rules(
         raise EvaluationError("rules_per_class must be at least 1")
     if iterations < 0:
         raise EvaluationError("iterations must not be negative")
+    if seed < 0:
+        raise EvaluationError("seed must not be negative")
     if not labeled:
         raise EvaluationError("no labeled samples")
 

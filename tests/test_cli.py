@@ -1110,6 +1110,12 @@ class TestInduceCommand:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
+    def test_negative_seed_exits_2(self, labeled_csv, capsys):
+        # ``random.Random`` seeds with ``abs(seed)``, so ``--seed -5`` would
+        # write seed 5's rules under a ``seed=-5`` header.
+        code, out, err = run(["induce", "--seed", "-5", "--iters", "40", labeled_csv], capsys)
+        assert (code, out, err) == (cli.EXIT_INPUT, "", "soilfuzz: seed must not be negative\n")
+
     def test_missing_class_column(self, fixture_csv, capsys):
         code, _, err = run(["induce", "--seed", "1", fixture_csv], capsys)
         assert code == cli.EXIT_ROWS

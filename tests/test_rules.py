@@ -425,6 +425,11 @@ class TestInduceRules:
         ).rulebase
         assert len(rb.rules) == 2 * len(set(LABELS))
 
+    def test_negative_seed_rejected(self, variables):
+        # ``random.Random`` seeds with ``abs(seed)``: -5 would repeat seed 5.
+        with pytest.raises(EvaluationError, match="^seed must not be negative$"):
+            search_rules(self._labeled(variables), variables, seed=-5)
+
     def test_class_without_sample_rejected(self, variables):
         labeled = self._labeled(variables)
         with pytest.raises(EvaluationError, match="A-5"):
@@ -626,10 +631,10 @@ def test_search_scores_once_in_full(variables, monkeypatch, iterations):
     assert calls == {"score_rulebase": 1, "_evaluate": 2}
 
 
-def test_proposals_rescore_only_where_a_toggled_label_is_active(variables, monkeypatch):
-    # Toggling label ``lab`` of variable ``var`` in a rule can change that
-    # rule's DOF only on the samples where ``lab`` is active, so an offer
-    # calls ``_dof`` once per such sample and never on the others.
+def test_each_offer_scores_only_its_rule(variables, monkeypatch):
+    # An offer builds the offered rule's DOF column on the whole batch with
+    # one ``_dof_columns`` call on that rule alone; the whole rule base is
+    # scored only by the two ``_evaluate`` calls of a search.
     rng = random.Random(5)
     labeled = []
     for _ in range(80):
@@ -639,57 +644,47 @@ def test_proposals_rescore_only_where_a_toggled_label_is_active(variables, monke
         sample = SoilSample(p2mm, p425, p075, ll=ll, pl=ll - pi, pi=pi)
         labeled.append((fuzzify_sample(sample, variables=variables), crisp_classify(sample)))
 
-    toggles = []
-    mutate = rules_module._mutate
+    offers, evaluations, scored = [], [], None
+    dof_columns, evaluate = rules_module._dof_columns, rules_module._evaluate
+    offer = rules_module._DofTable.offer
 
-    def recording_mutate(rng, rules, variables):
-        toggle = mutate(rng, rules, variables)
-        if toggle is not None:
-            ri, rule = toggle
-            toggles.append((rules[ri], rule))
-        return toggle
+    def recording_dof_columns(rules, batch, agg):
+        if scored is not None:
+            scored.append(rules)
+        return dof_columns(rules, batch, agg)
 
-    counts = {"offering": False, "calls": 0}
-    dof, offer = rules_module._dof, rules_module._DofTable.offer
+    def counting_evaluate(*args):
+        evaluations.append(args)
+        return evaluate(*args)
 
-    def counting_dof(*args):
-        counts["calls"] += counts["offering"]
-        return dof(*args)
-
-    def counting_offer(*args):
-        counts["offering"] = True
+    def recording_offer(table, ri, rule):
+        nonlocal scored
+        scored = []
         try:
-            return offer(*args)
+            return offer(table, ri, rule)
         finally:
-            counts["offering"] = False
+            offers.append((rule, scored))
+            scored = None
 
-    monkeypatch.setattr(rules_module, "_mutate", recording_mutate)
-    monkeypatch.setattr(rules_module, "_dof", counting_dof)
-    monkeypatch.setattr(rules_module._DofTable, "offer", counting_offer)
+    monkeypatch.setattr(rules_module, "_dof_columns", recording_dof_columns)
+    monkeypatch.setattr(rules_module, "_evaluate", counting_evaluate)
+    monkeypatch.setattr(rules_module._DofTable, "offer", recording_offer)
     search_rules(labeled, variables, rules_per_class=2, iterations=300, seed=4)
-
-    def touched(old, new):
-        return {
-            s
-            for s, (memberships, _) in enumerate(labeled)
-            for (var, was), (_, now) in zip(old.antecedents, new.antecedents)
-            for lab in was ^ now
-            if memberships[var].entries[lab] > 0
-        }
-
-    expected = sum(len(touched(old, new)) for old, new in toggles)
-    assert len(toggles) > 250
-    assert 0 < expected < len(labeled) * len(toggles) // 2
-    assert counts["calls"] == expected
+    assert len(offers) > 250
+    for rule, calls in offers:
+        assert len(calls) == 1 and type(calls[0]) is tuple
+        assert len(calls[0]) == 1 and calls[0][0] is rule
+    assert len(evaluations) == 2
 
 
 @pytest.mark.parametrize("agg", list(Aggregator))
 @pytest.mark.parametrize("seed", [1, 2])
 def test_search_keeps_shared_antecedents_apart(variables, monkeypatch, agg, seed):
     # R1, R2 and R4 have one antecedent, the same one, so the evaluator builds
-    # one match column for all three; ``_DofTable.offer`` changes a DOF
-    # column in place, so each rule must hold a copy.  Every accepted system's
-    # score must be the one ``score_rulebase`` gives it from scratch.
+    # one match column for all three, which is each one's DOF column; an
+    # offer that replaces one rule's column must leave the others' alone.
+    # Every accepted system's score must be the one ``score_rulebase`` gives
+    # it from scratch.
     shared = ("p075", frozenset({"L", "LM", "M"}))
     start = RuleBase(
         (
@@ -879,6 +874,16 @@ def test_batch_scoring_equals_reference(variables, data, agg, pi_source):
     labeled = [(memberships, data.draw(st.sampled_from(rb.class_order))) for memberships in samples]
     # The single-sample path, on each sample alone.
     for memberships in samples:
+        for rule in rb.rules:
+            try:
+                dof = reference_rule_dof(rule, memberships, agg)
+            except (EvaluationError, RuleConfigError) as exc:
+                with pytest.raises(SoilFuzzError) as raised:
+                    rule_dof(rule, memberships, agg)
+                assert (type(raised.value), str(raised.value)) == (type(exc), str(exc))
+            else:
+                # ``repr`` also pins the sign of zero.
+                assert repr(rule_dof(rule, memberships, agg)) == repr(dof)
         try:
             expected = reference_classify(rb, memberships, agg)
         except (EvaluationError, RuleConfigError) as exc:
