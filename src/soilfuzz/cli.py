@@ -11,6 +11,10 @@ joined once from columns of pre-rendered pieces: CSV rows end in LF, a
 cell quoted only if it holds a comma, ``"``, CR or LF; JSON is laid out as
 ``json.dumps(indent=2)`` lays it out.
 
+The rule parser and the rule engine are imported in the commands that
+parse or score rules, so ``memberships`` and ``classify --crisp`` start
+without compiling them.
+
 Exit codes: 0 success, 2 unreadable input, unwritable output (stdout
 included) or bad usage, 3 invalid rule file, 4 row validation failures
 (including missing or repeated columns).
@@ -25,13 +29,16 @@ import os
 import sys
 from itertools import chain, compress, islice, repeat
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import dsl, hrb
+from . import hrb
 from .errors import FuzzificationError, SampleError, SoilFuzzError
-from .fuzzy import active_columns, active_descriptors
+from .fuzzy import Aggregator, active_columns, active_descriptors
 # ``fmt_degree`` is unused here, but bench/tracing.py wraps it by this name.
 from .render import degree_text, fmt_degree, fmt_score, round4  # noqa: F401
-from .rules import Aggregator, RuleBase, _Batch, _evaluate, _rank, search_rules
+
+if TYPE_CHECKING:
+    from .rules import RuleBase, _Batch
 
 REQUIRED_COLUMNS = ("id", "p2mm", "p425", "p075", "ll", "pl")
 READ_COLUMNS = (*REQUIRED_COLUMNS, "pi", "class")
@@ -40,6 +47,9 @@ FIELDS = hrb.SoilSample._fields
 # The reader converts this many rows at a time, so that it holds only one
 # small chunk's cells as text; each chunk reuses the memory the last freed.
 CHUNK_ROWS = 128
+
+# An -o file is written this many characters at a time (see ``_write_output``).
+WRITE_CHARS = 1 << 16
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -209,9 +219,20 @@ def _read_text(path: str) -> str:
 
 
 def _write_output(args, text: str) -> None:
+    """Write ``text`` to the ``-o`` file, or else to stdout; exit 2 if it cannot be written.
+
+    A file is written ``WRITE_CHARS`` characters at a time through one open
+    file, so that the document is never also held whole as UTF-8 bytes.
+    UTF-8 encodes every string of the input, which is decoded strictly, so
+    no slice can fail to encode after an earlier one was written.  Stdout
+    takes the text in one write: its encoding may refuse a character, and
+    then none of the document may reach it.
+    """
     if args.output:
         try:
-            Path(args.output).write_text(text, encoding="utf-8")
+            with open(args.output, "w", encoding="utf-8") as out:
+                for start in range(0, len(text), WRITE_CHARS):
+                    out.write(text[start:start + WRITE_CHARS])
         except OSError as exc:
             raise CliError(EXIT_INPUT, f"cannot write {args.output}: {exc}") from None
     else:
@@ -289,8 +310,10 @@ def _load_variables() -> dict:
     return {name: var for name, var in variables.items() if name in hrb.VARIABLE_NAMES}
 
 
-def _load_rulebase(args, variables) -> tuple[str, RuleBase]:
+def _load_rulebase(args, variables) -> "tuple[str, RuleBase]":
     """Resolve --rules FILE or --preset into (name, rule base)."""
+    from . import dsl
+
     if getattr(args, "rules", None):
         try:
             rb = dsl.parse_rules(_read_text(args.rules), variables)
@@ -370,6 +393,8 @@ def cmd_classify(args) -> int:
         winners = list(map(hrb.crisp_classify, _samples(table)))
         scored = None
     else:
+        from .rules import _evaluate, _rank
+
         name, rb = _load_rulebase(args, variables)
         header = {
             "command": "classify",
@@ -426,13 +451,15 @@ def _property_columns(args, rows, table, problems, variables) -> tuple[dict, dic
     return table, {name: table[col] for name, col in source.items()}
 
 
-def _fuzzy_batch(args, rows, table, problems, variables) -> tuple[_Batch, dict]:
+def _fuzzy_batch(args, rows, table, problems, variables) -> "tuple[_Batch, dict]":
     """The batch of the rows that fuzzify, and their table (see ``_property_columns``).
 
     The batch equals one built by ``_Batch.add(hrb._ladders(variables),
     hrb._active_pairs(sample, args.pi_source, variables))`` row by row
     over those rows.  Each property is fuzzified as one column.
     """
+    from .rules import _Batch
+
     table, columns = _property_columns(args, rows, table, problems, variables)
     batch = _Batch()
     if table["id"]:
@@ -610,13 +637,27 @@ def cmd_memberships(args) -> int:
 
 
 def cmd_rules(args) -> int:
+    from . import dsl
+
     variables = _load_variables()
     _, rb = _load_rulebase(args, variables)
     _write_output(args, dsl.serialize(rb, variables))
     return EXIT_OK
 
 
+def search_rules(*args, **kwargs):
+    """``rules.search_rules``, which loads the rule engine on its first call.
+
+    ``cmd_induce`` calls it by this name, the one bench/tracing.py wraps.
+    """
+    from .rules import search_rules
+
+    return search_rules(*args, **kwargs)
+
+
 def cmd_induce(args) -> int:
+    from . import dsl
+
     variables = _load_variables()
     rows, table, problems, has_class = _load_rows(args)
     _property_ladders(variables)

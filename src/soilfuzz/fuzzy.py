@@ -19,15 +19,28 @@ This module alone holds the segment rule: which two labels are active at
 a value, their degrees, and that none is active past the end centers.
 Every other module takes degrees from these two functions.
 
+:class:`Aggregator` names how a rule combines the degrees it matches.  It
+sits here, with the memberships it combines, so that code which only
+names an aggregator need not load the rule engine.
+
 Variables and membership vectors are immutable; fuzzification is a pure
 function, so everything here is safe to share between threads.
 """
 
+import enum
 from bisect import bisect_left
 from math import isfinite
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import FuzzificationError, PartitionError
+
+
+class Aggregator(enum.Enum):
+    """How a rule's per-variable matches are combined into its DOF."""
+
+    MIN = "min"
+    PRODUCT = "product"
+    MEAN = "mean"
 
 
 class LinguisticVariable(NamedTuple):

@@ -5,19 +5,35 @@ presets (``paper``: the hand-written linguistic rules; ``calibrated``: rules
 whose descriptor sets mirror the crisp M145 thresholds), the A-7-5/A-7-6
 disambiguation, a crisp first-fit M145 classifier that serves as the
 reference oracle, and six bundled validation specimens.
+
+The rule parser and the rule engine load in ``load_preset`` and
+``classify_hrb``, the functions that use them, so fuzzifying a sample or
+classifying it crisply loads neither.
 """
 
 import functools
 import math
 import types
 from pathlib import Path
-from typing import Literal, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Literal, Mapping, NamedTuple
 
-from . import dsl
 from .errors import PartitionError, SampleError
-from .fuzzy import LinguisticVariable, MembershipVector, active_descriptors, fuzzify, make_partition
-from .rules import Aggregator, ClassificationReport, RuleBase, _report
-from .rules import classify  # noqa: F401  (bench/tracing.py wraps hrb.classify)
+from .fuzzy import (
+    Aggregator, LinguisticVariable, MembershipVector, active_descriptors, fuzzify, make_partition,
+)
+
+if TYPE_CHECKING:
+    from .rules import ClassificationReport, RuleBase
+
+
+def __getattr__(name: str):
+    # bench/tracing.py wraps ``hrb.classify``; the rule engine loads only then.
+    if name == "classify":
+        from .rules import classify
+
+        return classify
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 VARIABLE_NAMES = ("p2mm", "p425", "p075", "ll", "pi")
 
@@ -90,13 +106,13 @@ class HrbPreset(NamedTuple):
     """A named rule base over the HRB variables."""
 
     kind: str
-    rulebase: RuleBase
+    rulebase: "RuleBase"
 
 
 class HrbResult(NamedTuple):
     """Fuzzy classification outcome plus the resolved M145 subgroup."""
 
-    report: ClassificationReport
+    report: "ClassificationReport"
     subgroup: str
     rating: str
 
@@ -155,6 +171,8 @@ def load_preset(
     if variables is None:
         variables = load_variables(directory) if directory else _default_variables()
     text = _read_preset_text(f"hrb-{kind}.frules", directory)
+    from . import dsl
+
     return HrbPreset(kind=kind, rulebase=dsl.parse_rules(text, variables))
 
 
@@ -203,7 +221,7 @@ def a7_split(ll: float, pi: float) -> str:
 
 def classify_hrb(
     sample: SoilSample,
-    preset: HrbPreset | RuleBase,
+    preset: "HrbPreset | RuleBase",
     agg: Aggregator = Aggregator.MEAN,
     pi_source: Literal["pi", "pl"] = "pi",
     variables: Mapping[str, LinguisticVariable] | None = None,
@@ -216,6 +234,8 @@ def classify_hrb(
     pairs), then resolves a winning A-7 group into A-7-5 or A-7-6 and
     attaches the subgrade rating.
     """
+    from .rules import _report
+
     rb = preset.rulebase if isinstance(preset, HrbPreset) else preset
     if variables is None:
         variables = _default_variables()

@@ -46,22 +46,13 @@ effect.  The induction search owns a private seeded RNG, so concurrent
 searches need distinct seeds.
 """
 
-import enum
 import itertools
 import operator
 import random
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import EvaluationError, RuleConfigError
-from .fuzzy import LinguisticVariable, MembershipVector
-
-
-class Aggregator(enum.Enum):
-    """How a rule's per-variable matches are combined into its DOF."""
-
-    MIN = "min"
-    PRODUCT = "product"
-    MEAN = "mean"
+from .fuzzy import Aggregator, LinguisticVariable, MembershipVector
 
 
 class _RuleFields(NamedTuple):

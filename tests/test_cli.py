@@ -584,19 +584,23 @@ class TestClassifyCommand:
         assert err.count("\n") == 1
 
     def test_unencodable_stdout_is_an_output_error(self, tmp_path, capsys, monkeypatch):
-        path = tmp_path / "ids.csv"
-        path.write_text(
-            "id,p2mm,p425,p075,ll,pl\nn\u00e9\u2713,100,100,30,32,21\n", encoding="utf-8"
-        )
-        stdout = io.TextIOWrapper(io.BytesIO(), encoding="latin-1")
-        monkeypatch.setattr(sys, "stdout", stdout)
-        code = cli.main(["classify", "--crisp", str(path)])
-        err = capsys.readouterr().err
-        assert code == cli.EXIT_INPUT
-        assert err.startswith(
-            "soilfuzz: cannot write <stdout>: 'latin-1' codec can't encode character '\\u2713'"
-        )
-        assert stdout.buffer.getvalue() == b""
+        # One row, and rows over 64 KiB whose one unencodable id lies past
+        # the first WRITE_CHARS characters: stdout gets no byte of either.
+        encodable = "n\u00e9,100,100,30,32,21\n" * (cli.WRITE_CHARS // 10)
+        for rows in ["", encodable]:
+            path = tmp_path / "ids.csv"
+            path.write_text(
+                f"id,p2mm,p425,p075,ll,pl\n{rows}n\u00e9\u2713,100,100,30,32,21\n", encoding="utf-8"
+            )
+            stdout = io.TextIOWrapper(io.BytesIO(), encoding="latin-1")
+            monkeypatch.setattr(sys, "stdout", stdout)
+            code = cli.main(["classify", "--crisp", str(path)])
+            err = capsys.readouterr().err
+            assert code == cli.EXIT_INPUT
+            assert err.startswith(
+                "soilfuzz: cannot write <stdout>: 'latin-1' codec can't encode character '\\u2713'"
+            )
+            assert stdout.buffer.getvalue() == b""
 
     def test_failed_stdout_flush_is_an_output_error(self, fixture_csv, capsys, monkeypatch):
         # Output that fits the buffer fails only when it is flushed.  This
@@ -1798,21 +1802,85 @@ class TestGoldenBytes:
         assert len(built) == 1500
 
 
+def child_run(script, *args):
+    """The standard output of ``python -c script args`` run on this package, split at spaces."""
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    child = subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True
+    )
+    assert child.returncode == 0, child.stderr
+    return child.stdout.split()
+
+
 def test_cli_starts_without_unused_modules():
     # Every run is a new process, so each module ``soilfuzz.cli`` imports
     # costs every run.  None of these is used, or only on a rare path.
-    script = (
+    added = child_run(
         "import sys; before = set(sys.modules); import soilfuzz.cli; "
         "print(*sorted(set(sys.modules) - before))"
     )
-    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    added = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-    ).stdout.split()
     assert "soilfuzz.cli" in added
     unused = {"dataclasses", "inspect", "ast", "decimal", "json", "importlib.resources"}
     assert unused.isdisjoint(added)
+    # The rule parser and engine load only in the commands that use them.
+    assert {"soilfuzz.rules", "soilfuzz.dsl"}.isdisjoint(added)
+    # The package alone loads none of its modules.
+    added = child_run(
+        "import sys; before = set(sys.modules); import soilfuzz; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    assert [name for name in added if name.startswith("soilfuzz")] == ["soilfuzz"]
+
+
+@pytest.mark.parametrize("mode, rule_code", [
+    (["memberships"], False),
+    (["memberships", "--format", "json"], False),
+    (["classify", "--crisp"], False),
+    (["classify"], True),
+    (["induce", "--seed", "1", "--iters", "5"], True),
+], ids=["memberships-csv", "memberships-json", "classify-crisp", "classify", "induce"])
+def test_each_command_loads_only_what_it_runs(mode, rule_code, labeled_csv, tmp_path):
+    # A command that scores or parses no rule never loads the modules that do.
+    out = tmp_path / "out.txt"
+    loaded = child_run(
+        "import sys; from soilfuzz import cli; code = cli.main(sys.argv[1:]); "
+        "print(code, *sorted(name for name in sys.modules if name.startswith('soilfuzz')))",
+        *mode, labeled_csv, "-o", str(out),
+    )
+    assert loaded[0] == "0" and out.stat().st_size > 0
+    rule_modules = {"soilfuzz.rules", "soilfuzz.dsl"}
+    assert rule_modules & set(loaded) == (rule_modules if rule_code else set())
+
+
+def test_package_names_resolve_to_their_home_modules():
+    # In a new interpreter, so that each name loads when it is first asked for.
+    script = """
+import sys
+namespace = {}
+exec("from soilfuzz import *", namespace)
+import soilfuzz as sf
+assert sorted(set(namespace) - {"__builtins__"}) == sorted(sf.__all__)
+for name in sf.__all__:
+    home = "soilfuzz." + sf._HOME[name]
+    value = getattr(sf, name)
+    assert namespace[name] is value is getattr(sys.modules[home], name), name
+    assert getattr(value, "__module__", home) == home, name
+for name in sf._SUBMODULES:
+    assert getattr(sf, name) is sys.modules["soilfuzz." + name], name
+try:
+    sf.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("sf.no_such_name resolved")
+# The tracer's names, and the aggregator each rule module shares.
+assert sf.Aggregator is sf.fuzzy.Aggregator is sf.rules.Aggregator
+assert sf.hrb.classify is sf.rules.classify
+assert callable(sf.cli.search_rules)
+print("ok")
+"""
+    assert child_run(script) == ["ok"]
 
 
 # Shapes the golden corpus lacks: no data rows at all (empty JSON lists), an
@@ -2140,6 +2208,32 @@ def test_csv_output_is_the_text_csv_text_returns(fixture_csv, tmp_path, monkeypa
     out = tmp_path / "out.csv"
     assert cli.main([*mode, fixture_csv, "-o", str(out)]) == 0
     assert len(texts) == 1 and out.read_text(encoding="utf-8") == texts[0]
+
+
+def test_output_file_is_written_in_slices_of_the_utf8_text(tmp_path, monkeypatch):
+    # Ids of two- and three-byte characters, long enough that each slice
+    # boundary falls inside one: the file must hold the text's UTF-8 bytes.
+    texts = []
+    csv_text = cli._csv_text
+
+    def recorded(*args):
+        texts.append(csv_text(*args))
+        return texts[-1]
+
+    monkeypatch.setattr(cli, "_csv_text", recorded)
+    ids = [f"{k}-" + "\u00e9\u2713" * 150 for k in range(500)]
+    path = tmp_path / "ids.csv"
+    path.write_text(
+        "id,p2mm,p425,p075,ll,pl\n" + "".join(f"{i},100,100,30,32,21\n" for i in ids),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out.csv"
+    assert cli.main(["classify", "--crisp", str(path), "-o", str(out)]) == 0
+    [text] = texts
+    bounds = range(cli.WRITE_CHARS, len(text), cli.WRITE_CHARS)
+    assert len(bounds) > 1
+    assert all(not text[k - 1].isascii() and not text[k].isascii() for k in bounds)
+    assert out.read_bytes() == text.encode("utf-8")
 
 
 def labeled_golden_corpus_csv():
