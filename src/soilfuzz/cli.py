@@ -17,7 +17,10 @@ without compiling them.
 
 Exit codes: 0 success, 2 unreadable input, unwritable output (stdout
 included) or bad usage, 3 invalid rule file, 4 row validation failures
-(including missing or repeated columns).
+(including missing or repeated columns).  A stderr that cannot be written
+to changes no exit code.  ``main(argv)`` returns the exit code; ``run``,
+behind the ``soilfuzz`` command and ``python -m soilfuzz.cli``, ends the
+process with it once the output is flushed.
 """
 
 import argparse
@@ -242,18 +245,27 @@ def _write_output(args, text: str) -> None:
         except UnicodeEncodeError as exc:
             raise CliError(EXIT_INPUT, f"cannot write <stdout>: {exc}") from None
         except OSError as exc:
-            _discard_stdout()
+            _discard(sys.stdout)
             raise CliError(EXIT_INPUT, f"cannot write <stdout>: {exc}") from None
 
 
-def _discard_stdout() -> None:
-    """Point file descriptor 1 at the null device.
+def _warn(line: str) -> None:
+    """Print a diagnostic ``line`` to stderr; if stderr cannot take it, discard stderr."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        _discard(sys.stderr)
 
-    What a failed write left buffered would fail again in the flush at
-    exit, as an "Exception ignored" traceback; the null device takes it.
+
+def _discard(stream) -> None:
+    """Point ``stream``'s file descriptor at the null device.
+
+    What a failed write left buffered would fail again in the next flush,
+    at the latest the one at exit, as an "Exception ignored" traceback or
+    exit code 120; the null device takes it.
     """
     try:
-        fd = sys.stdout.fileno()
+        fd = stream.fileno()
     except (AttributeError, OSError):  # io.UnsupportedOperation is an OSError
         return
     devnull = os.open(os.devnull, os.O_WRONLY)
@@ -271,7 +283,7 @@ def _report_problems(args, problems: list[tuple[int, str]]) -> None:
     # A stable sort: a row's CSV diagnostics keep their order.
     problems.sort(key=lambda problem: problem[0])
     for n, message in problems:
-        print(f"row {n}: {message}", file=sys.stderr)
+        _warn(f"row {n}: {message}")
     if problems and not args.skip_bad_rows:
         bad = len({n for n, _ in problems})
         raise CliError(EXIT_ROWS, f"{bad} bad row(s) in {args.input}")
@@ -319,7 +331,7 @@ def _load_rulebase(args, variables) -> "tuple[str, RuleBase]":
             rb = dsl.parse_rules(_read_text(args.rules), variables)
         except dsl.RuleParseError as exc:
             for diag in exc.diagnostics:
-                print(f"{args.rules}:{diag}", file=sys.stderr)
+                _warn(f"{args.rules}:{diag}")
             raise CliError(EXIT_RULES, f"invalid rule file {args.rules}") from None
         return args.rules, rb
     try:
@@ -403,9 +415,9 @@ def cmd_classify(args) -> int:
             "pi_source": args.pi_source,
         }
         batch, table = _fuzzy_batch(args, rows, table, problems, variables)
-        classes, columns, by_class = _evaluate(rb, batch, Aggregator(args.agg))
-        # Free the index and the DOF columns before the output is built.
-        del batch, columns
+        classes, matches, columns, by_class = _evaluate(rb, batch, Aggregator(args.agg))
+        # Free the index, the match and the DOF columns before the output is built.
+        del batch, matches, columns
         winners, tied = _rank(classes, by_class)
         scored = classes, by_class, tied
 
@@ -700,7 +712,7 @@ def cmd_induce(args) -> int:
         + dsl.serialize(result.rulebase, variables)
     )
     _write_output(args, text)
-    print(f"training accuracy: {fmt_score(result.score)}", file=sys.stderr)
+    _warn(f"training accuracy: {fmt_score(result.score)}")
     return EXIT_OK
 
 
@@ -764,16 +776,37 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code; the process goes on."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:
-        print(f"soilfuzz: {exc}", file=sys.stderr)
+        _warn(f"soilfuzz: {exc}")
         return exc.code
     except SoilFuzzError as exc:
-        print(f"soilfuzz: {exc}", file=sys.stderr)
+        _warn(f"soilfuzz: {exc}")
         return EXIT_INPUT
 
 
+def run() -> None:
+    """The ``soilfuzz`` command: run ``main``, then end the process with its code.
+
+    Once stdout and stderr are flushed, ``os._exit`` ends the process
+    without the interpreter's teardown, which would free every object one
+    by one.  The program registers no ``atexit`` callback and starts no
+    thread, and ``main`` has closed its ``-o`` file, so no work of the
+    program's is skipped.  If a flush fails, ``sys.exit`` ends the process,
+    and its teardown reports the failure.  ``SystemExit`` from argparse and
+    any other exception propagate.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # ValueError: a closed stream
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -229,17 +229,19 @@ def classify_hrb(
     """Classify a sample with a fuzzy rule preset.
 
     Fuzzifies each index property that ``variables`` has a ladder for to its
-    active descriptors and scores the rules on those pairs directly (as
-    ``classify`` does on ``fuzzify_sample``'s vectors, which it converts to
-    pairs), then resolves a winning A-7 group into A-7-5 or A-7-6 and
+    active descriptors and scores the rules on those pairs directly, as a
+    batch of one (as ``classify`` scores ``fuzzify_sample``'s vectors),
+    then resolves a winning A-7 group into A-7-5 or A-7-6 and
     attaches the subgrade rating.
     """
-    from .rules import _report
+    from .rules import _Batch, _report
 
     rb = preset.rulebase if isinstance(preset, HrbPreset) else preset
     if variables is None:
         variables = _default_variables()
-    report = _report(rb, _ladders(variables), _active_pairs(sample, pi_source, variables), agg)
+    batch = _Batch()
+    batch.add(_ladders(variables), _active_pairs(sample, pi_source, variables))
+    report = _report(rb, batch, agg)
     subgroup = report.winner
     if subgroup == "A-7":
         subgroup = a7_split(sample.ll, sample.pi)

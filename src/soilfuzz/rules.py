@@ -7,30 +7,32 @@ its per-variable matches with a configurable aggregator.  A class scores the
 best DOF among its rules, and classes are ranked score-first with ties broken
 by the rule base's class order.
 
-One kernel, ``_dof_columns``, computes every DOF.  It scores a batch of
-fuzzified samples, given as active descriptors: the ``(label, degree)``
-pairs of :mod:`soilfuzz.fuzzy`.  A ``_Batch`` indexes them by variable,
-then label: each active descriptor lists the samples where it is active
-and its degree there.  The kernel builds one rule column at a time: an
-antecedent's match starts at 0 and takes the greatest degree of the
-active labels it allows.  A batch's rules that share an antecedent, as
-rules read off one decision tree do, share its match column.  A rule's
-DOF column combines its match columns whole, in C: the mean adds them
-left to right, in antecedent order, then divides by their count; the
-product multiplies them left to right; the minimum takes each sample's
-least.  ``_evaluate`` scores a rule base with it, and a class's score
-column takes the first maximum of its rules' columns.  The CLI scores
-all its samples as one batch, ``classify``, ``classify_hrb`` and
-``rule_dof`` score a batch of one, and ``_DofTable.offer`` scores an
-induction toggle's new rule on the whole training batch.
+Two kernels compute every DOF.  They score a batch of fuzzified samples,
+given as active descriptors: the ``(label, degree)`` pairs of
+:mod:`soilfuzz.fuzzy`.  A ``_Batch`` indexes them by variable, then label:
+each active descriptor lists the samples where it is active and its
+degree there.  ``_match_column`` builds one antecedent's match column: it
+starts at 0 and takes the greatest degree of the active labels the
+antecedent allows.  A batch's rules that share an antecedent, as rules
+read off one decision tree do, share its match column.  ``_dof_column``
+combines a rule's match columns whole, in C: the mean adds them left to
+right, in antecedent order, then divides by their count; the product
+multiplies them left to right; the minimum takes each sample's least.
+``_evaluate`` scores a rule base with them, and a class's score column
+takes the first maximum of its rules' columns.  The CLI scores all its
+samples as one batch, ``classify``, ``classify_hrb`` and ``rule_dof``
+score a batch of one.  An induction toggle changes one antecedent of one
+rule, so ``_DofTable.offer`` builds that antecedent's match column on the
+whole training batch and combines it with the rule's other columns,
+which the table keeps.
 
 ``_rank`` is the one batch ranker.  It picks each sample's winner, the
 first class in class order with the top score, row by row, for the CLI
 and for ``_DofTable``; ``score_rulebase`` reads the table's hit count.
 The CLI builds its index a property at a time with
 ``fuzzy.active_columns``, ``classify_hrb`` its pairs with
-``fuzzy.active_descriptors``; the functions here convert membership
-vectors with ``nonzero()``.
+``fuzzy.active_descriptors``; the functions here index membership
+vectors in one pass with ``_vector_batch``.
 
 The mean never calls ``sum()``, which compensates float rounding from
 Python 3.12 on, so its last bit would depend on the version.  Adding left
@@ -165,11 +167,32 @@ class _Batch:
                 entry[1].append(degree)
 
 
-def _convert(memberships: Mapping[str, MembershipVector]) -> tuple[dict, dict]:
-    """The ladders and the active pairs of a fuzzified sample."""
-    ladders = {name: tuple(mv.entries) for name, mv in memberships.items()}
-    pairs = {name: tuple(mv.nonzero().items()) for name, mv in memberships.items()}
-    return ladders, pairs
+def _vector_batch(vectors: Iterable[Mapping[str, MembershipVector]]) -> _Batch:
+    """The batch of fuzzified samples, each a mapping of membership vectors.
+
+    It equals the batch ``_Batch.add`` builds from each sample's ladders
+    (each vector's labels) and active pairs (its positive degrees, as
+    ``MembershipVector.nonzero`` gives them), filled in one pass.
+    """
+    batch = _Batch()
+    index, ladder_sets = batch.index, batch.ladders
+    for s, memberships in enumerate(vectors):
+        ladders = {name: tuple(mv.entries) for name, mv in memberships.items()}
+        if ladders not in ladder_sets:
+            ladder_sets.append(ladders)
+        for name, mv in memberships.items():
+            entries = index.get(name)
+            if entries is None:
+                entries = index[name] = {}
+            for lab, degree in mv.entries.items():
+                if degree > 0.0:
+                    entry = entries.get(lab)
+                    if entry is None:
+                        entry = entries[lab] = ([], [])
+                    entry[0].append(s)
+                    entry[1].append(degree)
+        batch.size = s + 1
+    return batch
 
 
 def _check_rules(rules: Iterable[Rule], ladders: Ladders) -> None:
@@ -207,45 +230,55 @@ _COMBINE_COLUMNS = {
 }
 
 
-def _dof_columns(rules: Iterable[Rule], batch: _Batch, agg: Aggregator) -> list[list[float]]:
-    """Each checked rule's DOF on every sample of ``batch``, each a list of its own.
+def _match_column(antecedent: tuple[str, frozenset[str]], batch: _Batch) -> list[float]:
+    """One antecedent's match on every sample of ``batch``, as a new list.
 
-    An antecedent's match column starts at 0 and takes each greater degree
-    of an allowed label, walking only those labels' index entries; rules
-    that share an antecedent share its match column, built once.  The DOF
-    column combines the match columns with ``_COMBINE_COLUMNS``.  A single
-    match column is the DOF column (m / 1, 1 * m and min((m,)) are all m),
-    shared with every rule that has it alone: no caller writes into a column.
+    The match starts at 0 and takes each greater degree of an allowed
+    label, walking only those labels' index entries.
     """
-    n, index = batch.size, batch.index
-    combine = _COMBINE_COLUMNS[agg]
+    var, allowed = antecedent
+    match = [0.0] * batch.size
+    entries = batch.index.get(var, {})
+    for lab in allowed:
+        entry = entries.get(lab)
+        if entry is not None:
+            for s, degree in zip(*entry):
+                if degree > match[s]:
+                    match[s] = degree
+    return match
+
+
+def _rule_matches(rules: Sequence[Rule], batch: _Batch) -> list[list[list[float]]]:
+    """Each rule's match columns on ``batch``, in antecedent order.
+
+    Rules that share an antecedent share its match column, built once.
+    """
     built: dict[tuple[str, frozenset[str]], list[float]] = {}
-    columns = []
     for rule in rules:
-        matches = []
         for antecedent in rule.antecedents:
-            match = built.get(antecedent)
-            if match is None:
-                var, allowed = antecedent
-                match = built[antecedent] = [0.0] * n
-                entries = index.get(var, {})
-                for lab in allowed:
-                    entry = entries.get(lab)
-                    if entry is not None:
-                        for s, degree in zip(*entry):
-                            if degree > match[s]:
-                                match[s] = degree
-            matches.append(match)
-        columns.append(combine(matches) if len(matches) > 1 else matches[0])
-    return columns
+            if antecedent not in built:
+                built[antecedent] = _match_column(antecedent, batch)
+    return [[built[antecedent] for antecedent in rule.antecedents] for rule in rules]
+
+
+def _dof_column(matches: list[list[float]], agg: Aggregator) -> list[float]:
+    """A rule's DOF column from its match columns, in antecedent order.
+
+    The columns are combined with ``_COMBINE_COLUMNS``.  A single match
+    column is the DOF column (m / 1, 1 * m and min((m,)) are all m),
+    shared with every rule that has it alone: no caller writes into a
+    column.
+    """
+    return _COMBINE_COLUMNS[agg](matches) if len(matches) > 1 else matches[0]
 
 
 def _evaluate(
     rb: RuleBase, batch: _Batch, agg: Aggregator
-) -> tuple[tuple[str, ...], list[list[float]], list[list[float]]]:
+) -> tuple[tuple[str, ...], list[list[list[float]]], list[list[float]], list[list[float]]]:
     """Check ``rb`` against the batch's ladders, then score it on every sample.
 
-    Returns the class order, each rule's DOF column, and each class's score
+    Returns the class order, each rule's match columns (see
+    ``_rule_matches``), each rule's DOF column, and each class's score
     column in that order.  A class scores the first maximum of 0 and its
     rules' DOFs, as a loop that replaces the score only by a greater DOF
     would.  A DOF is never below +0.0 (a match starts at 0.0 and only
@@ -254,7 +287,8 @@ def _evaluate(
     """
     for ladders in batch.ladders:
         _check_rules(rb.rules, ladders)
-    columns = _dof_columns(rb.rules, batch, agg)
+    matches = _rule_matches(rb.rules, batch)
+    columns = [_dof_column(rule_matches, agg) for rule_matches in matches]
     owned: dict[str, list[list[float]]] = {cls: [] for cls in rb.class_order}
     for rule, column in zip(rb.rules, columns):
         owned[rule.consequent].append(column)
@@ -263,7 +297,7 @@ def _evaluate(
         cols[0] if len(cols) == 1 else list(map(max, *cols)) if cols else [0.0] * n
         for cols in owned.values()
     ]
-    return rb.class_order, columns, by_class
+    return rb.class_order, matches, columns, by_class
 
 
 def _rank(classes, by_class) -> tuple[list[str], dict[int, list[str]]]:
@@ -283,13 +317,9 @@ def _rank(classes, by_class) -> tuple[list[str], dict[int, list[str]]]:
     return winners, tied
 
 
-def _report(
-    rb: RuleBase, ladders: Ladders, pairs: Pairs, agg: Aggregator
-) -> ClassificationReport:
-    """Score ``rb`` on one sample's ladders and active pairs, as a batch of one."""
-    batch = _Batch()
-    batch.add(ladders, pairs)
-    classes, columns, by_class = _evaluate(rb, batch, agg)
+def _report(rb: RuleBase, batch: _Batch, agg: Aggregator) -> ClassificationReport:
+    """Score ``rb`` on a batch of one sample."""
+    classes, _, columns, by_class = _evaluate(rb, batch, agg)
     per_rule = {rule.id: column[0] for rule, column in zip(rb.rules, columns)}
     scores = {cls: column[0] for cls, column in zip(classes, by_class)}
     # The classes at the top score, in class order: the first one wins.
@@ -313,11 +343,9 @@ def rule_dof(
     agg: Aggregator = Aggregator.MEAN,
 ) -> float:
     """Degree of fulfilment of one rule against a fuzzified sample."""
-    ladders, pairs = _convert(memberships)
-    _check_rules((rule,), ladders)
-    batch = _Batch()
-    batch.add(ladders, pairs)
-    return _dof_columns((rule,), batch, agg)[0][0]
+    batch = _vector_batch((memberships,))
+    _check_rules((rule,), batch.ladders[0])
+    return _dof_column(_rule_matches((rule,), batch)[0], agg)[0]
 
 
 def classify(
@@ -331,7 +359,7 @@ def classify(
     score descending and breaks ties by class order, so the report is fully
     deterministic for identical inputs.
     """
-    return _report(rb, *_convert(memberships), agg)
+    return _report(rb, _vector_batch((memberships,)), agg)
 
 
 def score_rulebase(
@@ -402,13 +430,14 @@ class _DofTable:
 
     The table is scored once by ``_evaluate`` and ranked once by ``_rank``,
     whose winners give each sample's hit flag.  It keeps the batch's
-    ``(variable, label)`` index and each sample's row of class scores, and
-    checks an offered rule once against every distinct ladder set among
-    the samples.
+    ``(variable, label)`` index, each rule's match columns in antecedent
+    order and each sample's row of class scores, and checks an offered
+    rule once against every distinct ladder set among the samples.
 
-    ``offer`` builds the new rule's DOF column on the whole batch with
-    ``_dof_columns`` and re-ranks only the samples where it differs from
-    the old rule's column.
+    ``offer`` builds a match column only for an antecedent the old rule
+    lacks, reusing the old rule's other columns, combines them with
+    ``_dof_column`` and re-ranks only the samples where the DOF differs
+    from the old rule's.
     """
 
     def __init__(
@@ -417,10 +446,8 @@ class _DofTable:
         labeled: Sequence[tuple[Mapping[str, MembershipVector], str]],
         agg: Aggregator,
     ):
-        self.batch, self.agg = _Batch(), agg
-        for memberships, _ in labeled:
-            self.batch.add(*_convert(memberships))
-        classes, self.dofs, by_class = _evaluate(rb, self.batch, agg)
+        self.batch, self.agg = _vector_batch(memberships for memberships, _ in labeled), agg
+        classes, self.matches, self.dofs, by_class = _evaluate(rb, self.batch, agg)
         position = {cls: i for i, cls in enumerate(classes)}
         self.truth = [position.get(cls) for _, cls in labeled]
         self.rules = list(rb.rules)
@@ -432,9 +459,15 @@ class _DofTable:
 
     def offer(self, ri: int, rule: Rule) -> bool:
         """Replace rule ``ri`` by ``rule``, changing nothing if hits would fall; say if it did."""
-        for ladders in self.batch.ladders:
+        batch = self.batch
+        for ladders in batch.ladders:
             _check_rules((rule,), ladders)
-        (column,) = _dof_columns((rule,), self.batch, self.agg)
+        old = dict(zip(self.rules[ri].antecedents, self.matches[ri]))
+        matches = [
+            old[antecedent] if antecedent in old else _match_column(antecedent, batch)
+            for antecedent in rule.antecedents
+        ]
+        column = _dof_column(matches, self.agg)
         c = self.owner[ri]
         siblings = [
             self.dofs[r] for r, owner in enumerate(self.owner) if owner == c and r != ri
@@ -453,7 +486,7 @@ class _DofTable:
             changed.append((s, score, now))
         if hits < self.hits:
             return False
-        self.rules[ri], self.dofs[ri], self.hits = rule, column, hits
+        self.rules[ri], self.matches[ri], self.dofs[ri], self.hits = rule, matches, column, hits
         for s, score, now in changed:
             rows[s][c] = score
             hit[s] = now

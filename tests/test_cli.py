@@ -1802,12 +1802,16 @@ class TestGoldenBytes:
         assert len(built) == 1500
 
 
+def child_env():
+    """The environment of a child process that imports this package."""
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
 def child_run(script, *args):
     """The standard output of ``python -c script args`` run on this package, split at spaces."""
-    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     child = subprocess.run(
-        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True
+        [sys.executable, "-c", script, *args], env=child_env(), capture_output=True, text=True
     )
     assert child.returncode == 0, child.stderr
     return child.stdout.split()
@@ -2276,3 +2280,140 @@ class TestInduceGoldenBytes:
         code, out, err = run([*mode, corpus], capsys)
         assert code == 0 and err.startswith("training accuracy: ")
         assert hashlib.sha256(out.encode()).hexdigest() == INDUCE_SHA256[mode]
+
+
+def cli_child(argv, **kwargs):
+    """``python -m soilfuzz.cli argv`` run on this package, its output as bytes."""
+    env = child_env()
+    # Buffered streams, so a failed write leaves its bytes for a later flush.
+    env.pop("PYTHONUNBUFFERED", None)
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    kwargs.setdefault("stderr", subprocess.PIPE)
+    return subprocess.run(
+        [sys.executable, "-m", "soilfuzz.cli", *argv], env=env, timeout=60, **kwargs
+    )
+
+
+def closed_pipe_child(argv, **kwargs):
+    """``cli_child`` with file descriptor 2 a pipe whose read end is closed."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return cli_child(argv, stderr=write, **kwargs)
+    finally:
+        os.close(write)
+
+
+class TestEntryPoint:
+    """The command ends its process once the output is flushed, with ``main``'s code."""
+
+    @pytest.fixture
+    def bad_csv(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(FIXTURE_CSV + "7,x,60,10,30,20\n")
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "{fixture}"],
+            ["classify", "--format", "json", "{fixture}"],
+            ["memberships", "{fixture}"],
+            ["induce", "--seed", "3", "--iters", "40", "{labeled}"],
+            ["classify", "{bad}"],
+        ],
+        ids=["classify-csv", "classify-json", "memberships", "induce", "bad-row"],
+    )
+    def test_child_equals_main(self, argv, fixture_csv, labeled_csv, bad_csv, capsys):
+        argv = [a.format(fixture=fixture_csv, labeled=labeled_csv, bad=bad_csv) for a in argv]
+        code, out, err = run(argv, capsys)
+        child = cli_child(argv)
+        assert (child.stdout, child.stderr.decode(), child.returncode) == (out.encode(), err, code)
+        assert code == (cli.EXIT_ROWS if argv[-1] == bad_csv else cli.EXIT_OK)
+
+    def test_usage_error_exits_2_through_argparse(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            cli.main(["classify"])
+        _, err = capsys.readouterr()
+        child = cli_child(["classify"])
+        assert raised.value.code == child.returncode == 2
+        assert child.stdout == b"" and child.stderr.decode() == err
+        assert "error: the following arguments are required: IN" in err
+
+    def test_run_leaves_no_exit_work_undone(self, fixture_csv, labeled_csv, tmp_path):
+        # ``os._exit`` skips ``atexit`` callbacks and does not wait for
+        # threads, so a run must leave neither beyond a bare interpreter's.
+        out = str(tmp_path / "out")
+        script = (
+            "import atexit, sys, threading\n"
+            "from soilfuzz import cli\n"
+            "codes = [cli.main(argv.split('|')) for argv in sys.argv[1:]]\n"
+            "print(atexit._ncallbacks(), threading.active_count(), *codes)\n"
+        )
+        runs = [
+            ["classify", "--format", "json", fixture_csv, "-o", out],
+            ["classify", "--crisp", fixture_csv, "-o", out],
+            ["memberships", "--format", "json", fixture_csv, "-o", out],
+            ["rules", "--preset", "calibrated", "-o", out],
+            ["induce", "--seed", "3", "--iters", "40", labeled_csv, "-o", out],
+        ]
+        (bare,) = child_run("import atexit; print(atexit._ncallbacks())")
+        assert child_run(script, *map("|".join, runs)) == [bare, "1", *["0"] * len(runs)]
+
+    @pytest.mark.parametrize("skip", [True, False], ids=["skip-bad-rows", "exit-4"])
+    def test_run_flushes_then_exits_with_mains_code(self, bad_csv, monkeypatch, skip):
+        # Block-buffered streams: only a flush puts stderr's lines in its sink.
+        sinks = {name: io.BytesIO() for name in ("stdout", "stderr")}
+        for name, sink in sinks.items():
+            monkeypatch.setattr(sys, name, io.TextIOWrapper(io.BufferedWriter(sink), "utf-8"))
+        ended = []
+
+        def exit_now(code):
+            ended.append((code, {name: sink.getvalue() for name, sink in sinks.items()}))
+            raise SystemExit("os._exit")
+
+        argv = ["soilfuzz", "classify", *["--skip-bad-rows"] * skip, bad_csv]
+        monkeypatch.setattr(sys, "argv", argv)
+        monkeypatch.setattr(os, "_exit", exit_now)
+        with pytest.raises(SystemExit, match="os._exit"):
+            cli.run()
+        [(code, written)] = ended
+        diagnostic = b"row 7: non-numeric p2mm: 'x'\n"
+        if skip:
+            assert code == cli.EXIT_OK and written["stderr"] == diagnostic
+            assert written["stdout"].startswith(b"id,winner,rating,")
+            assert written["stdout"].count(b"\n") == 7
+        else:
+            assert code == cli.EXIT_ROWS and written["stdout"] == b""
+            assert written["stderr"] == diagnostic + f"soilfuzz: 1 bad row(s) in {bad_csv}\n".encode()
+
+    def test_failed_flush_exits_through_sys_exit(self, fixture_csv, monkeypatch):
+        # The interpreter's teardown flushes again and reports the failure,
+        # as it did before the command ended by ``os._exit``.
+        class Unflushable(io.StringIO):
+            def flush(self):
+                raise OSError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        monkeypatch.setattr(sys, "argv", ["soilfuzz", "classify", "-o", os.devnull, fixture_csv])
+        monkeypatch.setattr(sys, "stdout", Unflushable())
+        monkeypatch.setattr(os, "_exit", lambda code: pytest.fail("os._exit after a failed flush"))
+        with pytest.raises(SystemExit) as raised:
+            cli.run()
+        assert raised.value.code == cli.EXIT_OK
+
+    def test_closed_stderr_keeps_induce_exit_code(self, labeled_csv, tmp_path, capsys):
+        # The rule file is written before the accuracy line, which stderr
+        # cannot take.
+        argv = ["induce", "--seed", "1", "--iters", "3", labeled_csv, "-o"]
+        code, _, _ = run([*argv, str(tmp_path / "want.frules")], capsys)
+        child = closed_pipe_child([*argv, str(tmp_path / "got.frules")])
+        assert child.returncode == code == cli.EXIT_OK
+        assert (tmp_path / "got.frules").read_bytes() == (tmp_path / "want.frules").read_bytes()
+
+    @pytest.mark.parametrize("skip", [True, False], ids=["skip-bad-rows", "exit-4"])
+    def test_closed_stderr_keeps_bad_row_exit_code(self, bad_csv, capsys, skip):
+        argv = ["classify", *["--skip-bad-rows"] * skip, bad_csv]
+        code, out, _ = run(argv, capsys)
+        child = closed_pipe_child(argv)
+        assert (child.returncode, child.stdout) == (code, out.encode())
+        assert code == (cli.EXIT_OK if skip else cli.EXIT_ROWS) and (out != "") == skip

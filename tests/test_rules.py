@@ -631,10 +631,11 @@ def test_search_scores_once_in_full(variables, monkeypatch, iterations):
     assert calls == {"score_rulebase": 1, "_evaluate": 2}
 
 
-def test_each_offer_scores_only_its_rule(variables, monkeypatch):
-    # An offer builds the offered rule's DOF column on the whole batch with
-    # one ``_dof_columns`` call on that rule alone; the whole rule base is
-    # scored only by the two ``_evaluate`` calls of a search.
+def test_each_offer_builds_only_the_toggled_match_column(variables, monkeypatch):
+    # A toggle changes one antecedent of one rule, so an offer builds the
+    # match column of that antecedent alone and reuses the rule's others;
+    # the whole rule base is scored only by the two ``_evaluate`` calls of
+    # a search.
     rng = random.Random(5)
     labeled = []
     for _ in range(80):
@@ -644,36 +645,37 @@ def test_each_offer_scores_only_its_rule(variables, monkeypatch):
         sample = SoilSample(p2mm, p425, p075, ll=ll, pl=ll - pi, pi=pi)
         labeled.append((fuzzify_sample(sample, variables=variables), crisp_classify(sample)))
 
-    offers, evaluations, scored = [], [], None
-    dof_columns, evaluate = rules_module._dof_columns, rules_module._evaluate
+    offers, evaluations, built = [], [], None
+    match_column, evaluate = rules_module._match_column, rules_module._evaluate
     offer = rules_module._DofTable.offer
 
-    def recording_dof_columns(rules, batch, agg):
-        if scored is not None:
-            scored.append(rules)
-        return dof_columns(rules, batch, agg)
+    def recording_match_column(antecedent, batch):
+        if built is not None:
+            built.append(antecedent)
+        return match_column(antecedent, batch)
 
     def counting_evaluate(*args):
         evaluations.append(args)
         return evaluate(*args)
 
     def recording_offer(table, ri, rule):
-        nonlocal scored
-        scored = []
+        nonlocal built
+        built, old = [], table.rules[ri]
         try:
             return offer(table, ri, rule)
         finally:
-            offers.append((rule, scored))
-            scored = None
+            offers.append((old, rule, built))
+            built = None
 
-    monkeypatch.setattr(rules_module, "_dof_columns", recording_dof_columns)
+    monkeypatch.setattr(rules_module, "_match_column", recording_match_column)
     monkeypatch.setattr(rules_module, "_evaluate", counting_evaluate)
     monkeypatch.setattr(rules_module._DofTable, "offer", recording_offer)
     search_rules(labeled, variables, rules_per_class=2, iterations=300, seed=4)
     assert len(offers) > 250
-    for rule, calls in offers:
-        assert len(calls) == 1 and type(calls[0]) is tuple
-        assert len(calls[0]) == 1 and calls[0][0] is rule
+    for old, rule, calls in offers:
+        assert len(rule.antecedents) == len(old.antecedents)
+        toggled = [new for new, was in zip(rule.antecedents, old.antecedents) if new != was]
+        assert len(toggled) == 1 and calls == toggled
     assert len(evaluations) == 2
 
 
@@ -901,7 +903,7 @@ def test_batch_scoring_equals_reference(variables, data, agg, pi_source):
         return
 
     batch = rules_module._DofTable(rb, labeled, agg).batch
-    classes, columns, by_class = rules_module._evaluate(rb, batch, agg)
+    classes, _, columns, by_class = rules_module._evaluate(rb, batch, agg)
     rows = list(zip(*by_class))
     for s, report in enumerate(expected):
         scores = dict(zip(classes, rows[s]))
@@ -911,6 +913,34 @@ def test_batch_scoring_equals_reference(variables, data, agg, pi_source):
         top = max(rows[s])
         assert tuple(c for c, score in zip(classes, rows[s]) if score == top) == report.tied
     assert score_rulebase(rb, labeled, agg) == reference_score_rulebase(rb, labeled, agg)
+
+
+def convert(memberships):
+    """The ladders and the active pairs of a fuzzified sample, as ``_Batch.add`` takes them."""
+    ladders = {name: tuple(mv.entries) for name, mv in memberships.items()}
+    pairs = {name: tuple(mv.nonzero().items()) for name, mv in memberships.items()}
+    return ladders, pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(["pi", "pl"]))
+def test_vector_batch_equals_adding_each_sample(variables, data, pi_source):
+    relabeled = {**variables, "pi": make_partition("pi", ["lo", "hi"], [0, 70], (0, 100))}
+    without_pi = {name: var for name, var in variables.items() if name != "pi"}
+    ladder_sets = st.sampled_from([variables, relabeled, without_pi])
+    samples = [
+        sample_vectors(data.draw, variables, data.draw(ladder_sets), pi_source)
+        for _ in range(data.draw(st.integers(0, 20)))
+    ]
+    expected = rules_module._Batch()
+    for memberships in samples:
+        expected.add(*convert(memberships))
+    batch = rules_module._vector_batch(iter(samples))
+    # ``repr`` also pins the order of the ladder sets, of every dict and of
+    # each entry's samples.
+    assert repr((batch.size, batch.ladders, batch.index)) == repr(
+        (expected.size, expected.ladders, expected.index)
+    )
 
 
 @settings(max_examples=200, deadline=None)
@@ -1019,7 +1049,7 @@ class TestCheckedOnce:
         # A ladder no rule names makes another ladder set that passes.
         cbr = make_partition("cbr", ["lo", "hi"], [0, 100], (0, 100))
         extended = [{**memberships, "cbr": fuzzify(cbr, 50)} for memberships in plain]
-        ladders = [rules_module._convert(samples[0])[0] for samples in (plain, extended)]
+        ladders = [convert(samples[0])[0] for samples in (plain, extended)]
 
         score_rulebase(rb, [(memberships, "A-4") for memberships in plain * 5])
         assert checks == ladders[:1]
