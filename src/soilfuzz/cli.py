@@ -36,12 +36,12 @@ from typing import TYPE_CHECKING
 
 from . import hrb
 from .errors import FuzzificationError, SampleError, SoilFuzzError
-from .fuzzy import Aggregator, active_columns, active_descriptors
+from .fuzzy import Aggregator, active_descriptors
 # ``fmt_degree`` is unused here, but bench/tracing.py wraps it by this name.
 from .render import degree_text, fmt_degree, fmt_score, round4  # noqa: F401
 
 if TYPE_CHECKING:
-    from .rules import RuleBase, _Batch
+    from .rules import RuleBase
 
 REQUIRED_COLUMNS = ("id", "p2mm", "p425", "p075", "ll", "pl")
 READ_COLUMNS = (*REQUIRED_COLUMNS, "pi", "class")
@@ -405,7 +405,7 @@ def cmd_classify(args) -> int:
         winners = list(map(hrb.crisp_classify, _samples(table)))
         scored = None
     else:
-        from .rules import _evaluate, _rank
+        from .rules import _column_batch, _evaluate, _rank
 
         name, rb = _load_rulebase(args, variables)
         header = {
@@ -414,10 +414,11 @@ def cmd_classify(args) -> int:
             "aggregator": args.agg,
             "pi_source": args.pi_source,
         }
-        batch, table = _fuzzy_batch(args, rows, table, problems, variables)
+        table, values = _property_columns(args, rows, table, problems, variables)
+        batch = _column_batch(values, variables)
         classes, matches, columns, by_class = _evaluate(rb, batch, Aggregator(args.agg))
         # Free the index, the match and the DOF columns before the output is built.
-        del batch, matches, columns
+        del values, batch, matches, columns
         winners, tied = _rank(classes, by_class)
         scored = classes, by_class, tied
 
@@ -461,27 +462,6 @@ def _property_columns(args, rows, table, problems, variables) -> tuple[dict, dic
     _report_problems(args, [*problems, *((rows[i], message) for i, message in bad.items())])
     _, table = _drop(rows, table, bad)
     return table, {name: table[col] for name, col in source.items()}
-
-
-def _fuzzy_batch(args, rows, table, problems, variables) -> "tuple[_Batch, dict]":
-    """The batch of the rows that fuzzify, and their table (see ``_property_columns``).
-
-    The batch equals one built by ``_Batch.add(hrb._ladders(variables),
-    hrb._active_pairs(sample, args.pi_source, variables))`` row by row
-    over those rows.  Each property is fuzzified as one column.
-    """
-    from .rules import _Batch
-
-    table, columns = _property_columns(args, rows, table, problems, variables)
-    batch = _Batch()
-    if table["id"]:
-        batch.size = len(table["id"])
-        batch.ladders.append(hrb._ladders(variables))
-        # Every property's index holds the same ints, as ``_Batch.add`` makes it.
-        positions = list(range(batch.size))
-        for name, column in columns.items():
-            batch.index[name] = active_columns(variables[name], column, positions)
-    return batch, table
 
 
 class _ScoreTexts(dict):

@@ -18,9 +18,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Literal, Mapping, NamedTuple
 
 from .errors import PartitionError, SampleError
-from .fuzzy import (
-    Aggregator, LinguisticVariable, MembershipVector, active_descriptors, fuzzify, make_partition,
-)
+from .fuzzy import Aggregator, LinguisticVariable, MembershipVector, fuzzify, make_partition
 
 if TYPE_CHECKING:
     from .rules import ClassificationReport, RuleBase
@@ -140,12 +138,16 @@ def parse_variables(text: str) -> dict[str, LinguisticVariable]:
         labels = [lab.strip() for lab in parts[1].split(",")]
         try:
             centers = [float(c) for c in parts[2].split(",")]
-            lo, hi = (float(b) for b in parts[3].split(","))
+            bounds = tuple(float(b) for b in parts[3].split(","))
         except ValueError as exc:
             raise PartitionError(
                 f"variables file line {lineno}: non-numeric field ({exc})"
             ) from None
-        out[name] = make_partition(name, labels, centers, (lo, hi))
+        if len(bounds) != 2:
+            raise PartitionError(
+                f"variables file line {lineno}: domain needs 2 bounds, got {len(bounds)}"
+            )
+        out[name] = make_partition(name, labels, centers, bounds)
     return out
 
 
@@ -228,20 +230,14 @@ def classify_hrb(
 ) -> HrbResult:
     """Classify a sample with a fuzzy rule preset.
 
-    Fuzzifies each index property that ``variables`` has a ladder for to its
-    active descriptors and scores the rules on those pairs directly, as a
-    batch of one (as ``classify`` scores ``fuzzify_sample``'s vectors),
-    then resolves a winning A-7 group into A-7-5 or A-7-6 and
-    attaches the subgrade rating.
+    Scores the rules with ``classify`` on ``fuzzify_sample``'s vectors, then
+    resolves a winning A-7 group into A-7-5 or A-7-6 and attaches the
+    subgrade rating.
     """
-    from .rules import _Batch, _report
+    from . import rules
 
     rb = preset.rulebase if isinstance(preset, HrbPreset) else preset
-    if variables is None:
-        variables = _default_variables()
-    batch = _Batch()
-    batch.add(_ladders(variables), _active_pairs(sample, pi_source, variables))
-    report = _report(rb, batch, agg)
+    report = rules.classify(rb, fuzzify_sample(sample, pi_source, variables), agg)
     subgroup = report.winner
     if subgroup == "A-7":
         subgroup = a7_split(sample.ll, sample.pi)
@@ -255,21 +251,6 @@ def classify_hrb(
 def _ladders(variables: Mapping[str, LinguisticVariable]) -> dict[str, tuple[str, ...]]:
     """The ladder of each HRB property that ``variables`` has."""
     return {name: variables[name].labels for name in VARIABLE_NAMES if name in variables}
-
-
-def _active_pairs(
-    sample: SoilSample, pi_source: str, variables: Mapping[str, LinguisticVariable]
-) -> dict[str, tuple[tuple[str, float], ...]]:
-    """The active pairs of each property that ``variables`` has a ladder for.
-
-    Raises:
-        FuzzificationError: if such a property is outside its ladder's domain.
-    """
-    return {
-        name: active_descriptors(variables[name], value)
-        for name, value in zip(VARIABLE_NAMES, _property_values(sample, pi_source))
-        if name in variables
-    }
 
 
 def crisp_classify(sample: SoilSample) -> str:

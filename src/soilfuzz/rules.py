@@ -7,32 +7,30 @@ its per-variable matches with a configurable aggregator.  A class scores the
 best DOF among its rules, and classes are ranked score-first with ties broken
 by the rule base's class order.
 
-Two kernels compute every DOF.  They score a batch of fuzzified samples,
-given as active descriptors: the ``(label, degree)`` pairs of
-:mod:`soilfuzz.fuzzy`.  A ``_Batch`` indexes them by variable, then label:
-each active descriptor lists the samples where it is active and its
-degree there.  ``_match_column`` builds one antecedent's match column: it
-starts at 0 and takes the greatest degree of the active labels the
-antecedent allows.  A batch's rules that share an antecedent, as rules
-read off one decision tree do, share its match column.  ``_dof_column``
-combines a rule's match columns whole, in C: the mean adds them left to
-right, in antecedent order, then divides by their count; the product
-multiplies them left to right; the minimum takes each sample's least.
-``_evaluate`` scores a rule base with them, and a class's score column
-takes the first maximum of its rules' columns.  The CLI scores all its
-samples as one batch, ``classify``, ``classify_hrb`` and ``rule_dof``
-score a batch of one.  An induction toggle changes one antecedent of one
-rule, so ``_DofTable.offer`` builds that antecedent's match column on the
-whole training batch and combines it with the rule's other columns,
-which the table keeps.
+Two kernels compute every DOF.  They score a ``_Batch`` of fuzzified
+samples, indexed by variable, then label: each active descriptor lists
+the samples where it is active and its degree there.  ``_vector_batch``
+builds one from membership vectors, a sample at a time;
+``_column_batch`` from value columns, a variable at a time with
+``fuzzy.active_columns``.  ``_match_column`` builds one antecedent's
+match column: it starts at 0 and takes the greatest degree of the active
+labels the antecedent allows.  A batch's rules that share an antecedent,
+as rules read off one decision tree do, share its match column.
+``_dof_column`` combines a rule's match columns whole, in C: the mean
+adds them left to right, in antecedent order, then divides by their
+count; the product multiplies them left to right; the minimum takes each
+sample's least.  ``_evaluate`` scores a rule base with them, and a
+class's score column takes the first maximum of its rules' columns.  The
+CLI scores all its samples as one batch of columns; ``classify`` and
+``rule_dof`` score a batch of one vector sample.  An induction toggle
+changes one antecedent of one rule, so ``_DofTable.offer`` builds that
+antecedent's match column on the whole training batch and combines it
+with the rule's other columns, which the table keeps.
 
 ``_rank`` is the one batch ranker.  It picks each sample's winner, the
-first class in class order with the top score, row by row, for the CLI
-and for ``_DofTable``; ``score_rulebase`` reads the table's hit count.
-The CLI builds its index a property at a time with
-``fuzzy.active_columns``, ``classify_hrb`` its pairs with
-``fuzzy.active_descriptors``; the functions here index membership
-vectors in one pass with ``_vector_batch``.
+first class in class order with the top score, and the classes tied at
+that score, row by row, for the CLI, ``classify`` and ``_DofTable``;
+``score_rulebase`` reads the table's hit count.
 
 The mean never calls ``sum()``, which compensates float rounding from
 Python 3.12 on, so its last bit would depend on the version.  Adding left
@@ -54,7 +52,7 @@ import random
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import EvaluationError, RuleConfigError
-from .fuzzy import Aggregator, LinguisticVariable, MembershipVector
+from .fuzzy import Aggregator, LinguisticVariable, MembershipVector, active_columns
 
 
 class _RuleFields(NamedTuple):
@@ -129,12 +127,11 @@ class ClassificationReport(NamedTuple):
     per_rule: dict[str, float]
 
 
-# Variable name -> its descriptor labels, and -> its active (label, degree) pairs.
+# Variable name -> its descriptor labels.
 Ladders = Mapping[str, tuple[str, ...]]
-Pairs = Mapping[str, Sequence[tuple[str, float]]]
 
 
-class _Batch:
+class _Batch(NamedTuple):
     """Fuzzified samples, indexed by variable and label for column scoring.
 
     ``index[var][label]`` holds the samples where that label is active, in
@@ -143,39 +140,20 @@ class _Batch:
     so the first check that fails is the first failing sample's.
     """
 
-    def __init__(self):
-        self.size = 0
-        self.index: dict[str, dict[str, tuple[list[int], list[float]]]] = {}
-        self.ladders: list[Ladders] = []
-
-    def add(self, ladders: Ladders, pairs: Pairs) -> None:
-        """Append one sample: its ladders and its active pairs by variable."""
-        if ladders not in self.ladders:
-            self.ladders.append(ladders)
-        s = self.size
-        self.size = s + 1
-        index = self.index
-        for var, active in pairs.items():
-            entries = index.get(var)
-            if entries is None:
-                entries = index[var] = {}
-            for lab, degree in active:
-                entry = entries.get(lab)
-                if entry is None:
-                    entry = entries[lab] = ([], [])
-                entry[0].append(s)
-                entry[1].append(degree)
+    size: int
+    index: dict[str, dict[str, tuple[list[int], list[float]]]]
+    ladders: list[Ladders]
 
 
 def _vector_batch(vectors: Iterable[Mapping[str, MembershipVector]]) -> _Batch:
     """The batch of fuzzified samples, each a mapping of membership vectors.
 
-    It equals the batch ``_Batch.add`` builds from each sample's ladders
-    (each vector's labels) and active pairs (its positive degrees, as
-    ``MembershipVector.nonzero`` gives them), filled in one pass.
+    A sample's ladders are its vectors' labels, and its active labels those
+    with a positive degree, as ``MembershipVector.nonzero`` gives them.
     """
-    batch = _Batch()
-    index, ladder_sets = batch.index, batch.ladders
+    index: dict[str, dict[str, tuple[list[int], list[float]]]] = {}
+    ladder_sets: list[Ladders] = []
+    s = -1
     for s, memberships in enumerate(vectors):
         ladders = {name: tuple(mv.entries) for name, mv in memberships.items()}
         if ladders not in ladder_sets:
@@ -191,8 +169,27 @@ def _vector_batch(vectors: Iterable[Mapping[str, MembershipVector]]) -> _Batch:
                         entry = entries[lab] = ([], [])
                     entry[0].append(s)
                     entry[1].append(degree)
-        batch.size = s + 1
-    return batch
+    return _Batch(s + 1, index, ladder_sets)
+
+
+def _column_batch(
+    columns: Mapping[str, Sequence[float]], variables: Mapping[str, LinguisticVariable]
+) -> _Batch:
+    """The batch of samples given as one column of values per variable.
+
+    Each column is fuzzified whole with ``fuzzy.active_columns``, so every
+    value must lie in its variable's domain.  The samples share one ladder
+    set, and every variable's index shares one list of sample ints.
+    """
+    size = len(next(iter(columns.values()), ()))
+    if not size:
+        return _Batch(0, {}, [])
+    positions = list(range(size))
+    return _Batch(
+        size,
+        {name: active_columns(variables[name], col, positions) for name, col in columns.items()},
+        [{name: variables[name].labels for name in columns}],
+    )
 
 
 def _check_rules(rules: Iterable[Rule], ladders: Ladders) -> None:
@@ -317,26 +314,6 @@ def _rank(classes, by_class) -> tuple[list[str], dict[int, list[str]]]:
     return winners, tied
 
 
-def _report(rb: RuleBase, batch: _Batch, agg: Aggregator) -> ClassificationReport:
-    """Score ``rb`` on a batch of one sample."""
-    classes, _, columns, by_class = _evaluate(rb, batch, agg)
-    per_rule = {rule.id: column[0] for rule, column in zip(rb.rules, columns)}
-    scores = {cls: column[0] for cls, column in zip(classes, by_class)}
-    # The classes at the top score, in class order: the first one wins.
-    top = max(scores.values())
-    tied = tuple(cls for cls, score in scores.items() if score == top)
-    # A stable sort keeps equal scores in class order.
-    ranking = tuple(sorted(scores, key=scores.__getitem__, reverse=True))
-    return ClassificationReport(
-        scores=scores,
-        ranking=ranking,
-        winner=tied[0],
-        tie=len(tied) > 1,
-        tied=tied,
-        per_rule=per_rule,
-    )
-
-
 def rule_dof(
     rule: Rule,
     memberships: Mapping[str, MembershipVector],
@@ -357,9 +334,22 @@ def classify(
 
     A class scores the maximum DOF over its rules.  The ranking sorts by
     score descending and breaks ties by class order, so the report is fully
-    deterministic for identical inputs.
+    deterministic for identical inputs.  The winner and the tied classes are
+    ``_rank``'s.
     """
-    return _report(rb, _vector_batch((memberships,)), agg)
+    classes, _, columns, by_class = _evaluate(rb, _vector_batch((memberships,)), agg)
+    (winner,), tied = _rank(classes, by_class)
+    tied = tuple(tied.get(0, (winner,)))
+    scores = {cls: column[0] for cls, column in zip(classes, by_class)}
+    return ClassificationReport(
+        scores=scores,
+        # A stable sort keeps equal scores in class order.
+        ranking=tuple(sorted(scores, key=scores.__getitem__, reverse=True)),
+        winner=winner,
+        tie=len(tied) > 1,
+        tied=tied,
+        per_rule={rule.id: column[0] for rule, column in zip(rb.rules, columns)},
+    )
 
 
 def score_rulebase(
@@ -520,13 +510,13 @@ def search_rules(
 
     Args:
         labeled: (membership vectors, true class) training pairs.
-        variables: the variables rules may mention, in antecedent order.
+        variables: the variables rules may mention, in antecedent order; not empty.
         rules_per_class: how many rules the system holds per class.
         iterations: number of mutation proposals (0 keeps the initial system).
         seed: RNG seed, not negative (``random.Random`` seeds with ``abs``, so
             -n would repeat n); identical inputs and seed give identical output.
         agg: DOF aggregator used during scoring.
-        classes: optional explicit class list; defaults to the labels'
+        classes: optional explicit, non-empty class list; defaults to the labels'
             first-appearance order.  Every class must have a labeled sample.
     """
     if rules_per_class < 1:
@@ -535,6 +525,10 @@ def search_rules(
         raise EvaluationError("iterations must not be negative")
     if seed < 0:
         raise EvaluationError("seed must not be negative")
+    if not variables:
+        raise EvaluationError("variables must not be empty")
+    if classes is not None and not classes:
+        raise EvaluationError("classes must not be empty")
     if not labeled:
         raise EvaluationError("no labeled samples")
 

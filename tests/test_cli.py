@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import soilfuzz as sf
 from soilfuzz import cli
+from test_rules import batch_added_one_by_one
 
 FIXTURE_CSV = """\
 id,p2mm,p425,p075,ll,pl
@@ -1018,8 +1019,14 @@ class TestPresetDirOverride:
                 ],
                 "pi: centers must be finite",
             ),
+            (
+                lambda lines: [
+                    "p2mm; A, B; 0, 10; 0" if ln.startswith("p2mm;") else ln for ln in lines
+                ],
+                "variables file line 4: domain needs 2 bounds, got 1",
+            ),
         ],
-        ids=["duplicate", "nan-center"],
+        ids=["duplicate", "nan-center", "one-bound"],
     )
     def test_bad_ladder_exits_2(
         self, labeled_csv, tmp_path, capsys, monkeypatch, command, edit, error
@@ -1348,20 +1355,28 @@ def test_fuzzy_batch_equals_rows_added_one_by_one(variables, data, pi_source):
     table = sample_table(ids, samples, [None] * len(rows))
     args = types.SimpleNamespace(pi_source=pi_source, skip_bad_rows=True, input="in.csv")
     with contextlib.redirect_stderr(io.StringIO()):
-        batch, good = cli._fuzzy_batch(args, rows, table, [], variables)
+        good, columns = cli._property_columns(args, rows, table, [], variables)
+    batch = sf.rules._column_batch(columns, variables)
 
-    expected, kept = sf.rules._Batch(), []
+    # ``active_descriptors`` keeps the 0.0 degree at a center, as
+    # ``active_columns`` does; membership vectors drop it.
+    added, kept = [], []
     ladders = sf.hrb._ladders(variables)
     for row_id, sample in zip(ids, samples):
+        values = sf.hrb._property_values(sample, pi_source)
         try:
-            pairs = sf.hrb._active_pairs(sample, pi_source, variables)
+            pairs = {
+                name: sf.fuzzy.active_descriptors(variables[name], value)
+                for name, value in zip(sf.hrb.VARIABLE_NAMES, values)
+            }
         except sf.FuzzificationError:
             continue
-        expected.add(ladders, pairs)
+        added.append((ladders, pairs))
         kept.append((row_id, sample))
     assert good == sample_table(
         [row_id for row_id, _ in kept], [sample for _, sample in kept], [None] * len(kept)
     )
+    expected = batch_added_one_by_one(added)
     assert (batch.size, batch.ladders, batch.index) == (
         expected.size, expected.ladders, expected.index
     )

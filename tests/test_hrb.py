@@ -352,6 +352,33 @@ class TestClassifyHrb:
         res1 = sf.classify_hrb(fixtures[0].sample, paper_preset)
         assert res1.rating == "fair to poor"
 
+    @pytest.mark.parametrize(
+        "sample, pi_source, name",
+        [
+            (SoilSample(100, 80, 40, ll=120, pl=100), "pi", "ll"),
+            (SoilSample(100, 80, 40, ll=40, pl=150, pi=10), "pl", "pi"),
+        ],
+        ids=["ll", "pl"],
+    )
+    def test_value_outside_its_domain(self, variables, paper_preset, sample, pi_source, name):
+        # ll = 120, or pl = 150 fuzzified for pi: the error is fuzzify_sample's.
+        with pytest.raises(sf.FuzzificationError) as expected:
+            sf.fuzzify_sample(sample, pi_source, variables)
+        with pytest.raises(sf.FuzzificationError) as raised:
+            sf.classify_hrb(sample, paper_preset, pi_source=pi_source, variables=variables)
+        assert (type(raised.value), str(raised.value)) == (
+            type(expected.value), str(expected.value)
+        )
+        # Without that property's ladder the value is not fuzzified.
+        rest = {key: var for key, var in variables.items() if key != name}
+        rb = paper_preset.rulebase
+        rb = rb._replace(rules=tuple(
+            rule._replace(antecedents=tuple(a for a in rule.antecedents if a[0] != name))
+            for rule in rb.rules
+        ))
+        result = sf.classify_hrb(sample, rb, pi_source=pi_source, variables=rest)
+        assert result.report == sf.classify(rb, sf.fuzzify_sample(sample, pi_source, rest))
+
     def test_default_variables_are_read_only(self):
         # Every caller shares the cached ladders, so none may change them.
         shared = sf.hrb._default_variables()
@@ -387,6 +414,14 @@ class TestPresetFiles:
             sf.PartitionError, match=f"^variables file line {len(lines)}: duplicate variable p2mm$"
         ):
             sf.hrb.parse_variables("\n".join(lines))
+
+    @pytest.mark.parametrize("domain, count", [("0", 1), ("0, 10, 20", 3)])
+    def test_domain_needs_two_bounds(self, domain, count):
+        text = f"p2mm; A, B; 0, 10; {domain}"
+        with pytest.raises(
+            sf.PartitionError, match=f"^variables file line 1: domain needs 2 bounds, got {count}$"
+        ):
+            sf.hrb.parse_variables(text)
 
     def test_presets_have_eleven_rules(self, paper_preset, calibrated_preset):
         for preset in (paper_preset, calibrated_preset):

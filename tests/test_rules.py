@@ -435,6 +435,14 @@ class TestInduceRules:
         with pytest.raises(EvaluationError, match="A-5"):
             search_rules(labeled, variables, seed=1, classes=list(LABELS) + ["A-5"])
 
+    def test_empty_variables_or_classes_rejected(self, variables):
+        # Both are argument errors, not a rule or rule base that fails to build.
+        labeled = self._labeled(variables)
+        with pytest.raises(EvaluationError, match="^variables must not be empty$"):
+            search_rules(labeled, {}, seed=1)
+        with pytest.raises(EvaluationError, match="^classes must not be empty$"):
+            search_rules(labeled, variables, seed=1, classes=[])
+
 
 # The evaluator before active descriptors: a label -> degree dict per
 # variable, every allowed label looked up, the rule base checked lazily on
@@ -732,7 +740,7 @@ def table_fields(table):
     it must hold the same ``Rule`` objects, whose sets print in the order
     they were built.
     """
-    return repr(dict(vars(table), batch=vars(table.batch)))
+    return repr(dict(vars(table), batch=table.batch._asdict()))
 
 
 @settings(max_examples=50, deadline=None)
@@ -915,8 +923,27 @@ def test_batch_scoring_equals_reference(variables, data, agg, pi_source):
     assert score_rulebase(rb, labeled, agg) == reference_score_rulebase(rb, labeled, agg)
 
 
+def batch_added_one_by_one(samples):
+    """The batch of ``(ladders, pairs)`` samples, built one sample at a time.
+
+    Each new ladder set is listed, and each active ``(label, degree)`` pair
+    appends the sample and its degree to its label's entry.
+    """
+    index, ladder_sets = {}, []
+    for s, (ladders, pairs) in enumerate(samples):
+        if ladders not in ladder_sets:
+            ladder_sets.append(ladders)
+        for var, active in pairs.items():
+            entries = index.setdefault(var, {})
+            for label, degree in active:
+                at, degrees = entries.setdefault(label, ([], []))
+                at.append(s)
+                degrees.append(degree)
+    return rules_module._Batch(len(samples), index, ladder_sets)
+
+
 def convert(memberships):
-    """The ladders and the active pairs of a fuzzified sample, as ``_Batch.add`` takes them."""
+    """A fuzzified sample's ladders and active pairs, for ``batch_added_one_by_one``."""
     ladders = {name: tuple(mv.entries) for name, mv in memberships.items()}
     pairs = {name: tuple(mv.nonzero().items()) for name, mv in memberships.items()}
     return ladders, pairs
@@ -932,9 +959,7 @@ def test_vector_batch_equals_adding_each_sample(variables, data, pi_source):
         sample_vectors(data.draw, variables, data.draw(ladder_sets), pi_source)
         for _ in range(data.draw(st.integers(0, 20)))
     ]
-    expected = rules_module._Batch()
-    for memberships in samples:
-        expected.add(*convert(memberships))
+    expected = batch_added_one_by_one([convert(memberships) for memberships in samples])
     batch = rules_module._vector_batch(iter(samples))
     # ``repr`` also pins the order of the ladder sets, of every dict and of
     # each entry's samples.
