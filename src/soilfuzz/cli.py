@@ -661,24 +661,22 @@ def cmd_induce(args) -> int:
         for i, label in enumerate(table["class"]) if label is not None and not dsl._is_word(label)
     }
     unlabeled = [n for n, label in zip(rows, table["class"]) if label is None]
-    kept, _ = _property_columns(
+    kept, values = _property_columns(
         args, *_drop(rows, table, unwritable),
         [*problems, *((rows[i], message) for i, message in unwritable.items())], variables,
     )
-    labeled = [
-        (hrb.fuzzify_sample(sample, args.pi_source, variables), label)
-        for sample, label in zip(_samples(kept), kept["class"])
-    ]
     if unlabeled:
         raise CliError(
             EXIT_ROWS,
             f"empty class cell on row(s): {', '.join(map(str, unlabeled))}",
         )
-    if not labeled:
+    if not kept["class"]:
         raise CliError(EXIT_ROWS, "no labeled rows to induce from")
 
+    from .rules import _column_batch, _LabeledBatch
+
     result = search_rules(
-        labeled,
+        _LabeledBatch(_column_batch(values, variables), kept["class"]),
         variables,
         rules_per_class=args.rules_per_class,
         iterations=args.iters,

@@ -29,8 +29,13 @@ with the rule's other columns, which the table keeps.
 
 ``_rank`` is the one batch ranker.  It picks each sample's winner, the
 first class in class order with the top score, and the classes tied at
-that score, row by row, for the CLI, ``classify`` and ``_DofTable``;
-``score_rulebase`` reads the table's hit count.
+that score, row by row, for the CLI, ``classify``, ``score_rulebase`` and
+``_DofTable``.
+
+Scoring and induction take labeled samples as a ``_LabeledBatch``, a
+batch and its labels.  ``_labeled_batch`` builds one from ``(vectors,
+class)`` pairs at the entry of ``score_rulebase`` and ``search_rules``;
+the CLI builds one from value columns, so it never builds a vector.
 
 The mean never calls ``sum()``, which compensates float rounding from
 Python 3.12 on, so its last bit would depend on the version.  Adding left
@@ -170,6 +175,24 @@ def _vector_batch(vectors: Iterable[Mapping[str, MembershipVector]]) -> _Batch:
                     entry[0].append(s)
                     entry[1].append(degree)
     return _Batch(s + 1, index, ladder_sets)
+
+
+class _LabeledBatch(NamedTuple):
+    """Labeled samples: their batch and each sample's label, in sample order."""
+
+    batch: _Batch
+    labels: Sequence[str]
+
+
+def _labeled_batch(
+    labeled: "Sequence[tuple[Mapping[str, MembershipVector], str]] | _LabeledBatch",
+) -> _LabeledBatch:
+    """``(vectors, class)`` pairs as one ``_LabeledBatch``; a ``_LabeledBatch`` as it is."""
+    if isinstance(labeled, _LabeledBatch):
+        return labeled
+    return _LabeledBatch(
+        _vector_batch(memberships for memberships, _ in labeled), [cls for _, cls in labeled]
+    )
 
 
 def _column_batch(
@@ -358,9 +381,12 @@ def score_rulebase(
     agg: Aggregator = Aggregator.MEAN,
 ) -> float:
     """Fraction of labeled samples whose classify winner matches the label."""
-    if not labeled:
+    batch, labels = _labeled_batch(labeled)
+    if not labels:
         raise EvaluationError("no labeled samples to score")
-    return _DofTable(rb, labeled, agg).hits / len(labeled)
+    classes, _, _, by_class = _evaluate(rb, batch, agg)
+    winners, _ = _rank(classes, by_class)
+    return sum(map(operator.eq, winners, labels)) / len(labels)
 
 
 class InductionResult(NamedTuple):
@@ -430,21 +456,16 @@ class _DofTable:
     from the old rule's.
     """
 
-    def __init__(
-        self,
-        rb: RuleBase,
-        labeled: Sequence[tuple[Mapping[str, MembershipVector], str]],
-        agg: Aggregator,
-    ):
-        self.batch, self.agg = _vector_batch(memberships for memberships, _ in labeled), agg
+    def __init__(self, rb: RuleBase, labeled: _LabeledBatch, agg: Aggregator):
+        self.batch, self.agg = labeled.batch, agg
         classes, self.matches, self.dofs, by_class = _evaluate(rb, self.batch, agg)
         position = {cls: i for i, cls in enumerate(classes)}
-        self.truth = [position.get(cls) for _, cls in labeled]
+        self.truth = [position.get(cls) for cls in labeled.labels]
         self.rules = list(rb.rules)
         self.owner = [position[rule.consequent] for rule in rb.rules]
         self.rows = [list(row) for row in zip(*by_class)]
         winners, _ = _rank(classes, by_class)
-        self.hit = [winner == cls for winner, (_, cls) in zip(winners, labeled)]
+        self.hit = list(map(operator.eq, winners, labeled.labels))
         self.hits = sum(self.hit)
 
     def offer(self, ri: int, rule: Rule) -> bool:
@@ -500,8 +521,10 @@ def search_rules(
     best system seen is returned together with the best-so-far score after
     every iteration; the whole run is reproducible from ``seed``.
 
-    The current system is a ``_DofTable``, with every rule's DOF on every
-    sample and each sample's hit, and each toggle is offered to it: ``offer``
+    ``labeled`` is converted to a ``_LabeledBatch`` once, for the initial
+    ``score_rulebase`` call and the search's table.  The current system is
+    a ``_DofTable``, with every rule's DOF on every sample and each
+    sample's hit, and each toggle is offered to it: ``offer``
     builds the toggled rule's DOF column and re-ranks only the samples where
     it changed.  A ``RuleBase`` is built only when the best score rises.
     The result is identical to re-scoring every proposal with
@@ -529,12 +552,13 @@ def search_rules(
         raise EvaluationError("variables must not be empty")
     if classes is not None and not classes:
         raise EvaluationError("classes must not be empty")
-    if not labeled:
+    labeled = _labeled_batch(labeled)
+    if not labeled.labels:
         raise EvaluationError("no labeled samples")
 
-    present = {cls for _, cls in labeled}
+    present = set(labeled.labels)
     if classes is None:
-        classes = list(dict.fromkeys(cls for _, cls in labeled))
+        classes = list(dict.fromkeys(labeled.labels))
     else:
         classes = list(classes)
         missing = [cls for cls in classes if cls not in present]
@@ -551,7 +575,7 @@ def search_rules(
     for _ in range(iterations):
         toggle = _mutate(rng, table.rules, variables)
         if toggle is not None and table.offer(*toggle):
-            score = table.hits / len(labeled)
+            score = table.hits / len(labeled.labels)
             if score > best_score:
                 best, best_score = best._replace(rules=tuple(table.rules)), score
         trace.append(best_score)

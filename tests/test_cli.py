@@ -2296,6 +2296,19 @@ class TestInduceGoldenBytes:
         assert code == 0 and err.startswith("training accuracy: ")
         assert hashlib.sha256(out.encode()).hexdigest() == INDUCE_SHA256[mode]
 
+    @pytest.mark.parametrize("mode", list(INDUCE_SHA256), ids=" ".join)
+    def test_fuzzifies_columns_not_vectors(self, mode, corpus, capsys, monkeypatch):
+        # ``induce`` fuzzifies its rows as columns, once, as ``classify``
+        # does: it never builds a membership vector.
+        def refuse(*args, **kwargs):
+            raise AssertionError("induce built a membership vector")
+
+        for target in ("hrb.fuzzify_sample", "hrb.fuzzify", "fuzzy.fuzzify"):
+            monkeypatch.setattr(f"soilfuzz.{target}", refuse)
+        code, out, _ = run([*mode, corpus], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == INDUCE_SHA256[mode]
+
 
 def cli_child(argv, **kwargs):
     """``python -m soilfuzz.cli argv`` run on this package, its output as bytes."""

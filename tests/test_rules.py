@@ -761,6 +761,7 @@ def test_offer_declines_untouched_and_accepts_as_a_fresh_table(
     classes = data.draw(st.permutations(present).map(lambda p: p[: len(p) // 2 + 1]))
     rng = random.Random(seed)
     rb = rules_module._random_rulebase(rng, variables, classes, rules_per_class)
+    labeled = rules_module._labeled_batch(labeled)
     table = rules_module._DofTable(rb, labeled, agg)
     for _ in range(100):
         toggle = rules_module._mutate(rng, table.rules, variables)
@@ -910,7 +911,7 @@ def test_batch_scoring_equals_reference(variables, data, agg, pi_source):
             score_rulebase(rb, labeled, agg)
         return
 
-    batch = rules_module._DofTable(rb, labeled, agg).batch
+    batch = rules_module._DofTable(rb, rules_module._labeled_batch(labeled), agg).batch
     classes, _, columns, by_class = rules_module._evaluate(rb, batch, agg)
     rows = list(zip(*by_class))
     for s, report in enumerate(expected):
@@ -966,6 +967,58 @@ def test_vector_batch_equals_adding_each_sample(variables, data, pi_source):
     assert repr((batch.size, batch.ladders, batch.index)) == repr(
         (expected.size, expected.ladders, expected.index)
     )
+
+
+@st.composite
+def labeled_rows(draw, variables):
+    """Labeled soil samples whose values may also be -0.0."""
+    values = {name: ladder_values(var) | st.just(-0.0) for name, var in variables.items()}
+    rows = []
+    for _ in range(draw(st.integers(1, 25))):
+        sieves = sorted((draw(values[name]) for name in ("p2mm", "p425", "p075")), reverse=True)
+        pi, pl = draw(values["pi"]), draw(values["pi"])
+        sample = SoilSample(*sieves, ll=draw(values["ll"]), pl=pl, pi=pi)
+        rows.append((sample, draw(st.sampled_from(CLASSES[:3]))))
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.data(),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(list(Aggregator)),
+    st.sampled_from(["pi", "pl"]),
+    st.integers(1, 2),
+    st.integers(0, 40),
+)
+def test_search_on_columns_equals_search_on_vectors(
+    variables, data, seed, agg, pi_source, rules_per_class, iterations
+):
+    # The CLI induces from a batch of value columns, whose index keeps the
+    # 0.0 and -0.0 degrees a batch of vectors drops.  A match starts at 0.0
+    # and takes only greater degrees, so neither changes a DOF.
+    rows = data.draw(labeled_rows(variables))
+    labels = [label for _, label in rows]
+    source = {name: pi_source if name == "pi" else name for name in VARIABLE_NAMES}
+    columns = {
+        name: [getattr(sample, field) for sample, _ in rows] for name, field in source.items()
+    }
+    forms = [
+        rules_module._LabeledBatch(rules_module._column_batch(columns, variables), labels),
+        [(fuzzify_sample(sample, pi_source, variables), label) for sample, label in rows],
+    ]
+    results = [
+        search_rules(
+            labeled, variables, rules_per_class=rules_per_class, iterations=iterations,
+            seed=seed, agg=agg,
+        )
+        for labeled in forms
+    ]
+    # ``repr`` also pins the order of each descriptor set and the sign of zero.
+    assert repr(results[0]) == repr(results[1])
+    for rb in (results[0].rulebase, data.draw(random_rulebases(variables))):
+        scores = [score_rulebase(rb, labeled, agg) for labeled in forms]
+        assert repr(scores[0]) == repr(scores[1])
 
 
 @settings(max_examples=200, deadline=None)
@@ -1187,7 +1240,7 @@ class TestMeansAddLeftToRight:
 
     @pytest.mark.parametrize("agg", [Aggregator.MEAN, Aggregator.PRODUCT])
     def test_dof_table_and_proposal(self, memberships, agg):
-        labeled = [(memberships, "X")] * 3
+        labeled = rules_module._labeled_batch([(memberships, "X")] * 3)
         table = rules_module._DofTable(self.rulebase(), labeled, agg)
         assert table.dofs[0] == [self.EXPECTED[agg]] * 3
         # Start X at p075 IS {A}, whose match is 0.9, and offer {B}: X still
