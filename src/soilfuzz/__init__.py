@@ -15,8 +15,8 @@ _HOMES = {
     ),
     "fuzzy": ("Aggregator", "LinguisticVariable", "MembershipVector", "fuzzify", "make_partition"),
     "rules": (
-        "ClassificationReport", "InductionResult", "Rule", "RuleBase", "classify", "rule_dof",
-        "score_rulebase", "search_rules",
+        "ClassificationReport", "InductionResult", "Rule", "RuleBase", "Scores", "classify",
+        "classify_many", "rule_dof", "score_rulebase", "search_rules",
     ),
     "dsl": ("Diagnostic", "RuleParseError", "parse_rules", "serialize"),
     "hrb": (

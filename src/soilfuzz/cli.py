@@ -405,7 +405,7 @@ def cmd_classify(args) -> int:
         winners = list(map(hrb.crisp_classify, _samples(table)))
         scored = None
     else:
-        from .rules import _column_batch, _evaluate, _rank
+        from .rules import classify_many
 
         name, rb = _load_rulebase(args, variables)
         header = {
@@ -415,12 +415,10 @@ def cmd_classify(args) -> int:
             "pi_source": args.pi_source,
         }
         table, values = _property_columns(args, rows, table, problems, variables)
-        batch = _column_batch(values, variables)
-        classes, matches, columns, by_class = _evaluate(rb, batch, Aggregator(args.agg))
-        # Free the index, the match and the DOF columns before the output is built.
-        del values, batch, matches, columns
-        winners, tied = _rank(classes, by_class)
-        scored = classes, by_class, tied
+        scores = classify_many(rb, values, variables, Aggregator(args.agg))
+        winners, scored = scores.winners, (scores.classes, scores.by_class, scores.tied)
+        # Free the values and the DOF columns before the output is built.
+        del values, scores
 
     # The limits of each A-7 subgroup's rows; a fuzzy A-7 is split here.
     a7, ll, pi = {}, table["ll"], table["pi"]
@@ -479,7 +477,7 @@ def _classify_csv(ids, winners, a7, scored):
     """The CSV rows of the results as text: the column names, then one row each.
 
     ``scored`` is None for a crisp run, and otherwise the classes, their
-    score columns and the tied samples' top classes (see ``_rank``).
+    score columns and the tied samples' top classes (see ``rules.Scores``).
     """
     n, ratings = len(ids), hrb.SUBGRADE_RATINGS
     labels = {w: f"{_csv_cell(w)},{_csv_cell(ratings.get(w, ''))}" for w in set(winners)}

@@ -20,17 +20,17 @@ as rules read off one decision tree do, share its match column.
 adds them left to right, in antecedent order, then divides by their
 count; the product multiplies them left to right; the minimum takes each
 sample's least.  ``_evaluate`` scores a rule base with them, and a
-class's score column takes the first maximum of its rules' columns.  The
-CLI scores all its samples as one batch of columns; ``classify`` and
-``rule_dof`` score a batch of one vector sample.  An induction toggle
-changes one antecedent of one rule, so ``_DofTable.offer`` builds that
-antecedent's match column on the whole training batch and combines it
-with the rule's other columns, which the table keeps.
+class's score column takes the first maximum of its rules' columns.
+``classify_many``, the CLI's scorer, scores a batch of value columns;
+``classify`` and ``rule_dof`` a batch of one vector sample.  An induction
+toggle changes one antecedent of one rule, so ``_DofTable.offer`` builds
+that antecedent's match column on the whole training batch and combines
+it with the rule's other columns, which the table keeps.
 
-``_rank`` is the one batch ranker.  It picks each sample's winner, the
-first class in class order with the top score, and the classes tied at
-that score, row by row, for the CLI, ``classify``, ``score_rulebase`` and
-``_DofTable``.
+``_rank``, the one batch ranker, runs only inside ``_evaluate``.  It picks
+each sample's winner, the first class in class order with the top score,
+and the classes tied at that score, row by row, into the ``Scores`` that
+``_evaluate`` returns and every caller reads.
 
 Scoring and induction take labeled samples as a ``_LabeledBatch``, a
 batch and its labels.  ``_labeled_batch`` builds one from ``(vectors,
@@ -132,6 +132,33 @@ class ClassificationReport(NamedTuple):
     per_rule: dict[str, float]
 
 
+class Scores(NamedTuple):
+    """A rule base's score columns on a batch of samples, and each sample's ranking.
+
+    ``by_class`` holds each class's score column, in class order, and ``per_rule`` each
+    rule's DOF column; ``winners`` each sample's first class at the top score, and
+    ``tied`` the classes at the top score of each sample where several are.
+    """
+
+    classes: tuple[str, ...]
+    by_class: list[list[float]]
+    per_rule: list[list[float]]
+    winners: list[str]
+    tied: dict[int, list[str]]
+
+    def report(self, rb: RuleBase, s: int) -> ClassificationReport:
+        """Sample ``s``'s scores as ``classify`` reports them; ``rb`` is the rule base scored."""
+        scores = {cls: column[s] for cls, column in zip(self.classes, self.by_class)}
+        tied = tuple(self.tied.get(s, self.winners[s:s + 1]))
+        return ClassificationReport(
+            scores=scores,
+            # A stable sort keeps equal scores in class order.
+            ranking=tuple(sorted(scores, key=scores.__getitem__, reverse=True)),
+            winner=self.winners[s], tie=len(tied) > 1, tied=tied,
+            per_rule={rule.id: column[s] for rule, column in zip(rb.rules, self.per_rule)},
+        )
+
+
 # Variable name -> its descriptor labels.
 Ladders = Mapping[str, tuple[str, ...]]
 
@@ -201,12 +228,10 @@ def _column_batch(
     """The batch of samples given as one column of values per variable.
 
     Each column is fuzzified whole with ``fuzzy.active_columns``, so every
-    value must lie in its variable's domain.  The samples share one ladder
-    set, and every variable's index shares one list of sample ints.
+    value must lie in its variable's domain.  The samples, even none, share
+    one ladder set, and every variable's index shares one list of sample ints.
     """
     size = len(next(iter(columns.values()), ()))
-    if not size:
-        return _Batch(0, {}, [])
     positions = list(range(size))
     return _Batch(
         size,
@@ -294,14 +319,13 @@ def _dof_column(matches: list[list[float]], agg: Aggregator) -> list[float]:
 
 def _evaluate(
     rb: RuleBase, batch: _Batch, agg: Aggregator
-) -> tuple[tuple[str, ...], list[list[list[float]]], list[list[float]], list[list[float]]]:
-    """Check ``rb`` against the batch's ladders, then score it on every sample.
+) -> tuple[list[list[list[float]]], Scores]:
+    """Check ``rb`` against the batch's ladders, then score and rank it on every sample.
 
-    Returns the class order, each rule's match columns (see
-    ``_rule_matches``), each rule's DOF column, and each class's score
-    column in that order.  A class scores the first maximum of 0 and its
-    rules' DOFs, as a loop that replaces the score only by a greater DOF
-    would.  A DOF is never below +0.0 (a match starts at 0.0 and only
+    Returns each rule's match columns (see ``_rule_matches``) and the
+    ``Scores``, ranked by ``_rank``.  A class scores the first maximum of 0
+    and its rules' DOFs, as a loop that replaces the score only by a greater
+    DOF would.  A DOF is never below +0.0 (a match starts at 0.0 and only
     grows), so that is its rules' first maximum, and a class with one rule
     scores that rule's column itself.
     """
@@ -317,7 +341,7 @@ def _evaluate(
         cols[0] if len(cols) == 1 else list(map(max, *cols)) if cols else [0.0] * n
         for cols in owned.values()
     ]
-    return rb.class_order, matches, columns, by_class
+    return matches, Scores(rb.class_order, by_class, columns, *_rank(rb.class_order, by_class))
 
 
 def _rank(classes, by_class) -> tuple[list[str], dict[int, list[str]]]:
@@ -355,24 +379,22 @@ def classify(
 ) -> ClassificationReport:
     """Score every class of ``rb`` against a fuzzified sample.
 
-    A class scores the maximum DOF over its rules.  The ranking sorts by
-    score descending and breaks ties by class order, so the report is fully
-    deterministic for identical inputs.  The winner and the tied classes are
-    ``_rank``'s.
+    A class scores the maximum DOF over its rules.  ``Scores.report`` ranks by
+    score descending and breaks ties by class order: the report is deterministic.
     """
-    classes, _, columns, by_class = _evaluate(rb, _vector_batch((memberships,)), agg)
-    (winner,), tied = _rank(classes, by_class)
-    tied = tuple(tied.get(0, (winner,)))
-    scores = {cls: column[0] for cls, column in zip(classes, by_class)}
-    return ClassificationReport(
-        scores=scores,
-        # A stable sort keeps equal scores in class order.
-        ranking=tuple(sorted(scores, key=scores.__getitem__, reverse=True)),
-        winner=winner,
-        tie=len(tied) > 1,
-        tied=tied,
-        per_rule={rule.id: column[0] for rule, column in zip(rb.rules, columns)},
-    )
+    return _evaluate(rb, _vector_batch((memberships,)), agg)[1].report(rb, 0)
+
+
+def classify_many(
+    rb: RuleBase, columns: Mapping[str, Sequence[float]],
+    variables: Mapping[str, LinguisticVariable], agg: Aggregator = Aggregator.MEAN,
+) -> Scores:
+    """``rb``'s scores on samples given as one column of values per variable of ``variables``.
+
+    ``Scores.report(rb, s)`` is ``classify`` on sample ``s``'s ``fuzzify`` vectors.  The
+    values must lie in their domains and not be NaN: unlike ``fuzzify``, this does not check.
+    """
+    return _evaluate(rb, _column_batch(columns, variables), agg)[1]
 
 
 def score_rulebase(
@@ -384,8 +406,7 @@ def score_rulebase(
     batch, labels = _labeled_batch(labeled)
     if not labels:
         raise EvaluationError("no labeled samples to score")
-    classes, _, _, by_class = _evaluate(rb, batch, agg)
-    winners, _ = _rank(classes, by_class)
+    winners = _evaluate(rb, batch, agg)[1].winners
     return sum(map(operator.eq, winners, labels)) / len(labels)
 
 
@@ -444,11 +465,11 @@ def _mutate(
 class _DofTable:
     """A rule system's DOFs, class scores and hits on its labeled samples; the search's state.
 
-    The table is scored once by ``_evaluate`` and ranked once by ``_rank``,
-    whose winners give each sample's hit flag.  It keeps the batch's
-    ``(variable, label)`` index, each rule's match columns in antecedent
-    order and each sample's row of class scores, and checks an offered
-    rule once against every distinct ladder set among the samples.
+    The table is scored and ranked once by ``_evaluate``, whose winners give
+    each sample's hit flag.  It keeps the batch's ``(variable, label)``
+    index, each rule's match columns in antecedent order and each sample's
+    row of class scores, and checks an offered rule once against every
+    distinct ladder set among the samples.
 
     ``offer`` builds a match column only for an antecedent the old rule
     lacks, reusing the old rule's other columns, combines them with
@@ -458,14 +479,14 @@ class _DofTable:
 
     def __init__(self, rb: RuleBase, labeled: _LabeledBatch, agg: Aggregator):
         self.batch, self.agg = labeled.batch, agg
-        classes, self.matches, self.dofs, by_class = _evaluate(rb, self.batch, agg)
-        position = {cls: i for i, cls in enumerate(classes)}
+        self.matches, scores = _evaluate(rb, self.batch, agg)
+        self.dofs = scores.per_rule
+        position = {cls: i for i, cls in enumerate(scores.classes)}
         self.truth = [position.get(cls) for cls in labeled.labels]
         self.rules = list(rb.rules)
         self.owner = [position[rule.consequent] for rule in rb.rules]
-        self.rows = [list(row) for row in zip(*by_class)]
-        winners, _ = _rank(classes, by_class)
-        self.hit = list(map(operator.eq, winners, labeled.labels))
+        self.rows = [list(row) for row in zip(*scores.by_class)]
+        self.hit = list(map(operator.eq, scores.winners, labeled.labels))
         self.hits = sum(self.hit)
 
     def offer(self, ri: int, rule: Rule) -> bool:

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import errno
@@ -1377,8 +1378,12 @@ def test_fuzzy_batch_equals_rows_added_one_by_one(variables, data, pi_source):
         [row_id for row_id, _ in kept], [sample for _, sample in kept], [None] * len(kept)
     )
     expected = batch_added_one_by_one(added)
+    if not added:
+        # A batch of no rows holds one empty entry per variable, and still its
+        # one ladder set, which rules are checked against.
+        expected = expected._replace(index={name: {} for name in columns})
     assert (batch.size, batch.ladders, batch.index) == (
-        expected.size, expected.ladders, expected.index
+        expected.size, [ladders], expected.index
     )
 
     def signed(index):
@@ -1900,6 +1905,22 @@ assert callable(sf.cli.search_rules)
 print("ok")
 """
     assert child_run(script) == ["ok"]
+
+
+def test_cli_imports_no_private_rule_engine_names():
+    # ``classify`` scores through the public ``classify_many``.  ``induce``
+    # still hands ``search_rules`` a private labeled batch of value columns.
+    rule_imports = set()
+    for function in ast.parse(Path(cli.__file__).read_text(encoding="utf-8")).body:
+        for node in ast.walk(function):
+            if isinstance(node, ast.ImportFrom) and node.module in ("rules", "soilfuzz.rules"):
+                name = getattr(function, "name", None)
+                rule_imports |= {(name, alias.name) for alias in node.names}
+    private = {(name, imported) for name, imported in rule_imports if imported.startswith("_")}
+    assert private <= {("cmd_induce", "_column_batch"), ("cmd_induce", "_LabeledBatch")}
+    assert {imported for name, imported in rule_imports if name == "cmd_classify"} == {
+        "classify_many"
+    }
 
 
 # Shapes the golden corpus lacks: no data rows at all (empty JSON lists), an

@@ -23,6 +23,7 @@ from soilfuzz import (
     a7_split,
     classify,
     classify_hrb,
+    classify_many,
     crisp_classify,
     fuzzify,
     fuzzify_sample,
@@ -911,16 +912,19 @@ def test_batch_scoring_equals_reference(variables, data, agg, pi_source):
             score_rulebase(rb, labeled, agg)
         return
 
-    batch = rules_module._DofTable(rb, rules_module._labeled_batch(labeled), agg).batch
-    classes, _, columns, by_class = rules_module._evaluate(rb, batch, agg)
-    rows = list(zip(*by_class))
+    _, scored = rules_module._evaluate(rb, rules_module._vector_batch(samples), agg)
+    assert scored.classes == rb.class_order
+    rows = list(zip(*scored.by_class))
     for s, report in enumerate(expected):
-        scores = dict(zip(classes, rows[s]))
-        per_rule = {rule.id: column[s] for rule, column in zip(rb.rules, columns)}
+        scores = dict(zip(scored.classes, rows[s]))
+        per_rule = {rule.id: column[s] for rule, column in zip(rb.rules, scored.per_rule)}
         # ``repr`` also pins the order of the dicts and the sign of zero.
         assert repr((scores, per_rule)) == repr((report.scores, report.per_rule))
         top = max(rows[s])
-        assert tuple(c for c, score in zip(classes, rows[s]) if score == top) == report.tied
+        assert tuple(c for c, score in zip(scored.classes, rows[s]) if score == top) == report.tied
+        assert scored.winners[s] == report.winner
+        assert tuple(scored.tied.get(s, (report.winner,))) == report.tied
+        assert repr(scored.report(rb, s)) == repr(report)
     assert score_rulebase(rb, labeled, agg) == reference_score_rulebase(rb, labeled, agg)
 
 
@@ -970,16 +974,61 @@ def test_vector_batch_equals_adding_each_sample(variables, data, pi_source):
 
 
 @st.composite
+def signed_soil_samples(draw, variables):
+    """Soil samples as ``soil_samples`` draws them, whose values may also be -0.0."""
+    values = {name: ladder_values(var) | st.just(-0.0) for name, var in variables.items()}
+    sieves = sorted((draw(values[name]) for name in ("p2mm", "p425", "p075")), reverse=True)
+    pi, pl = draw(values["pi"]), draw(values["pi"])
+    return SoilSample(*sieves, ll=draw(values["ll"]), pl=pl, pi=pi)
+
+
+@st.composite
 def labeled_rows(draw, variables):
     """Labeled soil samples whose values may also be -0.0."""
-    values = {name: ladder_values(var) | st.just(-0.0) for name, var in variables.items()}
-    rows = []
-    for _ in range(draw(st.integers(1, 25))):
-        sieves = sorted((draw(values[name]) for name in ("p2mm", "p425", "p075")), reverse=True)
-        pi, pl = draw(values["pi"]), draw(values["pi"])
-        sample = SoilSample(*sieves, ll=draw(values["ll"]), pl=pl, pi=pi)
-        rows.append((sample, draw(st.sampled_from(CLASSES[:3]))))
-    return rows
+    return [
+        (draw(signed_soil_samples(variables)), draw(st.sampled_from(CLASSES[:3])))
+        for _ in range(draw(st.integers(1, 25)))
+    ]
+
+
+def value_columns(samples, pi_source="pi", names=VARIABLE_NAMES):
+    """The value columns of ``samples`` for ``names``; under ``pl`` the ``pi`` one holds ``pl``."""
+    return {
+        name: [getattr(sample, pi_source if name == "pi" else name) for sample in samples]
+        for name in names
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(list(Aggregator)), st.sampled_from(["pi", "pl"]))
+def test_classify_many_equals_classify_row_by_row(
+    variables, paper_preset, calibrated_preset, data, agg, pi_source
+):
+    # Row ``s`` of the batch is ``classify`` on sample ``s``'s vectors.  The
+    # column index keeps the 0.0 and -0.0 degrees at a center that vectors
+    # drop; a match starts at 0.0 and takes only greater degrees, so neither
+    # changes a score.
+    presets = [paper_preset.rulebase, calibrated_preset.rulebase]
+    rb = data.draw(st.sampled_from(presets) | random_rulebases(variables))
+    n = data.draw(st.sampled_from([0, 1]) | st.integers(0, 25))
+    samples = [data.draw(signed_soil_samples(variables)) for _ in range(n)]
+    scored = classify_many(rb, value_columns(samples, pi_source), variables, agg)
+    assert scored.classes == rb.class_order
+    assert [len(column) for column in (*scored.by_class, *scored.per_rule)] == [n] * (
+        len(rb.class_order) + len(rb.rules)
+    )
+    assert len(scored.winners) == n and all(0 <= s < n for s in scored.tied)
+    for s, sample in enumerate(samples):
+        expected = classify(rb, fuzzify_sample(sample, pi_source, variables), agg)
+        scores = {cls: column[s] for cls, column in zip(scored.classes, scored.by_class)}
+        per_rule = {rule.id: column[s] for rule, column in zip(rb.rules, scored.per_rule)}
+        tied = tuple(scored.tied.get(s, (scored.winners[s],)))
+        # ``repr`` also pins the order of the dicts and the sign of zero.
+        assert repr((scores, per_rule, scored.winners[s], tied)) == repr(
+            (expected.scores, expected.per_rule, expected.winner, expected.tied)
+        )
+        assert (s in scored.tied) == expected.tie
+        assert repr(scored.report(rb, s)) == repr(expected)
 
 
 @settings(max_examples=80, deadline=None)
@@ -1064,6 +1113,9 @@ ENTRY_POINTS = {
     "score_rulebase": lambda rb, variables, sample: score_rulebase(
         rb, [(memberships_over(variables, sample), rb.class_order[0])]
     ),
+    "classify_many": lambda rb, variables, sample: classify_many(
+        rb, value_columns([sample], names=[n for n in VARIABLE_NAMES if n in variables]), variables
+    ),
 }
 
 GOOD_RULES = RuleBase(
@@ -1079,6 +1131,24 @@ MISSING_VARIABLE = RuleBase(
     ("C",),
 )
 SAMPLE = SoilSample(100, 80, 40, ll=32, pl=21)
+
+
+@pytest.mark.parametrize(
+    "rb, error, message",
+    [
+        (UNKNOWN_DESCRIPTOR, RuleConfigError, "pi: unknown descriptor NOPE"),
+        (MISSING_VARIABLE, EvaluationError, "rule R1: no membership vector for cbr"),
+    ],
+    ids=["unknown-descriptor", "missing-variable"],
+)
+def test_classify_many_checks_rules_on_zero_rows(variables, rb, error, message):
+    # A batch of no samples still has its one ladder set to check rules against.
+    raised = []
+    for n in (0, 1):
+        with pytest.raises(SoilFuzzError) as info:
+            classify_many(rb, value_columns([SAMPLE] * n), variables)
+        raised.append((type(info.value), str(info.value)))
+    assert raised == [(error, message)] * 2
 
 
 class TestCheckedOnce:
