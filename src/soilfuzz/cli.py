@@ -37,8 +37,7 @@ from typing import TYPE_CHECKING
 from . import hrb
 from .errors import FuzzificationError, SampleError, SoilFuzzError
 from .fuzzy import Aggregator, active_descriptors
-# ``fmt_degree`` is unused here, but bench/tracing.py wraps it by this name.
-from .render import degree_text, fmt_degree, fmt_score, round4  # noqa: F401
+from .render import fmt_degree, fmt_score, round4
 
 if TYPE_CHECKING:
     from .rules import RuleBase
@@ -353,7 +352,10 @@ def _csv_text(lines) -> str:
     return "\n".join(chain(lines, ("",)))
 
 
-_float_repr = float.__repr__
+def _json_number(x: float) -> str:
+    """``repr(round4(x))`` for ``x`` in [0, 1] or -0.0: ``fmt_score(x)`` trimmed to one decimal."""
+    text = fmt_score(x)
+    return text[:-3] + text[-3:].rstrip("0")
 
 
 def _json_head(head: dict, key: str, indent: str) -> str:
@@ -493,7 +495,7 @@ def _classify_csv(ids, winners, a7, scored):
         columns += [ties, *[map(text.__getitem__, column) for column in by_class]]
     limits = [","] * n
     for i, (ll, pi) in a7.items():
-        limits[i] = f"{degree_text(round4(ll))},{degree_text(round4(pi))}"
+        limits[i] = f"{fmt_degree(ll)},{fmt_degree(pi)}"
     header = ",".join(map(_csv_cell, [*header, "a7_ll", "a7_pi"]))
     return chain((header,), map(",".join, zip(*columns, limits)))
 
@@ -502,8 +504,9 @@ def _classify_json(ids, winners, a7, scored):
     """The ``results`` array of the results as JSON text, in pieces (see ``_classify_csv``).
 
     Each row object is laid out where it sits in the document: 4 spaces
-    in, its members 6 and theirs 8.  Each distinct score is rounded once
-    and written by ``float.__repr__``, as ``json.dumps`` writes a float.
+    in, its members 6 and theirs 8.  Each distinct score is written once,
+    by ``_json_number``; an A-7 limit, which a crisp run does not bound,
+    as ``json.dumps`` writes its ``round4``.
     """
     # Only JSON output imports the encoder's string escaper.
     from json.encoder import encode_basestring_ascii as encode
@@ -520,7 +523,7 @@ def _classify_json(ids, winners, a7, scored):
         for i, names in tied.items():
             items = ",".join([f"\n        {encode(name)}" for name in names])
             ties[i] = f',\n      "tie": true,\n      "tied": [{items}\n      ]'
-        text = _ScoreTexts(lambda score: _float_repr(round4(score)))
+        text = _ScoreTexts(_json_number)
         keys = [f",\n        {encode(cls)}: " for cls in classes]
         keys[0] = ',\n      "scores": {' + keys[0][1:]
         members.append(ties)
@@ -530,8 +533,8 @@ def _classify_json(ids, winners, a7, scored):
     limits = [',\n      "a7": null'] * n
     for i, (ll, pi) in a7.items():
         limits[i] = (
-            f',\n      "a7": {{\n        "ll": {_float_repr(round4(ll))},'
-            f'\n        "pi": {_float_repr(round4(pi))}\n      }}'
+            f',\n      "a7": {{\n        "ll": {round4(ll)!r},'
+            f'\n        "pi": {round4(pi)!r}\n      }}'
         )
     return _json_objects("    ", n, *members, limits)
 
@@ -543,8 +546,8 @@ class _Degrees(dict):
     out where it sits in the document; without, its CSV cells, joined.
     The text is a layout cut around the numbers of the value's two active
     labels, keyed by the upper label (``head + number(lower) + mid +
-    number(upper) + tail``), with ``active_descriptors``' degrees rounded
-    by ``round4``, or the all-zero layout where no label is active.
+    number(upper) + tail``), with ``active_descriptors``' degrees rendered
+    by ``_json_number`` or ``fmt_degree``, or the all-zero layout.
     ``_property_columns`` has checked every value against its domain.
     Zero is never a key: 0.0 == -0.0, but a -0.0 value has a -0.0 degree,
     which prints as such.
@@ -554,12 +557,12 @@ class _Degrees(dict):
         # A value's text, cut around the numbers of its k labels, and
         # ``fill``, which joins pieces with an inactive label's number.
         if encode is None:
-            cut, fill, self.number = ["", *[","] * (len(var.labels) - 1), ""], "0".join, degree_text
+            cut, fill, self.number = ["", *[","] * (len(var.labels) - 1), ""], "0".join, fmt_degree
         else:
             # The object's members are 12 spaces in, its closing brace 10.
             members = "\0,".join(f"\n            {encode(label)}: " for label in var.labels)
             cut = ("{" + members + "\0\n          }").split("\0")
-            fill, self.number = "0.0".join, _float_repr
+            fill, self.number = "0.0".join, _json_number
         self.var, self.zero = var, fill(cut)
         self.layouts = {
             upper: (fill(cut[:j]), cut[j], fill(cut[j + 1:]))
@@ -572,7 +575,7 @@ class _Degrees(dict):
         if active:
             (_, falling), (upper, rising) = active
             head, mid, tail = self.layouts[upper]
-            text = head + self.number(round4(falling)) + mid + self.number(round4(rising)) + tail
+            text = head + self.number(falling) + mid + self.number(rising) + tail
         if x:
             self[x] = text
         return text

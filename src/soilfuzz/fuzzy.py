@@ -11,9 +11,9 @@ not belong to the top descriptor at all.
 against the domain and returns only the active descriptors, as at most two
 ``(label, degree)`` pairs.  :func:`fuzzify` spreads them over the whole
 ladder as a :class:`MembershipVector`, the reporting view.
-:func:`active_columns` is its batch form over a column of values already
-checked against the domain: the same degrees, by the same formulas,
-indexed by label as the rule evaluator's batches hold them.
+:func:`active_columns` is its batch form over a column of values: the
+same degrees and domain check, by the same formulas, indexed by label as
+the rule evaluator's batches hold them.
 
 This module alone holds the segment rule: which two labels are active at
 a value, their degrees, and that none is active past the end centers.
@@ -156,10 +156,11 @@ def active_columns(
     of ``active_descriptors``, so the degrees are its floats.
     ``positions``, if given, must equal ``range(len(values))``: its ints are
     the ones the result holds, so columns of one batch can share them.
-    Every value must lie in the variable's domain, and none may be NaN:
-    unlike ``active_descriptors``, this function does not check.
+    Only values outside the end centers' span, NaN included, are checked
+    against the domain: the first outside it raises ``active_descriptors``'
+    ``FuzzificationError``.
     """
-    labels, c = var.labels, var.centers
+    name, labels, c, lo, hi = var
     if positions is None:
         positions = range(len(values))
     columns = [([], []) for _ in labels]
@@ -175,6 +176,8 @@ def active_columns(
             at, degrees = columns[j]
             at.append(p)
             degrees.append((x - left) / w)
+        elif not lo <= x <= hi:
+            raise FuzzificationError(f"{name}: value {float(x)} outside domain [{lo}, {hi}]")
     return {label: column for label, column in zip(labels, columns) if column[0]}
 
 

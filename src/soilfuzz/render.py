@@ -14,6 +14,9 @@ only disagree when ``x`` is that close to a 5-decimal half point.  For
 values always take the ``Decimal`` route, since near 1e7 an ulp passes 1e-9
 and the guard would miss ties; from 2**52 up every float is a whole number
 and is returned as it is, as are NaN and the infinities.
+
+Every degree and score the CLI prints is :func:`fmt_score`'s text, whole,
+trimmed by :func:`fmt_degree`, or trimmed to one decimal for JSON.
 """
 
 _FAST_BOUND = 1e6
@@ -46,14 +49,8 @@ def fmt_score(x: float) -> str:
 
 
 def fmt_degree(x: float) -> str:
-    """Table-cell rendering: 4 decimals with trailing zeros trimmed.
+    """Table-cell rendering: :func:`fmt_score`'s text with trailing zeros and a bare point trimmed.
 
     Gives "0", "1", "0.96", "0.2667" rather than "0.0000"-style cells.
     """
-    return degree_text(round4(x))
-
-
-def degree_text(r: float) -> str:
-    """:func:`fmt_degree` of a value that :func:`round4` has already rounded."""
-    text = f"{r:.4f}".rstrip("0").rstrip(".")
-    return text or "0"
+    return fmt_score(x).rstrip("0").rstrip(".")

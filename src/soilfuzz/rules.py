@@ -227,11 +227,17 @@ def _column_batch(
 ) -> _Batch:
     """The batch of samples given as one column of values per variable.
 
-    Each column is fuzzified whole with ``fuzzy.active_columns``, so every
-    value must lie in its variable's domain.  The samples, even none, share
-    one ladder set, and every variable's index shares one list of sample ints.
+    Each column is checked for a ladder in ``variables`` and the first
+    column's length, then fuzzified whole with ``fuzzy.active_columns``.
+    The samples, even none, share one ladder set, and every variable's
+    index shares one list of sample ints.
     """
     size = len(next(iter(columns.values()), ()))
+    for name, col in columns.items():
+        if name not in variables:
+            raise EvaluationError(f"column {name}: no ladder in variables")
+        if len(col) != size:
+            raise EvaluationError(f"column {name}: length {len(col)}, not {size}")
     positions = list(range(size))
     return _Batch(
         size,
@@ -391,8 +397,12 @@ def classify_many(
 ) -> Scores:
     """``rb``'s scores on samples given as one column of values per variable of ``variables``.
 
-    ``Scores.report(rb, s)`` is ``classify`` on sample ``s``'s ``fuzzify`` vectors.  The
-    values must lie in their domains and not be NaN: unlike ``fuzzify``, this does not check.
+    ``Scores.report(rb, s)`` is ``classify`` on sample ``s``'s ``fuzzify`` vectors.
+
+    Raises:
+        FuzzificationError: as ``fuzzify``, in the first column with a value outside its
+            domain or NaN.
+        EvaluationError: naming a column with no ladder, or of another length than the first.
     """
     return _evaluate(rb, _column_batch(columns, variables), agg)[1]
 

@@ -1615,7 +1615,7 @@ def test_csv_and_json_agree(csv_paths, samples, mode):
             assert list(record["scores"]) == header[5:-2]
             assert row[5:-2] == [f"{score:.4f}" for score in record["scores"].values()]
         a7 = record["a7"]
-        limits = ["", ""] if a7 is None else [sf.render.degree_text(a7[k]) for k in ("ll", "pi")]
+        limits = ["", ""] if a7 is None else [sf.render.fmt_degree(a7[k]) for k in ("ll", "pi")]
         assert row[-2:] == limits
 
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from soilfuzz import cli, fuzzify, load_variables, make_partition
-from soilfuzz.render import degree_text, fmt_degree, fmt_score, round4
+from soilfuzz.render import fmt_degree, fmt_score, round4
 
 
 def reference_round4(x: float) -> float:
@@ -102,7 +102,7 @@ class TestRound4:
 
     def test_fmt_degree_trims_zeros(self):
         assert [fmt_degree(x) for x in (0.0, 1.0, 0.96, 0.26666)] == ["0", "1", "0.96", "0.2667"]
-        assert degree_text(round4(0.00005)) == "0.0001"
+        assert fmt_degree(0.00005) == "0.0001"
 
 
 def reference_fmt_score(x: float) -> str:
@@ -148,6 +148,24 @@ class TestFmtScore:
             x for x in half_point_neighbourhoods(0, 1) if fmt_score(x) != reference_fmt_score(x)
         ]
         assert mismatches == []
+
+
+def reference_fmt_degree(x: float) -> str:
+    """The text :func:`fmt_degree` must equal: the trimmed text of :func:`round4`'s result."""
+    text = f"{round4(x):.4f}".rstrip("0").rstrip(".")
+    return text or "0"
+
+
+class TestFmtDegree:
+    @settings(max_examples=3000)
+    @given(SCORES | st.floats(2.0**52, 1e300) | st.floats(-1e300, -(2.0**52)))
+    @example(0.00005)
+    @example(-0.00004)
+    @example(0.03125)
+    @example(9593418.50545)
+    @example(2.0**52 + 1)
+    def test_equals_the_trimmed_rounded_text(self, x):
+        assert fmt_degree(x) == reference_fmt_degree(x)
 
 
 FLOATS = st.floats() | st.sampled_from(
@@ -313,7 +331,20 @@ class TestSegmentRenderer:
             # object sits 10 spaces in, as a row's member.
             want = json.dumps(degrees, indent=2).replace("\n", "\n" + " " * 10)
             assert json_degrees[x] == want, x
-            assert csv_cells[x] == ",".join(map(degree_text, degrees.values())), x
+            assert csv_cells[x] == ",".join(map(fmt_degree, degrees.values())), x
+
+    def test_every_half_point_on_a_unit_ladder(self):
+        # On centers 0 and 1 the upper label's degree at x is x itself.
+        var = make_partition("x", ["L", "H"], [0.0, 1.0], (0.0, 1.0))
+        json_degrees, csv_cells = cli._Degrees(var, encode_basestring_ascii), cli._Degrees(var)
+        mismatches = []
+        for x in half_point_neighbourhoods(0, 1):
+            degrees = reference_degrees(var, x)
+            want = json.dumps(degrees, indent=2).replace("\n", "\n" + " " * 10)
+            cells = ",".join(map(fmt_degree, degrees.values()))
+            if json_degrees[x] != want or csv_cells[x] != cells:
+                mismatches.append(x)
+        assert mismatches == []
 
     @pytest.mark.parametrize("name", ["p2mm", "pi"])
     def test_holes_and_signed_zeros(self, name):

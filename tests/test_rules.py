@@ -13,6 +13,7 @@ from soilfuzz import (
     Aggregator,
     ClassificationReport,
     EvaluationError,
+    FuzzificationError,
     HrbResult,
     MembershipVector,
     Rule,
@@ -1149,6 +1150,58 @@ def test_classify_many_checks_rules_on_zero_rows(variables, rb, error, message):
             classify_many(rb, value_columns([SAMPLE] * n), variables)
         raised.append((type(info.value), str(info.value)))
     assert raised == [(error, message)] * 2
+
+
+def raised_by(call):
+    """The type and message of the error ``call()`` raises."""
+    with pytest.raises(SoilFuzzError) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+def test_classify_many_checks_the_first_bad_value(variables, paper_preset):
+    columns = {**value_columns([SAMPLE]), "ll": [150.0], "pi": [math.nan]}
+    raised = raised_by(lambda: classify_many(paper_preset.rulebase, columns, variables))
+    assert raised == raised_by(
+        lambda: fuzzify_sample(SAMPLE._replace(ll=150.0), variables=variables)
+    )
+    assert raised == (FuzzificationError, "ll: value 150.0 outside domain [0.0, 100.0]")
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("p2mm", -0.5),
+        ("p075", 100.25),
+        ("ll", 1e6),
+        ("pi", math.nan),
+        ("pi", -math.inf),
+        ("pi", math.inf),
+    ],
+)
+def test_classify_many_checks_domains_as_fuzzify(variables, paper_preset, name, value):
+    # The bad value sits in the middle row, among values past pi's last center.
+    columns = value_columns([SAMPLE._replace(pi=85.0)] * 3)
+    columns[name][1] = value
+    raised = raised_by(lambda: classify_many(paper_preset.rulebase, columns, variables))
+    assert raised == raised_by(lambda: fuzzify(variables[name], value))
+    assert raised[0] is FuzzificationError
+
+
+@pytest.mark.parametrize(
+    "columns, ladders, message",
+    [
+        ({"ll": [32.0]}, VARIABLE_NAMES, "column ll: length 1, not 2"),
+        ({"xx": [1.0, 2.0]}, VARIABLE_NAMES, "column xx: no ladder in variables"),
+        ({}, ("p2mm", "p425", "p075", "ll"), "column pi: no ladder in variables"),
+    ],
+    ids=["short-column", "unknown-column", "missing-ladder"],
+)
+def test_classify_many_checks_its_columns(variables, paper_preset, columns, ladders, message):
+    columns = {**value_columns([SAMPLE] * 2), **columns}
+    variables = {name: variables[name] for name in ladders}
+    raised = raised_by(lambda: classify_many(paper_preset.rulebase, columns, variables))
+    assert raised == (EvaluationError, message)
 
 
 class TestCheckedOnce:
