@@ -353,9 +353,8 @@ def _csv_text(lines) -> str:
 
 
 def _json_number(x: float) -> str:
-    """``repr(round4(x))`` for ``x`` in [0, 1] or -0.0: ``fmt_score(x)`` trimmed to one decimal."""
-    text = fmt_score(x)
-    return text[:-3] + text[-3:].rstrip("0")
+    """A degree, score or limit as ``json.dumps`` writes its ``round4``."""
+    return repr(round4(x))
 
 
 def _json_head(head: dict, key: str, indent: str) -> str:
@@ -505,8 +504,7 @@ def _classify_json(ids, winners, a7, scored):
 
     Each row object is laid out where it sits in the document: 4 spaces
     in, its members 6 and theirs 8.  Each distinct score is written once,
-    by ``_json_number``; an A-7 limit, which a crisp run does not bound,
-    as ``json.dumps`` writes its ``round4``.
+    by ``_json_number``, as are the A-7 limits.
     """
     # Only JSON output imports the encoder's string escaper.
     from json.encoder import encode_basestring_ascii as encode
@@ -533,8 +531,8 @@ def _classify_json(ids, winners, a7, scored):
     limits = [',\n      "a7": null'] * n
     for i, (ll, pi) in a7.items():
         limits[i] = (
-            f',\n      "a7": {{\n        "ll": {round4(ll)!r},'
-            f'\n        "pi": {round4(pi)!r}\n      }}'
+            f',\n      "a7": {{\n        "ll": {_json_number(ll)},'
+            f'\n        "pi": {_json_number(pi)}\n      }}'
         )
     return _json_objects("    ", n, *members, limits)
 

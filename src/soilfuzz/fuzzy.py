@@ -156,11 +156,11 @@ def active_columns(
     of ``active_descriptors``, so the degrees are its floats.
     ``positions``, if given, must equal ``range(len(values))``: its ints are
     the ones the result holds, so columns of one batch can share them.
-    Only values outside the end centers' span, NaN included, are checked
-    against the domain: the first outside it raises ``active_descriptors``'
-    ``FuzzificationError``.
+    Only values outside the end centers' span, NaN included, go through
+    ``active_descriptors``, whose domain check raises its
+    ``FuzzificationError`` for the first outside the domain.
     """
-    name, labels, c, lo, hi = var
+    labels, c = var.labels, var.centers
     if positions is None:
         positions = range(len(values))
     columns = [([], []) for _ in labels]
@@ -176,8 +176,8 @@ def active_columns(
             at, degrees = columns[j]
             at.append(p)
             degrees.append((x - left) / w)
-        elif not lo <= x <= hi:
-            raise FuzzificationError(f"{name}: value {float(x)} outside domain [{lo}, {hi}]")
+        else:
+            active_descriptors(var, x)
     return {label: column for label, column in zip(labels, columns) if column[0]}
 
 

@@ -14,9 +14,6 @@ only disagree when ``x`` is that close to a 5-decimal half point.  For
 values always take the ``Decimal`` route, since near 1e7 an ulp passes 1e-9
 and the guard would miss ties; from 2**52 up every float is a whole number
 and is returned as it is, as are NaN and the infinities.
-
-Every degree and score the CLI prints is :func:`fmt_score`'s text, whole,
-trimmed by :func:`fmt_degree`, or trimmed to one decimal for JSON.
 """
 
 _FAST_BOUND = 1e6
