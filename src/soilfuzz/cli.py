@@ -208,11 +208,6 @@ def _drop(rows: list[int], table: dict, bad) -> tuple[list[int], dict]:
     }
 
 
-def _samples(table: dict):
-    """Each row of ``table`` as a record of ``SoilSample``'s fields, unchecked: the reader checked them."""
-    return map(hrb._SoilSampleFields, *[table[col] for col in FIELDS])
-
-
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8-sig")
@@ -298,7 +293,7 @@ def _variables_file() -> str:
 
 def _property_ladders(variables) -> dict[str, tuple[str, ...]]:
     """The ladders of the HRB properties ``variables`` has; exit 2 if there is none."""
-    ladders = hrb._ladders(variables)
+    ladders = hrb.property_ladders(variables)
     if not ladders:
         raise CliError(
             EXIT_INPUT,
@@ -403,7 +398,7 @@ def cmd_classify(args) -> int:
     if args.crisp:
         header = {"command": "classify", "mode": "crisp"}
         _report_problems(args, problems)
-        winners = list(map(hrb.crisp_classify, _samples(table)))
+        winners = list(map(hrb.crisp_subgroup, *[table[name] for name in hrb.VARIABLE_NAMES]))
         scored = None
     else:
         from .rules import classify_many
@@ -447,7 +442,8 @@ def _property_columns(args, rows, table, problems, variables) -> tuple[dict, dic
     ``active_descriptors``' message for its first such value, reported
     with the CSV diagnostics in ``problems`` (see ``_report_problems``).
     """
-    source = {name: args.pi_source if name == "pi" else name for name in hrb._ladders(variables)}
+    ladders = hrb.property_ladders(variables)
+    source = {name: args.pi_source if name == "pi" else name for name in ladders}
     bad = {}
     for name, col in source.items():
         var, column = variables[name], table[col]
@@ -657,7 +653,7 @@ def cmd_induce(args) -> int:
     # A class the rule file could not name back is a bad row.
     unwritable = {
         i: f"class {label!r} cannot be written to a rule file"
-        for i, label in enumerate(table["class"]) if label is not None and not dsl._is_word(label)
+        for i, label in enumerate(table["class"]) if label is not None and not dsl.is_word(label)
     }
     unlabeled = [n for n, label in zip(rows, table["class"]) if label is None]
     kept, values = _property_columns(
@@ -672,15 +668,9 @@ def cmd_induce(args) -> int:
     if not kept["class"]:
         raise CliError(EXIT_ROWS, "no labeled rows to induce from")
 
-    from .rules import _column_batch, _LabeledBatch
-
     result = search_rules(
-        _LabeledBatch(_column_batch(values, variables), kept["class"]),
-        variables,
-        rules_per_class=args.rules_per_class,
-        iterations=args.iters,
-        seed=args.seed,
-        agg=Aggregator(args.agg),
+        values, kept["class"], variables, rules_per_class=args.rules_per_class,
+        iterations=args.iters, seed=args.seed, agg=Aggregator(args.agg),
     )
     text = (
         f"# induced: seed={args.seed} iterations={args.iters} "

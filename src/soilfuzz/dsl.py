@@ -58,7 +58,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _is_word(text: str) -> bool:
+def is_word(text: str) -> bool:
     """Whether ``text`` reads back as a single word token."""
     return _WORD_RE.fullmatch(text) is not None
 
@@ -69,7 +69,7 @@ def _word(text: str, what: str) -> str:
     Raises:
         RuleConfigError: if it would not read back as one.
     """
-    if not _is_word(text):
+    if not is_word(text):
         raise RuleConfigError(f"cannot write {what} {text!r}: not a rule-file word")
     return text
 

@@ -191,19 +191,17 @@ def fuzzify_sample(
     """
     if variables is None:
         variables = _default_variables()
-    return {
-        name: fuzzify(variables[name], value)
-        for name, value in zip(VARIABLE_NAMES, _property_values(sample, pi_source))
-        if name in variables
-    }
+    values = _property_values(sample, pi_source, variables)
+    return {name: fuzzify(variables[name], value) for name, value in values.items()}
 
 
-def _property_values(sample: SoilSample, pi_source: str) -> tuple[float, ...]:
-    """The values fuzzified for ``VARIABLE_NAMES``, in that order."""
+def _property_values(sample: SoilSample, pi_source: str, variables: Mapping) -> dict[str, float]:
+    """The value fuzzified for each HRB property ``variables`` has, in ``VARIABLE_NAMES`` order."""
     if pi_source not in ("pi", "pl"):
         raise ValueError(f"pi_source must be 'pi' or 'pl', got {pi_source!r}")
     pi = sample.pi if pi_source == "pi" else sample.pl
-    return sample.p2mm, sample.p425, sample.p075, sample.ll, pi
+    values = zip(VARIABLE_NAMES, (sample.p2mm, sample.p425, sample.p075, sample.ll, pi))
+    return {name: value for name, value in values if name in variables}
 
 
 def a7_split(ll: float, pi: float) -> str:
@@ -230,14 +228,17 @@ def classify_hrb(
 ) -> HrbResult:
     """Classify a sample with a fuzzy rule preset.
 
-    Scores the rules with ``classify`` on ``fuzzify_sample``'s vectors, then
-    resolves a winning A-7 group into A-7-5 or A-7-6 and attaches the
-    subgrade rating.
+    Reports row 0 of ``classify_many`` on the sample's one-row columns of
+    ``fuzzify_sample``'s values, then resolves a winning A-7 group into
+    A-7-5 or A-7-6 and attaches the subgrade rating.
     """
     from . import rules
 
+    if variables is None:
+        variables = _default_variables()
     rb = preset.rulebase if isinstance(preset, HrbPreset) else preset
-    report = rules.classify(rb, fuzzify_sample(sample, pi_source, variables), agg)
+    columns = {name: [x] for name, x in _property_values(sample, pi_source, variables).items()}
+    report = rules.classify_many(rb, columns, variables, agg).report(rb, 0)
     subgroup = report.winner
     if subgroup == "A-7":
         subgroup = a7_split(sample.ll, sample.pi)
@@ -248,8 +249,8 @@ def classify_hrb(
     )
 
 
-def _ladders(variables: Mapping[str, LinguisticVariable]) -> dict[str, tuple[str, ...]]:
-    """The ladder of each HRB property that ``variables`` has."""
+def property_ladders(variables: Mapping[str, LinguisticVariable]) -> dict[str, tuple[str, ...]]:
+    """The ladder of each HRB property that ``variables`` has, in ``VARIABLE_NAMES`` order."""
     return {name: variables[name].labels for name in VARIABLE_NAMES if name in variables}
 
 
@@ -259,28 +260,32 @@ def crisp_classify(sample: SoilSample) -> str:
     This is the laboratory-style oracle the fuzzy presets are checked
     against.  A-3 requires a non-plastic sample (pi exactly 0).
     """
-    s = sample
-    if s.p2mm <= 50 and s.p425 <= 30 and s.p075 <= 15 and s.pi <= 6:
+    return crisp_subgroup(sample.p2mm, sample.p425, sample.p075, sample.ll, sample.pi)
+
+
+def crisp_subgroup(p2mm: float, p425: float, p075: float, ll: float, pi: float) -> str:
+    """``crisp_classify`` on the values of ``VARIABLE_NAMES`` that ``SoilSample`` checks."""
+    if p2mm <= 50 and p425 <= 30 and p075 <= 15 and pi <= 6:
         return "A-1-a"
-    if s.p425 <= 50 and s.p075 <= 25 and s.pi <= 10:
+    if p425 <= 50 and p075 <= 25 and pi <= 10:
         return "A-1-b"
-    if s.p425 > 50 and s.p075 <= 10 and s.pi == 0:
+    if p425 > 50 and p075 <= 10 and pi == 0:
         return "A-3"
-    if s.p075 <= 35 and s.ll <= 40 and s.pi <= 10:
+    if p075 <= 35 and ll <= 40 and pi <= 10:
         return "A-2-4"
-    if s.p075 <= 35 and s.ll > 40 and s.pi <= 10:
+    if p075 <= 35 and ll > 40 and pi <= 10:
         return "A-2-5"
-    if s.p075 <= 35 and s.ll <= 40 and s.pi > 10:
+    if p075 <= 35 and ll <= 40 and pi > 10:
         return "A-2-6"
-    if s.p075 <= 35 and s.ll > 40 and s.pi > 10:
+    if p075 <= 35 and ll > 40 and pi > 10:
         return "A-2-7"
-    if s.ll <= 40 and s.pi <= 10:
+    if ll <= 40 and pi <= 10:
         return "A-4"
-    if s.ll > 40 and s.pi <= 10:
+    if ll > 40 and pi <= 10:
         return "A-5"
-    if s.ll <= 40 and s.pi > 10:
+    if ll <= 40 and pi > 10:
         return "A-6"
-    return a7_split(s.ll, s.pi)
+    return a7_split(ll, pi)
 
 
 class ReferenceFixture(NamedTuple):

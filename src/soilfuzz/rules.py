@@ -21,7 +21,7 @@ adds them left to right, in antecedent order, then divides by their
 count; the product multiplies them left to right; the minimum takes each
 sample's least.  ``_evaluate`` scores a rule base with them, and a
 class's score column takes the first maximum of its rules' columns.
-``classify_many``, the CLI's scorer, scores a batch of value columns;
+``classify_many`` and ``search_rules`` score a batch of value columns;
 ``classify`` and ``rule_dof`` a batch of one vector sample.  An induction
 toggle changes one antecedent of one rule, so ``_DofTable.offer`` builds
 that antecedent's match column on the whole training batch and combines
@@ -34,8 +34,9 @@ and the classes tied at that score, row by row, into the ``Scores`` that
 
 Scoring and induction take labeled samples as a ``_LabeledBatch``, a
 batch and its labels.  ``_labeled_batch`` builds one from ``(vectors,
-class)`` pairs at the entry of ``score_rulebase`` and ``search_rules``;
-the CLI builds one from value columns, so it never builds a vector.
+class)`` pairs at the entry of ``score_rulebase``; ``search_rules`` builds
+one from value columns and labels, and hands it to its one
+``score_rulebase`` call, so induction never builds a vector.
 
 The mean never calls ``sum()``, which compensates float rounding from
 Python 3.12 on, so its last bit would depend on the version.  Adding left
@@ -44,7 +45,7 @@ gave before 3.12 (matches start at 0.0 and are never -0.0).
 
 Every call checks its rules against the ladders (every antecedent names a
 ladder and descriptors on it) before it scores, a batch once per distinct
-ladder set among its samples.
+ladder set among its samples; a search, its first rule base only.
 
 Rule bases and reports are immutable and evaluation has no other side
 effect.  The induction search owns a private seeded RNG, so concurrent
@@ -478,8 +479,8 @@ class _DofTable:
     The table is scored and ranked once by ``_evaluate``, whose winners give
     each sample's hit flag.  It keeps the batch's ``(variable, label)``
     index, each rule's match columns in antecedent order and each sample's
-    row of class scores, and checks an offered rule once against every
-    distinct ladder set among the samples.
+    row of class scores.  An offered rule is not checked against the
+    batch's ladders: ``search_rules`` draws its toggles from them.
 
     ``offer`` builds a match column only for an antecedent the old rule
     lacks, reusing the old rule's other columns, combines them with
@@ -501,12 +502,9 @@ class _DofTable:
 
     def offer(self, ri: int, rule: Rule) -> bool:
         """Replace rule ``ri`` by ``rule``, changing nothing if hits would fall; say if it did."""
-        batch = self.batch
-        for ladders in batch.ladders:
-            _check_rules((rule,), ladders)
         old = dict(zip(self.rules[ri].antecedents, self.matches[ri]))
         matches = [
-            old[antecedent] if antecedent in old else _match_column(antecedent, batch)
+            old[antecedent] if antecedent in old else _match_column(antecedent, self.batch)
             for antecedent in rule.antecedents
         ]
         column = _dof_column(matches, self.agg)
@@ -518,7 +516,11 @@ class _DofTable:
         hits = self.hits
         changed = []
         for s in itertools.compress(itertools.count(), map(operator.ne, column, self.dofs[ri])):
-            score = max(0.0, column[s], *[dofs[s] for dofs in siblings])
+            # ``max(0.0, column[s], *siblings' DOFs)``: the first greatest.
+            score = column[s] if column[s] > 0.0 else 0.0
+            for dofs in siblings:
+                if dofs[s] > score:
+                    score = dofs[s]
             row = rows[s]
             kept, row[c] = row[c], score
             # The first class at the top score, as ``_rank`` picks it.
@@ -536,7 +538,8 @@ class _DofTable:
 
 
 def search_rules(
-    labeled: Sequence[tuple[Mapping[str, MembershipVector], str]],
+    columns: Mapping[str, Sequence[float]],
+    labels: Sequence[str],
     variables: Mapping[str, LinguisticVariable],
     rules_per_class: int = 1,
     iterations: int = 1000,
@@ -552,18 +555,21 @@ def search_rules(
     best system seen is returned together with the best-so-far score after
     every iteration; the whole run is reproducible from ``seed``.
 
-    ``labeled`` is converted to a ``_LabeledBatch`` once, for the initial
-    ``score_rulebase`` call and the search's table.  The current system is
-    a ``_DofTable``, with every rule's DOF on every sample and each
-    sample's hit, and each toggle is offered to it: ``offer``
-    builds the toggled rule's DOF column and re-ranks only the samples where
-    it changed.  A ``RuleBase`` is built only when the best score rises.
+    The columns are checked and fuzzified as ``classify_many`` does, into
+    one ``_LabeledBatch``, for the initial ``score_rulebase`` call and the
+    search's table; labels of another length, or none, raise
+    ``EvaluationError``.  The current system is a ``_DofTable``, with every
+    rule's DOF on every sample and each sample's hit, and each toggle is
+    offered to it: ``offer`` builds the toggled rule's DOF column and
+    re-ranks only the samples where it changed.  A ``RuleBase`` is built
+    only when the best score rises.
     The result is identical to re-scoring every proposal with
     ``score_rulebase``; a toggle that would empty a descriptor set is
     dropped and not scored.
 
     Args:
-        labeled: (membership vectors, true class) training pairs.
+        columns: one column of training values per variable, as for ``classify_many``.
+        labels: each sample's true class, in sample order.
         variables: the variables rules may mention, in antecedent order; not empty.
         rules_per_class: how many rules the system holds per class.
         iterations: number of mutation proposals (0 keeps the initial system).
@@ -583,13 +589,15 @@ def search_rules(
         raise EvaluationError("variables must not be empty")
     if classes is not None and not classes:
         raise EvaluationError("classes must not be empty")
-    labeled = _labeled_batch(labeled)
-    if not labeled.labels:
+    labeled = _LabeledBatch(_column_batch(columns, variables), labels)
+    if len(labels) != labeled.batch.size:
+        raise EvaluationError(f"labels: length {len(labels)}, not {labeled.batch.size}")
+    if not labels:
         raise EvaluationError("no labeled samples")
 
-    present = set(labeled.labels)
+    present = set(labels)
     if classes is None:
-        classes = list(dict.fromkeys(labeled.labels))
+        classes = list(dict.fromkeys(labels))
     else:
         classes = list(classes)
         missing = [cls for cls in classes if cls not in present]
@@ -606,7 +614,7 @@ def search_rules(
     for _ in range(iterations):
         toggle = _mutate(rng, table.rules, variables)
         if toggle is not None and table.offer(*toggle):
-            score = table.hits / len(labeled.labels)
+            score = table.hits / len(labels)
             if score > best_score:
                 best, best_score = best._replace(rules=tuple(table.rules)), score
         trace.append(best_score)

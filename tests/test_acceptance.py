@@ -199,16 +199,13 @@ def test_criterion_6_oracle_agreement_grid(variables, calibrated_preset):
 
 def test_criterion_7_rule_induction(variables, fixtures):
     """Seeded random search reaches >= 5/6 accuracy with a monotone trace."""
-    labeled = [
-        (
-            sf.fuzzify_sample(fx.sample, variables=variables),
-            "A-7" if fx.winner.startswith("A-7") else fx.winner,
-        )
-        for fx in fixtures
-    ]
+    columns = {
+        name: [getattr(fx.sample, name) for fx in fixtures] for name in sf.hrb.VARIABLE_NAMES
+    }
+    labels = ["A-7" if fx.winner.startswith("A-7") else fx.winner for fx in fixtures]
     start = time.time()
     result = sf.search_rules(
-        labeled, variables, rules_per_class=1, iterations=2000, seed=42
+        columns, labels, variables, rules_per_class=1, iterations=2000, seed=42
     )
     elapsed = time.time() - start
     monotone = all(

@@ -69,7 +69,7 @@ def csv_rows(text):
 
 def as_samples(table):
     """The rows of a table ``read_samples`` returns, as tuples of ``SoilSample``'s fields."""
-    return list(cli._samples(table))
+    return list(zip(*[table[field] for field in cli.FIELDS]))
 
 
 def sample_table(ids, samples, labels):
@@ -1362,13 +1362,13 @@ def test_fuzzy_batch_equals_rows_added_one_by_one(variables, data, pi_source):
     # ``active_descriptors`` keeps the 0.0 degree at a center, as
     # ``active_columns`` does; membership vectors drop it.
     added, kept = [], []
-    ladders = sf.hrb._ladders(variables)
+    ladders = sf.hrb.property_ladders(variables)
     for row_id, sample in zip(ids, samples):
-        values = sf.hrb._property_values(sample, pi_source)
+        values = sf.hrb._property_values(sample, pi_source, variables)
         try:
             pairs = {
                 name: sf.fuzzy.active_descriptors(variables[name], value)
-                for name, value in zip(sf.hrb.VARIABLE_NAMES, values)
+                for name, value in values.items()
             }
         except sf.FuzzificationError:
             continue
@@ -1817,8 +1817,8 @@ class TestGoldenBytes:
         assert built == []
         # The counter does see the reporting view: 300 rows x 5 variables.
         _, table, _, _ = cli.read_samples(io.StringIO(golden_corpus_csv()))
-        for sample in cli._samples(table):
-            sf.fuzzify_sample(sample)
+        for values in as_samples(table):
+            sf.fuzzify_sample(sf.SoilSample(*values))
         assert len(built) == 1500
 
 
@@ -1907,20 +1907,29 @@ print("ok")
     assert child_run(script) == ["ok"]
 
 
-def test_cli_imports_no_private_rule_engine_names():
-    # ``classify`` scores through the public ``classify_many``.  ``induce``
-    # still hands ``search_rules`` a private labeled batch of value columns.
-    rule_imports = set()
-    for function in ast.parse(Path(cli.__file__).read_text(encoding="utf-8")).body:
+def test_cli_reads_no_private_names():
+    # ``cli.py`` imports no ``_``-prefixed name from another soilfuzz module
+    # and reads none off one: ``classify`` scores through the public
+    # ``classify_many``, ``induce`` hands ``search_rules`` value columns.
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    modules = {"dsl", "errors", "fuzzy", "hrb", "render", "rules"}
+    bound, private, rule_imports = set(), set(), set()
+    for function in tree.body:
         for node in ast.walk(function):
-            if isinstance(node, ast.ImportFrom) and node.module in ("rules", "soilfuzz.rules"):
-                name = getattr(function, "name", None)
-                rule_imports |= {(name, alias.name) for alias in node.names}
-    private = {(name, imported) for name, imported in rule_imports if imported.startswith("_")}
-    assert private <= {("cmd_induce", "_column_batch"), ("cmd_induce", "_LabeledBatch")}
-    assert {imported for name, imported in rule_imports if name == "cmd_classify"} == {
-        "classify_many"
-    }
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = {alias.asname or alias.name for alias in node.names}
+                if node.module is None:
+                    bound |= names & modules
+                private |= {(node.module, name) for name in names if name.startswith("_")}
+                if node.module == "rules" and isinstance(function, ast.FunctionDef):
+                    rule_imports |= {(function.name, name) for name in names}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in bound and node.attr.startswith("_"):
+                private.add((node.value.id, node.attr))
+    assert bound == {"hrb", "dsl"}
+    assert private == set()
+    assert rule_imports == {("cmd_classify", "classify_many"), ("search_rules", "search_rules")}
 
 
 # Shapes the golden corpus lacks: no data rows at all (empty JSON lists), an

@@ -29,6 +29,7 @@ from soilfuzz import (
     fuzzify,
     fuzzify_sample,
     make_partition,
+    reference_fixtures,
     rule_dof,
     score_rulebase,
     search_rules,
@@ -389,61 +390,103 @@ class TestRuleProperties:
             assert all(0.0 <= d <= 1.0 for d in report.per_rule.values())
 
 
-class TestInduceRules:
-    def _labeled(self, variables):
-        return [
-            (sample_memberships(variables, nz), cls)
-            for nz, cls in zip(SAMPLES, LABELS)
-        ]
+def fixture_rows():
+    """The reference specimens' value columns, which fuzzify to ``SAMPLES``, and ``LABELS``."""
+    return value_columns([fx.sample for fx in reference_fixtures()]), list(LABELS)
 
+
+class TestInduceRules:
     def test_zero_iterations_returns_initial(self, variables):
-        labeled = self._labeled(variables)
-        rb = search_rules(labeled, variables, iterations=0, seed=17).rulebase
+        rb = search_rules(*fixture_rows(), variables, iterations=0, seed=17).rulebase
         assert len(rb.rules) == len(set(LABELS))
         assert rb.class_order == LABELS
 
     def test_deterministic_per_seed(self, variables):
-        labeled = self._labeled(variables)
-        first = search_rules(labeled, variables, iterations=200, seed=3).rulebase
-        second = search_rules(labeled, variables, iterations=200, seed=3).rulebase
+        first = search_rules(*fixture_rows(), variables, iterations=200, seed=3).rulebase
+        second = search_rules(*fixture_rows(), variables, iterations=200, seed=3).rulebase
         assert first == second
 
     def test_more_iterations_never_worse(self, variables):
-        labeled = self._labeled(variables)
-        short = search_rules(labeled, variables, iterations=50, seed=23)
-        long = search_rules(labeled, variables, iterations=500, seed=23)
+        short = search_rules(*fixture_rows(), variables, iterations=50, seed=23)
+        long = search_rules(*fixture_rows(), variables, iterations=500, seed=23)
         assert long.score >= short.score
         assert long.best_scores[:50] == short.best_scores
 
     def test_best_trace_non_decreasing(self, variables):
-        labeled = self._labeled(variables)
-        result = search_rules(labeled, variables, iterations=300, seed=29)
+        result = search_rules(*fixture_rows(), variables, iterations=300, seed=29)
         assert all(a <= b for a, b in zip(result.best_scores, result.best_scores[1:]))
 
     def test_rules_per_class(self, variables):
-        labeled = self._labeled(variables)
         rb = search_rules(
-            labeled, variables, rules_per_class=2, iterations=0, seed=1
+            *fixture_rows(), variables, rules_per_class=2, iterations=0, seed=1
         ).rulebase
         assert len(rb.rules) == 2 * len(set(LABELS))
 
     def test_negative_seed_rejected(self, variables):
         # ``random.Random`` seeds with ``abs(seed)``: -5 would repeat seed 5.
         with pytest.raises(EvaluationError, match="^seed must not be negative$"):
-            search_rules(self._labeled(variables), variables, seed=-5)
+            search_rules(*fixture_rows(), variables, seed=-5)
 
     def test_class_without_sample_rejected(self, variables):
-        labeled = self._labeled(variables)
         with pytest.raises(EvaluationError, match="A-5"):
-            search_rules(labeled, variables, seed=1, classes=list(LABELS) + ["A-5"])
+            search_rules(*fixture_rows(), variables, seed=1, classes=list(LABELS) + ["A-5"])
 
     def test_empty_variables_or_classes_rejected(self, variables):
         # Both are argument errors, not a rule or rule base that fails to build.
-        labeled = self._labeled(variables)
         with pytest.raises(EvaluationError, match="^variables must not be empty$"):
-            search_rules(labeled, {}, seed=1)
+            search_rules(*fixture_rows(), {}, seed=1)
         with pytest.raises(EvaluationError, match="^classes must not be empty$"):
-            search_rules(labeled, variables, seed=1, classes=[])
+            search_rules(*fixture_rows(), variables, seed=1, classes=[])
+
+
+# Each input error of ``search_rules``: a change to the reference rows, the
+# error it raises and its message, or None where ``classify_many`` raises
+# the same error on the same columns.
+SEARCH_INPUT_ERRORS = {
+    "column without a ladder": (
+        lambda columns, labels: ({**columns, "cbr": [1.0] * 6}, labels), EvaluationError, None,
+    ),
+    "short column": (
+        lambda columns, labels: ({**columns, "ll": columns["ll"][:-1]}, labels),
+        EvaluationError, None,
+    ),
+    "value outside its domain": (
+        lambda columns, labels: ({**columns, "ll": [*columns["ll"][:-1], 150.0]}, labels),
+        FuzzificationError, None,
+    ),
+    "NaN": (
+        lambda columns, labels: ({**columns, "pi": [math.nan, *columns["pi"][1:]]}, labels),
+        FuzzificationError, None,
+    ),
+    "a label short": (
+        lambda columns, labels: (columns, labels[:-1]), EvaluationError,
+        "labels: length 5, not 6",
+    ),
+    "no labels": (lambda columns, labels: (columns, []), EvaluationError, "labels: length 0, not 6"),
+    "no samples": (
+        lambda columns, labels: ({name: [] for name in columns}, []), EvaluationError,
+        "no labeled samples",
+    ),
+    "ladder without a column": (
+        lambda columns, labels: (
+            {name: column for name, column in columns.items() if name != "pi"}, labels
+        ),
+        EvaluationError, "rule R1: no membership vector for pi",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(SEARCH_INPUT_ERRORS))
+def test_search_checks_its_inputs(variables, paper_preset, case):
+    change, error, message = SEARCH_INPUT_ERRORS[case]
+    columns, labels = change(*fixture_rows())
+    if message is None:
+        with pytest.raises(error) as raised:
+            classify_many(paper_preset.rulebase, columns, variables)
+        message = str(raised.value)
+    with pytest.raises(error) as raised:
+        search_rules(columns, labels, variables, iterations=5, seed=1)
+    assert (type(raised.value), str(raised.value)) == (error, message)
 
 
 # The evaluator before active descriptors: a label -> degree dict per
@@ -545,16 +588,24 @@ DOMAIN_VALUE = st.integers(0, 100) | st.floats(0, 100)
 
 @st.composite
 def labeled_sets(draw, variables):
+    """Labeled samples: a column of values per variable, and each sample's label."""
     classes = draw(
         st.lists(st.sampled_from(CLASSES), min_size=1, max_size=4, unique=True)
     )
-    labeled = []
+    columns, labels = {name: [] for name in variables}, []
     for _ in range(draw(st.integers(1, 25))):
-        memberships = {
-            name: fuzzify(var, draw(DOMAIN_VALUE)) for name, var in variables.items()
-        }
-        labeled.append((memberships, draw(st.sampled_from(classes))))
-    return labeled
+        for column in columns.values():
+            column.append(draw(DOMAIN_VALUE))
+        labels.append(draw(st.sampled_from(classes)))
+    return columns, labels
+
+
+def fuzzified(columns, labels, variables):
+    """The ``(vectors, class)`` pairs of labeled samples given as value columns."""
+    return [
+        ({name: fuzzify(variables[name], column[s]) for name, column in columns.items()}, label)
+        for s, label in enumerate(labels)
+    ]
 
 
 @settings(max_examples=50, deadline=None)
@@ -568,51 +619,22 @@ def labeled_sets(draw, variables):
 def test_search_equals_full_rescoring(
     variables, data, seed, agg, rules_per_class, iterations
 ):
-    labeled = data.draw(labeled_sets(variables))
-    present = list(dict.fromkeys(cls for _, cls in labeled))
+    columns, labels = data.draw(labeled_sets(variables))
+    present = list(dict.fromkeys(labels))
     # An explicit class order may leave some labels out; those never score.
     prefixes = st.permutations(present).map(lambda p: p[: len(p) // 2 + 1])
     classes = data.draw(st.none() | prefixes)
     result = search_rules(
-        labeled, variables, rules_per_class=rules_per_class,
+        columns, labels, variables, rules_per_class=rules_per_class,
         iterations=iterations, seed=seed, agg=agg, classes=classes,
     )
     rulebase, score, best_scores = full_rescoring_search(
-        labeled, variables, rules_per_class, iterations, seed, agg, classes
+        fuzzified(columns, labels, variables), variables, rules_per_class, iterations, seed,
+        agg, classes,
     )
     assert result.rulebase == rulebase
     assert result.score == score
     assert result.best_scores == best_scores
-
-
-def test_search_checks_proposals_against_sample_ladders():
-    # Proposals draw descriptors from ``variables``; when the samples' own
-    # ladders lack one, the first proposal that uses it fails, as it does
-    # when every proposal is re-scored in full.
-    variables = {"x": make_partition("x", ["a", "b", "c"], [0, 50, 100], (0, 100))}
-    narrow = make_partition("x", ["a", "b"], [0, 100], (0, 100))
-    labeled = [({"x": fuzzify(narrow, v)}, cls) for v, cls in ((10, "A"), (90, "B"))]
-
-    def outcome(search):
-        try:
-            return search()
-        except RuleConfigError as exc:
-            return str(exc)
-
-    mid_search_errors = 0
-    for seed in range(40):
-        initial = rules_module._random_rulebase(random.Random(seed), variables, "AB", 1)
-        got = outcome(lambda: search_rules(labeled, variables, iterations=6, seed=seed))
-        want = outcome(
-            lambda: full_rescoring_search(labeled, variables, 1, 6, seed, Aggregator.MEAN)
-        )
-        if isinstance(want, str):
-            assert got == want == "x: unknown descriptor c"
-            clean = all("c" not in allowed for r in initial.rules for _, allowed in r.antecedents)
-            mid_search_errors += clean
-        else:
-            assert (got.rulebase, got.score, got.best_scores) == want
-    assert mid_search_errors > 0
 
 
 @pytest.mark.parametrize("iterations", [0, 40])
@@ -634,10 +656,7 @@ def test_search_scores_once_in_full(variables, monkeypatch, iterations):
     for name in calls:
         wrapped = counting(name, getattr(rules_module, name))
         monkeypatch.setattr(rules_module, name, wrapped)
-    labeled = [
-        (sample_memberships(variables, nz), cls) for nz, cls in zip(SAMPLES, LABELS)
-    ]
-    search_rules(labeled, variables, iterations=iterations, seed=11)
+    search_rules(*fixture_rows(), variables, iterations=iterations, seed=11)
     assert calls == {"score_rulebase": 1, "_evaluate": 2}
 
 
@@ -647,13 +666,12 @@ def test_each_offer_builds_only_the_toggled_match_column(variables, monkeypatch)
     # the whole rule base is scored only by the two ``_evaluate`` calls of
     # a search.
     rng = random.Random(5)
-    labeled = []
+    samples = []
     for _ in range(80):
         p2mm, p425, p075 = sorted((rng.uniform(0, 100) for _ in range(3)), reverse=True)
         ll = rng.uniform(10, 95)
         pi = rng.uniform(0, min(ll, 70))
-        sample = SoilSample(p2mm, p425, p075, ll=ll, pl=ll - pi, pi=pi)
-        labeled.append((fuzzify_sample(sample, variables=variables), crisp_classify(sample)))
+        samples.append(SoilSample(p2mm, p425, p075, ll=ll, pl=ll - pi, pi=pi))
 
     offers, evaluations, built = [], [], None
     match_column, evaluate = rules_module._match_column, rules_module._evaluate
@@ -680,7 +698,10 @@ def test_each_offer_builds_only_the_toggled_match_column(variables, monkeypatch)
     monkeypatch.setattr(rules_module, "_match_column", recording_match_column)
     monkeypatch.setattr(rules_module, "_evaluate", counting_evaluate)
     monkeypatch.setattr(rules_module._DofTable, "offer", recording_offer)
-    search_rules(labeled, variables, rules_per_class=2, iterations=300, seed=4)
+    search_rules(
+        value_columns(samples), list(map(crisp_classify, samples)), variables,
+        rules_per_class=2, iterations=300, seed=4,
+    )
     assert len(offers) > 250
     for old, rule, calls in offers:
         assert len(rule.antecedents) == len(old.antecedents)
@@ -709,11 +730,12 @@ def test_search_keeps_shared_antecedents_apart(variables, monkeypatch, agg, seed
     )
     monkeypatch.setattr(rules_module, "_random_rulebase", lambda *args: start)
     rng = random.Random(seed)
-    labeled = []
-    for _ in range(120):
-        p075 = rng.uniform(0, 100)
-        sample = SoilSample(100, 100, p075, 40, 20)
-        labeled.append((fuzzify_sample(sample, variables=variables), "A" if p075 < 22 else "B"))
+    samples = [SoilSample(100, 100, rng.uniform(0, 100), 40, 20) for _ in range(120)]
+    labels = ["A" if sample.p075 < 22 else "B" for sample in samples]
+    labeled = [
+        (fuzzify_sample(sample, variables=variables), label)
+        for sample, label in zip(samples, labels)
+    ]
 
     accepted = []
     offer = rules_module._DofTable.offer
@@ -726,8 +748,8 @@ def test_search_keeps_shared_antecedents_apart(variables, monkeypatch, agg, seed
 
     monkeypatch.setattr(rules_module._DofTable, "offer", recording_offer)
     result = search_rules(
-        labeled, {"p075": variables["p075"]}, rules_per_class=2, iterations=300,
-        seed=seed, agg=agg, classes=["A", "B"],
+        value_columns(samples, names=["p075"]), labels, {"p075": variables["p075"]},
+        rules_per_class=2, iterations=300, seed=seed, agg=agg, classes=["A", "B"],
     )
     assert len({rb for rb, _ in accepted}) > 10
     for rb, hits in accepted:
@@ -757,13 +779,13 @@ def test_offer_declines_untouched_and_accepts_as_a_fresh_table(
 ):
     # A declined offer leaves every field of the table as it was; an accepted
     # one leaves the table equal to one built from scratch on its new rules.
-    labeled = data.draw(labeled_sets(variables))
-    present = list(dict.fromkeys(cls for _, cls in labeled))
+    columns, labels = data.draw(labeled_sets(variables))
+    present = list(dict.fromkeys(labels))
     # An explicit class order may leave some labels out; those never score.
     classes = data.draw(st.permutations(present).map(lambda p: p[: len(p) // 2 + 1]))
     rng = random.Random(seed)
     rb = rules_module._random_rulebase(rng, variables, classes, rules_per_class)
-    labeled = rules_module._labeled_batch(labeled)
+    labeled = rules_module._LabeledBatch(rules_module._column_batch(columns, variables), labels)
     table = rules_module._DofTable(rb, labeled, agg)
     for _ in range(100):
         toggle = rules_module._mutate(rng, table.rules, variables)
@@ -1032,6 +1054,26 @@ def test_classify_many_equals_classify_row_by_row(
         assert repr(scored.report(rb, s)) == repr(expected)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(list(Aggregator)), st.sampled_from(["pi", "pl"]))
+def test_classify_hrb_is_a_batch_of_one(
+    variables, paper_preset, calibrated_preset, data, agg, pi_source
+):
+    # ``classify_hrb`` reports row 0 of ``classify_many`` on the sample's
+    # one-row columns, splits a winning A-7 and attaches the rating.
+    presets = [paper_preset.rulebase, calibrated_preset.rulebase]
+    rb = data.draw(st.sampled_from(presets) | random_rulebases(variables))
+    hrb_variables = data.draw(st.sampled_from([None, variables]))
+    sample = data.draw(signed_soil_samples(variables))
+    report = classify_many(rb, value_columns([sample], pi_source), variables, agg).report(rb, 0)
+    subgroup = a7_split(sample.ll, sample.pi) if report.winner == "A-7" else report.winner
+    expected = HrbResult(report, subgroup, SUBGRADE_RATINGS.get(subgroup, ""))
+    result = classify_hrb(sample, rb, agg, pi_source, hrb_variables)
+    # ``repr`` also pins the order of the dicts and the sign of zero.
+    for field in HrbResult._fields:
+        assert repr(getattr(result, field)) == repr(getattr(expected, field)), field
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.data(),
@@ -1041,32 +1083,27 @@ def test_classify_many_equals_classify_row_by_row(
     st.integers(1, 2),
     st.integers(0, 40),
 )
-def test_search_on_columns_equals_search_on_vectors(
+def test_search_on_columns_equals_full_rescoring(
     variables, data, seed, agg, pi_source, rules_per_class, iterations
 ):
-    # The CLI induces from a batch of value columns, whose index keeps the
-    # 0.0 and -0.0 degrees a batch of vectors drops.  A match starts at 0.0
-    # and takes only greater degrees, so neither changes a DOF.
+    # The search scores a batch of value columns, whose index keeps the 0.0
+    # and -0.0 degrees that the reference's vectors drop.  A match starts at
+    # 0.0 and takes only greater degrees, so neither changes a DOF.
     rows = data.draw(labeled_rows(variables))
-    labels = [label for _, label in rows]
-    source = {name: pi_source if name == "pi" else name for name in VARIABLE_NAMES}
-    columns = {
-        name: [getattr(sample, field) for sample, _ in rows] for name, field in source.items()
-    }
+    samples, labels = [sample for sample, _ in rows], [label for _, label in rows]
+    columns = value_columns(samples, pi_source)
     forms = [
         rules_module._LabeledBatch(rules_module._column_batch(columns, variables), labels),
         [(fuzzify_sample(sample, pi_source, variables), label) for sample, label in rows],
     ]
-    results = [
-        search_rules(
-            labeled, variables, rules_per_class=rules_per_class, iterations=iterations,
-            seed=seed, agg=agg,
-        )
-        for labeled in forms
-    ]
+    result = search_rules(
+        columns, labels, variables, rules_per_class=rules_per_class, iterations=iterations,
+        seed=seed, agg=agg,
+    )
+    expected = full_rescoring_search(forms[1], variables, rules_per_class, iterations, seed, agg)
     # ``repr`` also pins the order of each descriptor set and the sign of zero.
-    assert repr(results[0]) == repr(results[1])
-    for rb in (results[0].rulebase, data.draw(random_rulebases(variables))):
+    assert repr(result) == repr(rules_module.InductionResult(*expected))
+    for rb in (result.rulebase, data.draw(random_rulebases(variables))):
         scores = [score_rulebase(rb, labeled, agg) for labeled in forms]
         assert repr(scores[0]) == repr(scores[1])
 
