@@ -392,7 +392,8 @@ def _json_objects(indent: str, n: int, *members):
 
 
 def cmd_classify(args) -> int:
-    variables = _load_variables()
+    # The crisp oracle reads no ladder, so it needs no variables file.
+    variables = None if args.crisp else _load_variables()
     rows, table, problems, _ = _load_rows(args)
 
     if args.crisp:

@@ -146,7 +146,7 @@ def active_descriptors(
 
 
 def active_columns(
-    var: LinguisticVariable, values: Sequence[float], positions: Iterable[int] | None = None
+    var: LinguisticVariable, values: Sequence[float], positions: Iterable[int]
 ) -> dict[str, tuple[list[int], list[float]]]:
     """:func:`active_descriptors` of every value, as ``(positions, degrees)`` by label.
 
@@ -154,15 +154,13 @@ def active_columns(
     order, and its degree at each; a label active on no value is left out.
     One pass over the values, with the segment test and degree formulas
     of ``active_descriptors``, so the degrees are its floats.
-    ``positions``, if given, must equal ``range(len(values))``: its ints are
-    the ones the result holds, so columns of one batch can share them.
+    ``positions`` must equal ``range(len(values))``: its ints are the ones
+    the result holds, so columns of one batch can share them.
     Only values outside the end centers' span, NaN included, go through
     ``active_descriptors``, whose domain check raises its
     ``FuzzificationError`` for the first outside the domain.
     """
     labels, c = var.labels, var.centers
-    if positions is None:
-        positions = range(len(values))
     columns = [([], []) for _ in labels]
     for p, x in zip(positions, values):
         if c[0] <= x <= c[-1]:

@@ -32,11 +32,11 @@ each sample's winner, the first class in class order with the top score,
 and the classes tied at that score, row by row, into the ``Scores`` that
 ``_evaluate`` returns and every caller reads.
 
-Scoring and induction take labeled samples as a ``_LabeledBatch``, a
-batch and its labels.  ``_labeled_batch`` builds one from ``(vectors,
-class)`` pairs at the entry of ``score_rulebase``; ``search_rules`` builds
-one from value columns and labels, and hands it to its one
-``score_rulebase`` call, so induction never builds a vector.
+Labeled samples have one route: ``_evaluate`` scores them and a
+``_DofTable`` counts their hits.  ``score_rulebase`` builds the table
+from ``(vectors, class)`` pairs, or reads the one ``search_rules`` builds
+from value columns and labels and hands it, so induction never builds a
+vector and scores its first rule base once.
 
 The mean never calls ``sum()``, which compensates float rounding from
 Python 3.12 on, so its last bit would depend on the version.  Adding left
@@ -203,24 +203,6 @@ def _vector_batch(vectors: Iterable[Mapping[str, MembershipVector]]) -> _Batch:
                     entry[0].append(s)
                     entry[1].append(degree)
     return _Batch(s + 1, index, ladder_sets)
-
-
-class _LabeledBatch(NamedTuple):
-    """Labeled samples: their batch and each sample's label, in sample order."""
-
-    batch: _Batch
-    labels: Sequence[str]
-
-
-def _labeled_batch(
-    labeled: "Sequence[tuple[Mapping[str, MembershipVector], str]] | _LabeledBatch",
-) -> _LabeledBatch:
-    """``(vectors, class)`` pairs as one ``_LabeledBatch``; a ``_LabeledBatch`` as it is."""
-    if isinstance(labeled, _LabeledBatch):
-        return labeled
-    return _LabeledBatch(
-        _vector_batch(memberships for memberships, _ in labeled), [cls for _, cls in labeled]
-    )
 
 
 def _column_batch(
@@ -410,15 +392,21 @@ def classify_many(
 
 def score_rulebase(
     rb: RuleBase,
-    labeled: Sequence[tuple[Mapping[str, MembershipVector], str]],
+    labeled: "Sequence[tuple[Mapping[str, MembershipVector], str]] | _DofTable",
     agg: Aggregator = Aggregator.MEAN,
 ) -> float:
-    """Fraction of labeled samples whose classify winner matches the label."""
-    batch, labels = _labeled_batch(labeled)
-    if not labels:
-        raise EvaluationError("no labeled samples to score")
-    winners = _evaluate(rb, batch, agg)[1].winners
-    return sum(map(operator.eq, winners, labels)) / len(labels)
+    """Fraction of labeled samples whose classify winner matches the label.
+
+    ``labeled`` is ``(vectors, class)`` pairs, scored in one ``_DofTable``,
+    or the table ``search_rules`` built for ``rb`` under ``agg``, read as it is.
+    """
+    if not isinstance(labeled, _DofTable):
+        labels = [cls for _, cls in labeled]
+        if not labels:
+            raise EvaluationError("no labeled samples to score")
+        batch = _vector_batch(memberships for memberships, _ in labeled)
+        labeled = _DofTable(rb, batch, labels, agg)
+    return labeled.hits / len(labeled.hit)
 
 
 class InductionResult(NamedTuple):
@@ -476,11 +464,12 @@ def _mutate(
 class _DofTable:
     """A rule system's DOFs, class scores and hits on its labeled samples; the search's state.
 
-    The table is scored and ranked once by ``_evaluate``, whose winners give
-    each sample's hit flag.  It keeps the batch's ``(variable, label)``
-    index, each rule's match columns in antecedent order and each sample's
-    row of class scores.  An offered rule is not checked against the
-    batch's ladders: ``search_rules`` draws its toggles from them.
+    The table is scored and ranked once by ``_evaluate``, whose winners,
+    against ``labels``, give each sample's hit flag; ``score_rulebase``
+    reads its accuracy from them.  It keeps the batch's ``(variable,
+    label)`` index, each rule's match columns in antecedent order and each
+    sample's row of class scores.  An offered rule is not checked against
+    the batch's ladders: ``search_rules`` draws its toggles from them.
 
     ``offer`` builds a match column only for an antecedent the old rule
     lacks, reusing the old rule's other columns, combines them with
@@ -488,16 +477,16 @@ class _DofTable:
     from the old rule's.
     """
 
-    def __init__(self, rb: RuleBase, labeled: _LabeledBatch, agg: Aggregator):
-        self.batch, self.agg = labeled.batch, agg
+    def __init__(self, rb: RuleBase, batch: _Batch, labels: Sequence[str], agg: Aggregator):
+        self.batch, self.agg = batch, agg
         self.matches, scores = _evaluate(rb, self.batch, agg)
         self.dofs = scores.per_rule
         position = {cls: i for i, cls in enumerate(scores.classes)}
-        self.truth = [position.get(cls) for cls in labeled.labels]
+        self.truth = [position.get(cls) for cls in labels]
         self.rules = list(rb.rules)
         self.owner = [position[rule.consequent] for rule in rb.rules]
         self.rows = [list(row) for row in zip(*scores.by_class)]
-        self.hit = list(map(operator.eq, scores.winners, labeled.labels))
+        self.hit = list(map(operator.eq, scores.winners, labels))
         self.hits = sum(self.hit)
 
     def offer(self, ri: int, rule: Rule) -> bool:
@@ -556,13 +545,13 @@ def search_rules(
     every iteration; the whole run is reproducible from ``seed``.
 
     The columns are checked and fuzzified as ``classify_many`` does, into
-    one ``_LabeledBatch``, for the initial ``score_rulebase`` call and the
-    search's table; labels of another length, or none, raise
-    ``EvaluationError``.  The current system is a ``_DofTable``, with every
-    rule's DOF on every sample and each sample's hit, and each toggle is
-    offered to it: ``offer`` builds the toggled rule's DOF column and
-    re-ranks only the samples where it changed.  A ``RuleBase`` is built
-    only when the best score rises.
+    one batch; labels of another length, or none, raise ``EvaluationError``.
+    The current system is a ``_DofTable`` on that batch, with every rule's
+    DOF on every sample and each sample's hit; the initial system's score
+    is ``score_rulebase`` of that table, so it is scored once.  Each toggle
+    is offered to the table: ``offer`` builds the toggled rule's DOF column
+    and re-ranks only the samples where it changed.  A ``RuleBase`` is
+    built only when the best score rises.
     The result is identical to re-scoring every proposal with
     ``score_rulebase``; a toggle that would empty a descriptor set is
     dropped and not scored.
@@ -589,9 +578,9 @@ def search_rules(
         raise EvaluationError("variables must not be empty")
     if classes is not None and not classes:
         raise EvaluationError("classes must not be empty")
-    labeled = _LabeledBatch(_column_batch(columns, variables), labels)
-    if len(labels) != labeled.batch.size:
-        raise EvaluationError(f"labels: length {len(labels)}, not {labeled.batch.size}")
+    batch = _column_batch(columns, variables)
+    if len(labels) != batch.size:
+        raise EvaluationError(f"labels: length {len(labels)}, not {batch.size}")
     if not labels:
         raise EvaluationError("no labeled samples")
 
@@ -608,8 +597,8 @@ def search_rules(
 
     rng = random.Random(seed)
     best = _random_rulebase(rng, variables, classes, rules_per_class)
-    best_score = score_rulebase(best, labeled, agg)
-    table = _DofTable(best, labeled, agg)
+    table = _DofTable(best, batch, labels, agg)
+    best_score = score_rulebase(best, table, agg)
     trace = []
     for _ in range(iterations):
         toggle = _mutate(rng, table.rules, variables)

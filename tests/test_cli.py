@@ -950,6 +950,22 @@ class TestPresetDirOverride:
         assert err.startswith(f"soilfuzz: cannot read hrb-variables.txt in {tmp_path}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("broken", ["missing", "not-utf8"])
+    def test_crisp_reads_no_variables_file(
+        self, labeled_csv, tmp_path, capsys, monkeypatch, fmt, broken
+    ):
+        # The crisp oracle reads no ladder, so a broken variables file is no error.
+        args = ["classify", "--crisp", "--format", fmt, labeled_csv]
+        code, shipped, err = run(args, capsys)
+        assert (code, err) == (0, "")
+        presets = tmp_path / "presets"
+        presets.mkdir()
+        if broken == "not-utf8":
+            (presets / "hrb-variables.txt").write_bytes(b"p2mm; \xff; 0, 1; 0, 1\n")
+        monkeypatch.setenv("SOILFUZZ_PRESET_DIR", str(presets))
+        assert run(args, capsys) == (0, shipped, "")
+
     @pytest.mark.parametrize("command", [["classify"], ["rules"]], ids=lambda command: command[0])
     def test_undecodable_preset_exits_3(self, labeled_csv, tmp_path, capsys, monkeypatch, command):
         self.use_ladders(tmp_path, monkeypatch, lambda lines: lines)

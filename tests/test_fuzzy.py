@@ -56,7 +56,10 @@ class TestMakePartition:
         var = make_partition("x", ["A", "B"], [0, 10], (-math.inf, math.inf))
         assert (var.domain_min, var.domain_max) == (-math.inf, math.inf)
         assert fuzzify(var, 1e300).nonzero() == {}
-        assert active_columns(var, [-1e300, 5.0, 1e300]) == {"A": ([1], [0.5]), "B": ([1], [0.5])}
+        values = [-1e300, 5.0, 1e300]
+        assert active_columns(var, values, range(len(values))) == {
+            "A": ([1], [0.5]), "B": ([1], [0.5]),
+        }
 
 
 class TestFuzzify:
@@ -183,7 +186,8 @@ def test_two_neighbour_fuzzify_matches_triangles(variables):
         # so that positions are not in value order.
         inside = [x for x in xs if lo <= x <= hi]
         random.Random(19).shuffle(inside)
-        assert hexed(active_columns(var, inside)) == hexed(by_label(var, inside))
+        got = active_columns(var, inside, range(len(inside)))
+        assert hexed(got) == hexed(by_label(var, inside))
 
 
 # The shipped ladders, one whose first center is above its domain's lower
@@ -227,10 +231,10 @@ def hexed(index):
 def test_active_columns_equal_active_descriptors(data):
     var = data.draw(st.sampled_from(LADDERS))
     values = data.draw(st.lists(ladder_points(var), max_size=40))
-    got = active_columns(var, values)
+    got = active_columns(var, values, range(len(values)))
     assert hexed(got) == hexed(by_label(var, values))
     assert all(type(at) is list and type(d) is list for at, d in got.values())
-    # Given positions, the result holds those very ints.
+    # Given a list of positions, the result holds those very ints.
     positions = list(range(len(values)))
     shared = active_columns(var, values, positions)
     assert hexed(shared) == hexed(got)
