@@ -15,6 +15,13 @@ The rule parser and the rule engine are imported in the commands that
 parse or score rules, so ``memberships`` and ``classify --crisp`` start
 without compiling them.
 
+``classify`` loads its rule base and reads, checks and reports its rows
+as a whole; it then scores and renders them in parts of consecutive
+rows, one per CPU the process may run on (``os.sched_getaffinity``) and
+of ``PART_ROWS`` rows or more each.  Each part after the first runs in a
+forked worker, which sends its text through a pipe; the document is
+joined from the parts in row order, the same bytes as from one part.
+
 Exit codes: 0 success, 2 unreadable input, unwritable output (stdout
 included) or bad usage, 3 invalid rule file, 4 row validation failures
 (including missing or repeated columns).  A stderr that cannot be written
@@ -52,6 +59,11 @@ CHUNK_ROWS = 128
 
 # An -o file is written this many characters at a time (see ``_write_output``).
 WRITE_CHARS = 1 << 16
+
+# ``classify`` scores and renders its rows in parts of at least this many
+# rows, one part per CPU (see ``_in_parts``); a smaller part costs more to
+# fork and send than it saves.
+PART_ROWS = 2048
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -377,18 +389,22 @@ def _json_text(head: dict, key: str, value) -> str:
     return "".join(chain((_json_head(head, key, ""),), value, ("\n}\n",)))
 
 
-def _json_objects(indent: str, n: int, *members):
-    """The text of a JSON array of ``n`` objects, ``indent`` in, as pieces.
+def _json_objects(indent: str, n: int, *members, first: bool = True):
+    """The text of ``n`` objects of a JSON array, ``indent`` in, as pieces.
 
     The k-th object holds the k-th piece of each iterable in ``members``,
     in order: each is one or more members, laid out ``indent + "  "`` in
-    and led by their newline and, but for the first, a comma.
+    and led by their newline and, but for the first, a comma.  Each object
+    is led by its newline and a comma but the array's first, which is the
+    first of these if ``first``.
     """
-    if not n:
-        return ("[]",)
-    opens = chain((f"[\n{indent}{{",), repeat(f",\n{indent}{{", n - 1))
-    objects = chain.from_iterable(zip(opens, *members, repeat(f"\n{indent}}}")))
-    return chain(objects, (f"\n{indent[2:]}]",))
+    opens = chain((f"\n{indent}{{" if first else f",\n{indent}{{",), repeat(f",\n{indent}{{", n - 1))
+    return chain.from_iterable(zip(opens, *members, repeat(f"\n{indent}}}")))
+
+
+def _json_array(indent: str, n: int, items):
+    """The text of a JSON array of ``n`` items, as pieces, which ``items`` lays out ``indent`` in."""
+    return chain(("[",), items, (f"\n{indent[2:]}]",)) if n else ("[]",)
 
 
 def cmd_classify(args) -> int:
@@ -399,8 +415,10 @@ def cmd_classify(args) -> int:
     if args.crisp:
         header = {"command": "classify", "mode": "crisp"}
         _report_problems(args, problems)
-        winners = list(map(hrb.crisp_subgroup, *[table[name] for name in hrb.VARIABLE_NAMES]))
-        scored = None
+        properties, classes = [table[name] for name in hrb.VARIABLE_NAMES], None
+
+        def score(lo, hi):
+            return list(map(hrb.crisp_subgroup, *[column[lo:hi] for column in properties])), None
     else:
         from .rules import classify_many
 
@@ -412,25 +430,122 @@ def cmd_classify(args) -> int:
             "pi_source": args.pi_source,
         }
         table, values = _property_columns(args, rows, table, problems, variables)
-        scores = classify_many(rb, values, variables, Aggregator(args.agg))
-        winners, scored = scores.winners, (scores.classes, scores.by_class, scores.tied)
-        # Free the values and the DOF columns before the output is built.
-        del values, scores
+        agg, classes = Aggregator(args.agg), rb.class_order
 
-    # The limits of each A-7 subgroup's rows; a fuzzy A-7 is split here.
-    a7, ll, pi = {}, table["ll"], table["pi"]
-    for i in compress(range(len(winners)), map(str.startswith, winners, repeat("A-7"))):
-        if winners[i] == "A-7":
-            winners[i] = hrb.a7_split(ll[i], pi[i])
-        a7[i] = ll[i], pi[i]
-    results = table["id"], winners, a7, scored
-    # Free the rows too: the output needs only their ids and A-7 limits.
-    del rows, table, ll, pi
+        def score(lo, hi):
+            part = {prop: column[lo:hi] for prop, column in values.items()}
+            scores = classify_many(rb, part, variables, agg)
+            return scores.winners, (classes, scores.by_class, scores.tied)
+
+    ids, ll, pi = table["id"], table["ll"], table["pi"]
+
+    def render(lo, hi):
+        """Rows ``lo`` to ``hi`` scored, A-7 split and rendered, as ``_in_parts`` asks."""
+        winners, scored = score(lo, hi)
+        # The limits of each A-7 subgroup's rows; a fuzzy A-7 is split here.
+        a7 = {}
+        for i in compress(range(len(winners)), map(str.startswith, winners, repeat("A-7"))):
+            limits = a7[i] = ll[lo + i], pi[lo + i]
+            if winners[i] == "A-7":
+                winners[i] = hrb.a7_split(*limits)
+        if args.format == "json":
+            return "".join(_classify_json(ids[lo:hi], winners, a7, scored, first=lo == 0))
+        return "\n".join(_classify_csv(ids[lo:hi], winners, a7, scored))
+
+    parts = _in_parts(len(ids), render)
     if args.format == "json":
-        _write_output(args, _json_text(header, "results", _classify_json(*results)))
+        _write_output(args, _json_text(header, "results", _json_array("    ", len(ids), parts)))
     else:
-        _write_output(args, _csv_text(_classify_csv(*results)))
+        names = ["id", "winner", "rating", *(("tie", "tied_with", *classes) if classes else ())]
+        names = ",".join(map(_csv_cell, [*names, "a7_ll", "a7_pi"]))
+        # An empty part has no line.
+        _write_output(args, _csv_text(chain((names,), filter(None, parts))))
     return EXIT_OK
+
+
+def _part_count(n: int) -> int:
+    """How many parts ``_in_parts`` splits ``n`` rows into.
+
+    One part per CPU the process may run on, of ``PART_ROWS`` rows or more
+    each, so one part below ``2 * PART_ROWS`` rows or on one CPU.
+    """
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n // PART_ROWS)
+
+
+def _in_parts(n: int, render) -> list[str]:
+    """``render(lo, hi)`` of each part of rows ``0`` to ``n``, in row order.
+
+    The rows are cut into ``_part_count(n)`` runs of consecutive rows.
+    This process renders the first; each other is rendered by a forked
+    worker (see ``_fork_part``).  A worker that does not exit 0, having
+    sent its whole text, has its part rendered here instead, and so does a
+    part no worker could be forked for.  When this returns or raises, every
+    worker has been reaped, killed first if it still ran.  A process with a
+    second live thread renders every part itself: a fork copies no thread,
+    so a lock another thread holds would stay held in the worker.
+    """
+    threading = sys.modules.get("threading")
+    k = 1
+    if hasattr(os, "fork") and (threading is None or threading.active_count() == 1):
+        k = max(1, _part_count(n))
+    bounds = [n * j // k for j in range(k + 1)]
+    parts = list(zip(bounds, bounds[1:]))
+    workers = {}  # part number: the pid and pipe of its worker, until reaped
+    try:
+        for j, part in enumerate(parts[1:], 1):
+            try:
+                workers[j] = _fork_part(render, *part)
+            except OSError:  # no process or pipe to spare
+                break
+        texts = [render(*parts[0])]
+        for j, part in enumerate(parts[1:], 1):
+            status = 1
+            if j in workers:
+                pid, pipe = workers[j]
+                with pipe:
+                    data = pipe.read()
+                status = os.waitpid(pid, 0)[1]
+                del workers[j]
+            texts.append(data.decode() if status == 0 else render(*part))
+        return texts
+    finally:
+        if workers:
+            import signal
+
+            for pid, pipe in workers.values():
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _fork_part(render, lo: int, hi: int):
+    """The pid of a forked worker that sends ``render(lo, hi)``, and the pipe it sends it through.
+
+    The worker writes the text as UTF-8 and ends with ``os._exit``, 0 once
+    the whole text is written and 1 if anything raised, so it never
+    returns into its caller, runs no ``atexit`` callback and flushes none
+    of the buffers it copied.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as out:
+                out.write(render(lo, hi).encode())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, open(r, "rb")
 
 
 def _property_columns(args, rows, table, problems, variables) -> tuple[dict, dict]:
@@ -472,36 +587,36 @@ class _ScoreTexts(dict):
 
 
 def _classify_csv(ids, winners, a7, scored):
-    """The CSV rows of the results as text: the column names, then one row each.
+    """The CSV rows of a part's results, one line each, without the column names.
 
     ``scored`` is None for a crisp run, and otherwise the classes, their
-    score columns and the tied samples' top classes (see ``rules.Scores``).
+    score columns and the tied samples' top classes (see ``rules.Scores``);
+    ``a7`` holds the A-7 limits of the rows that have them, by index.
     """
     n, ratings = len(ids), hrb.SUBGRADE_RATINGS
     labels = {w: f"{_csv_cell(w)},{_csv_cell(ratings.get(w, ''))}" for w in set(winners)}
     columns = [map(_csv_cell, ids), map(labels.__getitem__, winners)]
-    header = ["id", "winner", "rating"]
     if scored is not None:
-        classes, by_class, tied = scored
+        _, by_class, tied = scored
         ties = ["false,"] * n
         for i, names in tied.items():
             ties[i] = "true," + _csv_cell("|".join(names))
         text = _ScoreTexts(fmt_score)
-        header += "tie", "tied_with", *classes
         columns += [ties, *[map(text.__getitem__, column) for column in by_class]]
     limits = [","] * n
     for i, (ll, pi) in a7.items():
         limits[i] = f"{fmt_degree(ll)},{fmt_degree(pi)}"
-    header = ",".join(map(_csv_cell, [*header, "a7_ll", "a7_pi"]))
-    return chain((header,), map(",".join, zip(*columns, limits)))
+    return map(",".join, zip(*columns, limits))
 
 
-def _classify_json(ids, winners, a7, scored):
-    """The ``results`` array of the results as JSON text, in pieces (see ``_classify_csv``).
+def _classify_json(ids, winners, a7, scored, first):
+    """The objects of a part's results in the ``results`` array, as JSON text in pieces.
 
-    Each row object is laid out where it sits in the document: 4 spaces
-    in, its members 6 and theirs 8.  Each distinct score is written once,
-    by ``_json_number``, as are the A-7 limits.
+    See ``_classify_csv``; ``first`` is whether the part's first object
+    opens the array (see ``_json_objects``).  Each row object is laid out
+    where it sits in the document: 4 spaces in, its members 6 and theirs
+    8.  Each distinct score is written once, by ``_json_number``, as are
+    the A-7 limits.
     """
     # Only JSON output imports the encoder's string escaper.
     from json.encoder import encode_basestring_ascii as encode
@@ -531,7 +646,7 @@ def _classify_json(ids, winners, a7, scored):
             f',\n      "a7": {{\n        "ll": {_json_number(ll)},'
             f'\n        "pi": {_json_number(pi)}\n      }}'
         )
-    return _json_objects("    ", n, *members, limits)
+    return _json_objects("    ", n, *members, limits, first=first)
 
 
 class _Degrees(dict):
@@ -604,10 +719,10 @@ def cmd_memberships(args) -> int:
         for name in names:
             head = {"variable": name, "labels": list(ladders[name])}
             tables += ",\n    ", _json_head(head, "rows", "    ")
-            tables += _json_objects(
+            tables += _json_array("        ", len(ids), _json_objects(
                 "        ", len(ids),
                 repeat('\n          "id": '), ids, repeat(',\n          "degrees": '), texts[name],
-            )
+            ))
             tables.append("\n    }")
         if tables:
             tables[0] = "[\n    "
@@ -762,10 +877,12 @@ def run() -> None:
     Once stdout and stderr are flushed, ``os._exit`` ends the process
     without the interpreter's teardown, which would free every object one
     by one.  The program registers no ``atexit`` callback and starts no
-    thread, and ``main`` has closed its ``-o`` file, so no work of the
-    program's is skipped.  If a flush fails, ``sys.exit`` ends the process,
-    and its teardown reports the failure.  ``SystemExit`` from argparse and
-    any other exception propagate.
+    thread, ``main`` has closed its ``-o`` file, and ``main`` has reaped
+    every worker process ``classify`` forked (each ends itself with
+    ``os._exit``), so no work of the program's is skipped and no process
+    outlives it.  If a flush fails, ``sys.exit`` ends the process, and its
+    teardown reports the failure.  ``SystemExit`` from argparse and any
+    other exception propagate.
     """
     code = main()
     try:

@@ -8,8 +8,11 @@ import itertools
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
+import threading
+import time
 import types
 from pathlib import Path
 from unittest import mock
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 
 import soilfuzz as sf
 from soilfuzz import cli
-from test_rules import batch_added_one_by_one
+from test_rules import batch_added_one_by_one, random_rulebases
 
 FIXTURE_CSV = """\
 id,p2mm,p425,p075,ll,pl
@@ -1785,15 +1788,17 @@ GOLDEN_STDERR = {
 }
 
 
-class TestGoldenBytes:
-    @pytest.fixture(scope="class")
-    def corpus(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("golden") / "corpus.csv"
-        path.write_text(golden_corpus_csv())
-        path.with_name("mixed.csv").write_text(mixed_corpus_csv())
-        path.with_name("subset.frules").write_text(SUBSET_RULES)
-        return str(path)
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """The golden corpus's path, beside the mixed corpus and subset.frules (see ``golden_args``)."""
+    path = tmp_path_factory.mktemp("golden") / "corpus.csv"
+    path.write_text(golden_corpus_csv())
+    path.with_name("mixed.csv").write_text(mixed_corpus_csv())
+    path.with_name("subset.frules").write_text(SUBSET_RULES)
+    return str(path)
 
+
+class TestGoldenBytes:
     def test_corpus_has_a7_wins_and_ties(self, corpus, capsys):
         for mode in (["classify"], ["classify", "--crisp"]):
             _, out, _ = run([*mode, corpus], capsys)
@@ -1838,6 +1843,191 @@ class TestGoldenBytes:
         assert len(built) == 1500
 
 
+def forced_parts(monkeypatch, k):
+    """Have ``classify`` cut its rows into ``k`` parts; the list of the workers' pids."""
+    monkeypatch.setattr(cli, "_part_count", lambda n: k)
+    forked, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return forked
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+CLASSIFY_GOLDEN = [mode for mode in GOLDEN_SHA256 if mode[0] == "classify"]
+
+
+class TestClassifyInParts:
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("mode", CLASSIFY_GOLDEN, ids=" ".join)
+    def test_output_bytes(self, mode, k, corpus, capsys, monkeypatch):
+        forked = forced_parts(monkeypatch, k)
+        code, out, err = run(golden_args(mode, corpus), capsys)
+        assert code == 0 and err == GOLDEN_STDERR.get(mode, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[mode]
+        assert len(forked) == k - 1
+        assert_no_child_left()
+
+    def test_small_inputs_and_one_cpu_stay_one_part(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        rows = cli.PART_ROWS
+        assert [cli._part_count(n) for n in (0, 1, 2 * rows - 1, 2 * rows, 3 * rows, 9 * rows)] == [
+            0, 0, 1, 2, 3, 4
+        ]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert cli._part_count(9 * rows) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert cli._part_count(9 * rows) == 1
+
+    def failing_workers(self, monkeypatch, fail):
+        """Score through ``classify_many``, calling ``fail()`` first in a worker."""
+        parent, classify_many = os.getpid(), sf.rules.classify_many
+
+        def scored_here(*args, **kwargs):
+            if os.getpid() != parent:
+                fail()
+            return classify_many(*args, **kwargs)
+
+        monkeypatch.setattr(sf.rules, "classify_many", scored_here)
+
+    def raise_in_worker(self):
+        raise RuntimeError("worker")
+
+    def kill_worker(self):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    @pytest.mark.parametrize("fail", ["raise_in_worker", "kill_worker"])
+    @pytest.mark.parametrize("mode", [("classify",), ("classify", "--format", "json")], ids=" ".join)
+    def test_failed_worker_leaves_the_bytes(self, mode, fail, corpus, capsys, monkeypatch):
+        # Each failed worker's part is rendered in the parent instead.
+        self.failing_workers(monkeypatch, getattr(self, fail))
+        forked = forced_parts(monkeypatch, 3)
+        code, out, err = run(golden_args(mode, corpus), capsys)
+        assert (code, err) == (0, "") and len(forked) == 2
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[mode]
+        assert_no_child_left()
+
+    def test_unwritable_output_reaps_every_worker(self, corpus, tmp_path, capsys, monkeypatch):
+        forked = forced_parts(monkeypatch, 3)
+        code, out, err = run(["classify", corpus, "-o", str(tmp_path)], capsys)
+        assert code == cli.EXIT_INPUT and out == "" and err.startswith("soilfuzz: cannot write")
+        assert len(forked) == 2
+        assert_no_child_left()
+
+    def test_worker_killed_mid_text_leaves_the_bytes(self, corpus, capsys, monkeypatch):
+        # A worker that sent half its text and was then killed: its part is
+        # rendered in the parent, not cut short.
+        parent, real_open = os.getpid(), open
+
+        class HalfWriter:
+            def __init__(self, file):
+                self.file = file
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.file.close()
+
+            def write(self, data):
+                self.file.write(data[: len(data) // 2])
+                self.file.flush()
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        def half_open(file, *args, **kwargs):
+            opened = real_open(file, *args, **kwargs)
+            return opened if os.getpid() == parent else HalfWriter(opened)
+
+        monkeypatch.setattr(cli, "open", half_open, raising=False)
+        forked = forced_parts(monkeypatch, 3)
+        code, out, err = run(["classify", corpus], capsys)
+        assert (code, err) == (0, "") and len(forked) == 2
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[("classify",)]
+        assert_no_child_left()
+
+    def test_interrupt_in_the_first_part_kills_every_worker(self, corpus, capsys, monkeypatch):
+        # The workers would score for a minute; the interrupt ends them at once.
+        parent, classify_many = os.getpid(), sf.rules.classify_many
+
+        def interrupted(*args, **kwargs):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+            return classify_many(*args, **kwargs)
+
+        monkeypatch.setattr(sf.rules, "classify_many", interrupted)
+        forked = forced_parts(monkeypatch, 4)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["classify", corpus])
+        assert time.monotonic() - start < 30
+        assert len(forked) == 3 and capsys.readouterr() == ("", "")
+        assert_no_child_left()
+
+    def test_second_live_thread_forks_nothing(self, corpus, capsys, monkeypatch):
+        forked = forced_parts(monkeypatch, 3)
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait, args=(30,))
+        thread.start()
+        try:
+            code, out, _ = run(["classify", corpus], capsys)
+        finally:
+            done.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert forked == [] and code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[("classify",)]
+
+
+# Ids as a lab may write them: non-ASCII, with spaces, commas and quotes.
+PART_IDS = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\x00"), max_size=4
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.data(),
+    st.lists(st.tuples(PART_IDS, in_domain_properties()), min_size=1, max_size=10),
+    st.sampled_from([["--crisp"], *([agg] for agg in ("min", "product", "mean"))]),
+    st.sampled_from(["csv", "json"]),
+    st.sampled_from(["pi", "pl"]),
+)
+def test_classify_in_parts_equals_one_part(csv_paths, variables, data, rows, mode, fmt, pi_source):
+    # Random rule bases tie often (a class with no rule scores 0) and name A-7;
+    # whole values land on ladder centers.  An out-of-domain row is skipped.
+    path = next(csv_paths)
+    if mode != ["--crisp"]:
+        rules = path.with_suffix(".frules")
+        rules.write_text(sf.dsl.serialize(data.draw(random_rulebases(variables)), variables))
+        mode = ["--rules", str(rules), "--agg", mode[0], "--pi-source", pi_source]
+    with path.open("w", encoding="utf-8", newline="") as stream:
+        writer = csv.writer(stream)
+        writer.writerow(cli.REQUIRED_COLUMNS)
+        writer.writerows([row_id, *map(repr, values)] for row_id, values in rows)
+        if data.draw(st.booleans()):
+            writer.writerow(["out", 100, 100, 100, 150, 10])
+    k = data.draw(st.integers(2, len(rows) + 2))
+    outputs = []
+    for parts in (1, k):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with mock.patch.object(cli, "_part_count", lambda n: parts), \
+                contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(["classify", *mode, "--skip-bad-rows", "--format", fmt, str(path)])
+        outputs.append((code, stdout.getvalue(), stderr.getvalue()))
+    assert outputs[0][0] == 0 and outputs[1] == outputs[0]
+    assert_no_child_left()
+
+
 def child_env():
     """The environment of a child process that imports this package."""
     path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
@@ -1878,19 +2068,29 @@ def test_cli_starts_without_unused_modules():
     (["memberships", "--format", "json"], False),
     (["classify", "--crisp"], False),
     (["classify"], True),
+    (["classify", "--format", "json"], True),
     (["induce", "--seed", "1", "--iters", "5"], True),
-], ids=["memberships-csv", "memberships-json", "classify-crisp", "classify", "induce"])
+], ids=["memberships-csv", "memberships-json", "classify-crisp", "classify", "classify-json", "induce"])
 def test_each_command_loads_only_what_it_runs(mode, rule_code, labeled_csv, tmp_path):
     # A command that scores or parses no rule never loads the modules that do.
+    # ``classify`` reads an input large enough to be cut into parts on a host
+    # with two CPUs or more; its workers are forked without a process pool.
+    # (``threading``, which site loads on some hosts, is not checked.)
+    source = labeled_csv
+    if mode[0] == "classify":
+        source = tmp_path / "large.csv"
+        source.write_text(golden_corpus_csv(2 * cli.PART_ROWS + 1))
     out = tmp_path / "out.txt"
+    unused = ("multiprocessing", "concurrent.futures", "subprocess", "selectors")
     loaded = child_run(
         "import sys; from soilfuzz import cli; code = cli.main(sys.argv[1:]); "
-        "print(code, *sorted(name for name in sys.modules if name.startswith('soilfuzz')))",
-        *mode, labeled_csv, "-o", str(out),
+        f"print(code, *sorted(name for name in sys.modules if name.startswith(('soilfuzz', *{unused!r}))))",
+        *mode, str(source), "-o", str(out),
     )
     assert loaded[0] == "0" and out.stat().st_size > 0
     rule_modules = {"soilfuzz.rules", "soilfuzz.dsl"}
     assert rule_modules & set(loaded) == (rule_modules if rule_code else set())
+    assert not set(loaded) & set(unused)
 
 
 def test_package_names_resolve_to_their_home_modules():

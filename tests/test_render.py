@@ -249,7 +249,7 @@ class TestJsonText:
             ]
             for j in range(width)
         ]
-        pieces = cli._json_objects("    ", n, *columns)
+        pieces = cli._json_array("    ", n, cli._json_objects("    ", n, *columns))
         want = json.dumps({"a": [dict(members) for members in objects]}, indent=2) + "\n"
         assert cli._json_text({}, "a", pieces) == want
 
